@@ -27,8 +27,8 @@ type State struct {
 // The inputs are the global mean μ and the action's binary rating and
 // confidence weight; the rule-specific learning rate (Eq. 8) and training
 // target are derived from p. Step is pure: it never mutates its input
-// vectors, so callers (the ComputeMF bolt) can safely hand the results to a
-// different worker for storage.
+// vectors, so Compute's callers can safely hand the results to a different
+// worker for storage.
 func (p Params) Step(s State, mu, rating, weight float64) State {
 	eta := p.LearningRate(weight)
 	target := p.TrainingRating(rating, weight)
@@ -55,9 +55,10 @@ func PredictState(s State, mu float64) float64 {
 
 // Stats counts the actions a model has seen, split by outcome.
 type Stats struct {
-	// Received counts every action handed to ProcessAction.
+	// Received counts every action handed to Compute.
 	Received atomic.Uint64
-	// Trained counts actions that updated parameters (rating 1).
+	// Trained counts actions that produced a parameter update (rating 1,
+	// finite step).
 	Trained atomic.Uint64
 	// Skipped counts actions with rating 0 (impressions).
 	Skipped atomic.Uint64
@@ -332,9 +333,9 @@ func (m *Model) Load(ctx context.Context, userID, itemID string) (s State, newUs
 	return s, newUser, newItem, nil
 }
 
-// StoreState persists a (user, item) state pair. Exposed for the MFStorage
-// bolt, which receives freshly computed vectors from ComputeMF and owns all
-// writes for its key partition.
+// StoreState persists a (user, item) state pair — ProcessAction's write-back.
+// The MFStorage bolt, which owns all writes for its key partition, receives
+// the two halves as separate tuples and calls StoreUser / StoreItem.
 func (m *Model) StoreState(ctx context.Context, userID, itemID string, s State) error {
 	if err := m.StoreUser(ctx, userID, s.UserVec, s.UserBias); err != nil {
 		return err
@@ -378,7 +379,7 @@ func (m *Model) StoreItem(ctx context.Context, id string, vec []float64, bias fl
 
 // globalMean returns μ. When TrackGlobalMean is off it is 0, reducing Eq. 2
 // to the bias-plus-interaction form. The computed ratio is cached under the
-// record's key; every ObserveRating update invalidates it.
+// record's key; every observeRating update invalidates it.
 func (m *Model) globalMean(ctx context.Context) (float64, error) {
 	if !m.params.TrackGlobalMean {
 		return 0, nil
@@ -415,11 +416,9 @@ func (m *Model) globalMean(ctx context.Context) (float64, error) {
 	return mu, nil
 }
 
-// ObserveRating folds one action's binary rating into the running global
-// mean without touching any other parameter. ProcessAction calls it
-// internally; the ComputeMF bolt calls it directly because it performs the
-// load-step-emit cycle itself.
-func (m *Model) ObserveRating(ctx context.Context, r float64) error {
+// observeRating folds one action's training rating into the running global
+// mean without touching any other parameter.
+func (m *Model) observeRating(ctx context.Context, r float64) error {
 	if !m.params.TrackGlobalMean {
 		return nil
 	}
@@ -439,11 +438,13 @@ func (m *Model) ObserveRating(ctx context.Context, r float64) error {
 // has been observed).
 func (m *Model) GlobalMean(ctx context.Context) (float64, error) { return m.globalMean(ctx) }
 
-// ProcessAction runs Algorithm 1 for one user action: compute r_ui and w_ui,
-// skip if r_ui = 0, otherwise initialize any new entities, take one adjusted
-// SGD step, and write the new state back to the store. It reports whether
-// the model was updated.
-func (m *Model) ProcessAction(ctx context.Context, a feedback.Action) (bool, error) {
+// Compute runs Algorithm 1's arithmetic for one user action: fold r_ui into
+// μ, skip if r_ui = 0, otherwise load (or initialize) the touched entities
+// and take one adjusted SGD step. It writes no vector: ok reports whether
+// next is an update to store — ProcessAction stores it inline, the ComputeMF
+// bolt hands it to MFStorage (§5.1 separates compute from storage so each
+// key has a single writer).
+func (m *Model) Compute(ctx context.Context, a feedback.Action) (next State, ok bool, err error) {
 	m.stats.Received.Add(1)
 	rating, weight := m.params.Weights.Confidence(a)
 	// μ tracks the mean of the ratings this rule actually regresses to
@@ -453,16 +454,16 @@ func (m *Model) ProcessAction(ctx context.Context, a feedback.Action) (bool, err
 	if rating > 0 {
 		observed = m.params.TrainingRating(rating, weight)
 	}
-	if err := m.ObserveRating(ctx, observed); err != nil {
-		return false, err
+	if err := m.observeRating(ctx, observed); err != nil {
+		return State{}, false, err
 	}
 	if rating == 0 {
 		m.stats.Skipped.Add(1)
-		return false, nil
+		return State{}, false, nil
 	}
 	s, newUser, newItem, err := m.Load(ctx, a.UserID, a.VideoID)
 	if err != nil {
-		return false, err
+		return State{}, false, err
 	}
 	if newUser {
 		m.stats.NewUsers.Add(1)
@@ -472,19 +473,29 @@ func (m *Model) ProcessAction(ctx context.Context, a feedback.Action) (bool, err
 	}
 	mu, err := m.globalMean(ctx)
 	if err != nil {
-		return false, err
+		return State{}, false, err
 	}
-	next := m.params.Step(s, mu, rating, weight)
+	next = m.params.Step(s, mu, rating, weight)
 	if !StateFinite(next) {
 		// Online training has no second chance to undo a written NaN:
 		// every later read would propagate it. Drop the update instead.
 		m.stats.Diverged.Add(1)
-		return false, nil
+		return State{}, false, nil
+	}
+	m.stats.Trained.Add(1)
+	return next, true, nil
+}
+
+// ProcessAction is Compute plus the write-back: it stores the new state and
+// reports whether the model was updated.
+func (m *Model) ProcessAction(ctx context.Context, a feedback.Action) (bool, error) {
+	next, ok, err := m.Compute(ctx, a)
+	if err != nil || !ok {
+		return false, err
 	}
 	if err := m.StoreState(ctx, a.UserID, a.VideoID, next); err != nil {
 		return false, err
 	}
-	m.stats.Trained.Add(1)
 	return true, nil
 }
 
@@ -495,8 +506,7 @@ func (m *Model) ProcessAction(ctx context.Context, a feedback.Action) (bool, err
 const MaxParamMagnitude = 1e8
 
 // StateFinite reports whether every parameter in s is finite and within
-// MaxParamMagnitude. The ComputeMF bolt applies the same check before
-// emitting vectors for storage.
+// MaxParamMagnitude.
 func StateFinite(s State) bool {
 	ok := func(v float64) bool {
 		return !math.IsNaN(v) && math.Abs(v) <= MaxParamMagnitude

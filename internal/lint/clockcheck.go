@@ -31,10 +31,9 @@ func init() {
 			"internal/storm", "internal/topology", "internal/recommend",
 			"internal/simtable", "internal/kvstore", "internal/core",
 			"internal/history", "internal/demographic", "internal/catalog",
-			"internal/feedback", "internal/dataset", "internal/lru",
-			"internal/topn", "internal/metrics", "internal/vecmath",
-			"internal/sim", "internal/objcache", "internal/bandit",
-			"fixtures/clockcheck",
+			"internal/feedback", "internal/dataset", "internal/topn",
+			"internal/metrics", "internal/vecmath", "internal/sim",
+			"internal/objcache", "internal/bandit", "fixtures/clockcheck",
 		},
 		Run: runClockcheck,
 	})

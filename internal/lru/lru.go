@@ -1,27 +1,20 @@
-// Package lru implements a small TTL'd LRU cache — the "cache technique" of
-// §5.1: because fields grouping routes all pairs touching a given video to
-// the same ItemPairSim worker, that worker can cache the video's vector and
-// type locally and skip most key-value store reads. Entries expire after a
-// TTL so the cache tracks the continuously retrained vectors closely enough
-// (a pair similarity computed from a vector a second stale is well within
-// the model's own noise).
+// Package lru implements a small fixed-capacity LRU cache: the eviction
+// policy under each shard of the decoded-value read cache (internal/objcache),
+// which keeps entries coherent by write-through invalidation — so entries
+// never expire on their own, and the package reads no clock.
 package lru
 
 import (
 	"container/list"
 	"fmt"
-	"time"
 )
 
-// Cache is a fixed-capacity LRU with per-entry TTL.
+// Cache is a fixed-capacity LRU.
 //
-// It is NOT safe for concurrent use: the intended owner is a single bolt
-// task (one goroutine), per Storm's execution model. Give each task its own
-// Cache.
+// It is NOT safe for concurrent use: the owner serializes access (objcache
+// holds its shard lock around every call).
 type Cache[K comparable, V any] struct {
 	capacity int
-	ttl      time.Duration
-	clock    func() time.Time
 
 	order *list.List // front = most recent
 	items map[K]*list.Element
@@ -30,32 +23,25 @@ type Cache[K comparable, V any] struct {
 }
 
 type entry[K comparable, V any] struct {
-	key     K
-	value   V
-	expires time.Time
+	key   K
+	value V
 }
 
-// New returns a cache holding at most capacity entries, each valid for ttl.
-// A non-positive ttl disables expiry. It panics on non-positive capacity —
-// an accidental zero capacity would silently disable the optimization.
-func New[K comparable, V any](capacity int, ttl time.Duration) *Cache[K, V] {
+// New returns a cache holding at most capacity entries. It panics on
+// non-positive capacity — an accidental zero capacity would silently disable
+// the optimization.
+func New[K comparable, V any](capacity int) *Cache[K, V] {
 	if capacity <= 0 {
 		panic(fmt.Sprintf("lru: capacity must be positive, got %d", capacity))
 	}
 	return &Cache[K, V]{
 		capacity: capacity,
-		ttl:      ttl,
-		// clockcheck: production default; tests and the sim inject via SetClock.
-		clock: time.Now,
-		order: list.New(),
-		items: make(map[K]*list.Element, capacity),
+		order:    list.New(),
+		items:    make(map[K]*list.Element, capacity),
 	}
 }
 
-// SetClock installs a time source (tests).
-func (c *Cache[K, V]) SetClock(fn func() time.Time) { c.clock = fn }
-
-// Get returns the cached value and whether it was present and fresh.
+// Get returns the cached value and whether it was present.
 func (c *Cache[K, V]) Get(key K) (V, bool) {
 	var zero V
 	el, ok := c.items[key]
@@ -63,25 +49,16 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 		c.misses++
 		return zero, false
 	}
-	e := el.Value.(*entry[K, V])
-	if c.ttl > 0 && c.clock().After(e.expires) {
-		c.order.Remove(el)
-		delete(c.items, key)
-		c.misses++
-		return zero, false
-	}
 	c.order.MoveToFront(el)
 	c.hits++
-	return e.value, true
+	return el.Value.(*entry[K, V]).value, true
 }
 
 // Put inserts or refreshes a value, evicting the least recently used entry
 // when full.
 func (c *Cache[K, V]) Put(key K, value V) {
 	if el, ok := c.items[key]; ok {
-		e := el.Value.(*entry[K, V])
-		e.value = value
-		e.expires = c.clock().Add(c.ttl)
+		el.Value.(*entry[K, V]).value = value
 		c.order.MoveToFront(el)
 		return
 	}
@@ -93,26 +70,10 @@ func (c *Cache[K, V]) Put(key K, value V) {
 			c.evictions++
 		}
 	}
-	el := c.order.PushFront(&entry[K, V]{key: key, value: value, expires: c.clock().Add(c.ttl)})
-	c.items[key] = el
+	c.items[key] = c.order.PushFront(&entry[K, V]{key: key, value: value})
 }
 
-// GetOrLoad returns the cached value or loads, caches and returns it.
-func (c *Cache[K, V]) GetOrLoad(key K, load func() (V, error)) (V, error) {
-	if v, ok := c.Get(key); ok {
-		return v, nil
-	}
-	v, err := load()
-	if err != nil {
-		var zero V
-		return zero, err
-	}
-	c.Put(key, v)
-	return v, nil
-}
-
-// Len returns the number of live entries (possibly including expired ones
-// not yet touched).
+// Len returns the number of entries.
 func (c *Cache[K, V]) Len() int { return c.order.Len() }
 
 // Cap returns the configured capacity.
@@ -121,8 +82,7 @@ func (c *Cache[K, V]) Cap() int { return c.capacity }
 // Stats returns cumulative hit and miss counts.
 func (c *Cache[K, V]) Stats() (hits, misses uint64) { return c.hits, c.misses }
 
-// Evictions returns how many entries capacity pressure has pushed out
-// (expiry removals are not evictions).
+// Evictions returns how many entries capacity pressure has pushed out.
 func (c *Cache[K, V]) Evictions() uint64 { return c.evictions }
 
 // Remove deletes the entry for key if present, reporting whether it was.

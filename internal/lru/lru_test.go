@@ -1,10 +1,6 @@
 package lru
 
-import (
-	"fmt"
-	"testing"
-	"time"
-)
+import "testing"
 
 func TestNewPanicsOnBadCapacity(t *testing.T) {
 	defer func() {
@@ -12,11 +8,11 @@ func TestNewPanicsOnBadCapacity(t *testing.T) {
 			t.Fatal("capacity 0 accepted")
 		}
 	}()
-	New[string, int](0, time.Second)
+	New[string, int](0)
 }
 
 func TestGetPut(t *testing.T) {
-	c := New[string, int](4, 0)
+	c := New[string, int](4)
 	if _, ok := c.Get("a"); ok {
 		t.Error("empty cache hit")
 	}
@@ -34,7 +30,7 @@ func TestGetPut(t *testing.T) {
 }
 
 func TestLRUEviction(t *testing.T) {
-	c := New[int, int](3, 0)
+	c := New[int, int](3)
 	c.Put(1, 1)
 	c.Put(2, 2)
 	c.Put(3, 3)
@@ -50,50 +46,8 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestTTLExpiry(t *testing.T) {
-	now := time.Unix(0, 0)
-	c := New[string, int](4, time.Second)
-	c.SetClock(func() time.Time { return now })
-	c.Put("a", 1)
-	if _, ok := c.Get("a"); !ok {
-		t.Fatal("fresh entry missed")
-	}
-	now = now.Add(2 * time.Second)
-	if _, ok := c.Get("a"); ok {
-		t.Error("expired entry served")
-	}
-	// Re-putting revives it.
-	c.Put("a", 2)
-	if v, ok := c.Get("a"); !ok || v != 2 {
-		t.Errorf("revived entry = %d,%v", v, ok)
-	}
-}
-
-func TestGetOrLoad(t *testing.T) {
-	c := New[string, int](4, 0)
-	loads := 0
-	load := func() (int, error) { loads++; return 42, nil }
-	for i := 0; i < 3; i++ {
-		v, err := c.GetOrLoad("k", load)
-		if err != nil || v != 42 {
-			t.Fatalf("GetOrLoad = %d, %v", v, err)
-		}
-	}
-	if loads != 1 {
-		t.Errorf("loader ran %d times, want 1", loads)
-	}
-	// Errors pass through and are not cached.
-	boom := fmt.Errorf("boom")
-	if _, err := c.GetOrLoad("bad", func() (int, error) { return 0, boom }); err != boom {
-		t.Errorf("error not propagated: %v", err)
-	}
-	if _, ok := c.Get("bad"); ok {
-		t.Error("failed load cached")
-	}
-}
-
 func TestStats(t *testing.T) {
-	c := New[string, int](2, 0)
+	c := New[string, int](2)
 	c.Put("a", 1)
 	c.Get("a")
 	c.Get("a")
@@ -105,14 +59,14 @@ func TestStats(t *testing.T) {
 	if hr := c.HitRate(); hr < 0.66 || hr > 0.67 {
 		t.Errorf("HitRate = %v, want 2/3", hr)
 	}
-	empty := New[string, int](2, 0)
+	empty := New[string, int](2)
 	if empty.HitRate() != 0 {
 		t.Error("HitRate of untouched cache not 0")
 	}
 }
 
 func TestEvictionsCounter(t *testing.T) {
-	c := New[string, int](2, 0)
+	c := New[string, int](2)
 	c.Put("a", 1)
 	c.Put("b", 2)
 	if c.Evictions() != 0 {
@@ -131,7 +85,7 @@ func TestEvictionsCounter(t *testing.T) {
 }
 
 func TestRemove(t *testing.T) {
-	c := New[string, int](2, 0)
+	c := New[string, int](2)
 	c.Put("a", 1)
 	if !c.Remove("a") {
 		t.Fatal("Remove of present key returned false")
@@ -158,7 +112,7 @@ func TestRemove(t *testing.T) {
 }
 
 func TestCap(t *testing.T) {
-	if got := New[string, int](7, 0).Cap(); got != 7 {
+	if got := New[string, int](7).Cap(); got != 7 {
 		t.Errorf("Cap = %d, want 7", got)
 	}
 }

@@ -105,7 +105,7 @@ func New(capacity int) *Cache {
 	}
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].entries = lru.New[string, cacheEntry](per, 0) // no TTL: invalidation keeps it coherent
+		c.shards[i].entries = lru.New[string, cacheEntry](per)
 	}
 	return c
 }
@@ -220,7 +220,7 @@ func (c *Cache) Flush() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		// Rebuild rather than iterate-and-remove; capacity is unchanged.
-		s.entries = lru.New[string, cacheEntry](s.entries.Cap(), 0)
+		s.entries = lru.New[string, cacheEntry](s.entries.Cap())
 		s.version++
 		s.mu.Unlock()
 	}

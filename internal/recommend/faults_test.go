@@ -12,6 +12,7 @@ import (
 
 	"vidrec/internal/catalog"
 	"vidrec/internal/core"
+	"vidrec/internal/demographic"
 	"vidrec/internal/kvstore"
 	"vidrec/internal/simtable"
 )
@@ -38,6 +39,48 @@ func TestIngestSurfacesStoreErrors(t *testing.T) {
 	}
 	if !errors.Is(err, kvstore.ErrInjected) {
 		t.Errorf("error does not wrap the injected fault: %v", err)
+	}
+}
+
+// TestIngestFailsOnProfileReadError: the write path must not mistake an
+// unreadable profile for "no profile" — that would silently train the action
+// into the global group only. The action fails as a whole and writes nothing;
+// the serve path keeps its global-group fallback.
+func TestIngestFailsOnProfileReadError(t *testing.T) {
+	ctx := context.Background()
+	store := kvstore.NewLocal(16)
+	faulty := kvstore.NewFaulty(store, 7)
+	params := core.DefaultParams()
+	params.Factors = 8
+	sys, err := NewSystem(faulty, params, simtable.DefaultConfig(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Catalog.Put(ctx, catalog.Video{ID: "v", Type: "t", Length: time.Minute})
+	sys.Profiles.Put(ctx, demographic.Profile{UserID: "u1", Registered: true, Gender: demographic.GenderMale})
+	before, _ := store.Len(ctx)
+
+	faulty.SetSchedule([]kvstore.FaultPhase{{FailRate: 1, KeyPrefix: "sys.prof"}})
+	if err := sys.Ingest(ctx, watch("u1", "v", 0)); !errors.Is(err, kvstore.ErrInjected) {
+		t.Fatalf("Ingest with the profile namespace down: err = %v, want the injected fault", err)
+	}
+	if after, _ := store.Len(ctx); after != before {
+		t.Errorf("failed action wrote %d keys", after-before)
+	}
+	if _, err := sys.Recommend(ctx, Request{UserID: "u1", N: 3}); err != nil {
+		t.Errorf("serve path did not fall back to the global group: %v", err)
+	}
+
+	faulty.SetSchedule(nil)
+	if err := sys.Ingest(ctx, watch("u1", "v", 0)); err != nil {
+		t.Fatalf("ingest after recovery: %v", err)
+	}
+	group, err := sys.Profiles.GroupOf(ctx, "u1")
+	if err != nil || group == demographic.GlobalGroup {
+		t.Fatalf("GroupOf(u1) = %q, %v", group, err)
+	}
+	if hot, _ := sys.Hot.Hot(ctx, group, 1, sys.Now()); len(hot) != 1 {
+		t.Errorf("recovered action did not reach the %q hot list", group)
 	}
 }
 

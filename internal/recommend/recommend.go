@@ -5,10 +5,11 @@
 // (Eq. 2), and rank — with the demographic-filtering merge of §5.2.1
 // broadening the list and covering cold-start users.
 //
-// The package also provides the sequential ingest path (System.Ingest): the
-// same state transitions the Figure 2 topology performs, applied inline.
-// Offline experiments use it to train without stream-processing overhead;
-// the topology package wires the identical component calls into Storm bolts.
+// The package also owns the write path (steps.go): each Figure 2 training
+// step is one System method. System.Ingest runs them inline — offline
+// experiments train without stream-processing overhead — and the topology
+// package's bolts run the same methods one per bolt; internal/sim's
+// TestSyncTopologyEqualsIngest pins the two to byte-identical stored state.
 package recommend
 
 import (
@@ -16,6 +17,7 @@ import (
 	"fmt"
 	"math"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"vidrec/internal/ann"
@@ -222,7 +224,10 @@ type System struct {
 	scratch sync.Pool
 
 	clock func() time.Time
-	now   time.Time
+	// streamNow is the latest ingested action timestamp in Unix nanoseconds
+	// (0 before the first action): an atomic max, advanced by Observe on both
+	// write paths and read by concurrent Recommend calls through Now.
+	streamNow atomic.Int64
 	// wallClock times Recommend calls for the Latency histogram. Unlike
 	// clock (the model's notion of "now", which follows the replayed
 	// stream), wallClock measures real serving work; the simulation harness
@@ -387,130 +392,19 @@ func (s *System) Now() time.Time {
 	if s.clock != nil {
 		return s.clock()
 	}
-	return s.now
+	if ns := s.streamNow.Load(); ns != 0 {
+		return time.Unix(0, ns).UTC()
+	}
+	return time.Time{}
 }
 
+// groupOf is the serve path's group resolution: a profile that cannot be
+// read degrades the request to the global group rather than failing it. The
+// write path (Observe) returns the error instead.
 func (s *System) groupOf(ctx context.Context, userID string) string {
 	g, err := s.Profiles.GroupOf(ctx, userID)
 	if err != nil || g == "" {
 		return demographic.GlobalGroup
 	}
 	return g
-}
-
-// Ingest applies one user action to all pipeline state — the sequential
-// equivalent of the Figure 2 topology: MF update (ComputeMF/MFStorage),
-// history append (UserHistory), similar-table refresh (GetItemPairs/
-// ItemPairSim/ResultStorage), and hot-list heating for demographic
-// filtering.
-func (s *System) Ingest(ctx context.Context, a feedback.Action) error {
-	if a.Timestamp.After(s.now) {
-		s.now = a.Timestamp
-	}
-	group := s.groupOf(ctx, a.UserID)
-
-	// Model updates: global always; the user's group additionally when
-	// demographic training is on.
-	global, err := s.Models.For(demographic.GlobalGroup)
-	if err != nil {
-		return err
-	}
-	if _, err := global.ProcessAction(ctx, a); err != nil {
-		return err
-	}
-	groupModel := global
-	if s.opts.DemographicTraining && group != demographic.GlobalGroup {
-		groupModel, err = s.Models.For(group)
-		if err != nil {
-			return err
-		}
-		if _, err := groupModel.ProcessAction(ctx, a); err != nil {
-			return err
-		}
-	}
-
-	weight := s.weights.Weight(a)
-	if weight <= 0 {
-		return nil // impressions update nothing beyond the global mean
-	}
-
-	// Exploration reward loop (sequential path; the topology's BanditReward/
-	// BanditState bolts are the streaming equivalent): if this action lands
-	// on a slot of the user's attributed explored slate, credit the arm that
-	// filled it with the action's confidence, scaled into [0,1].
-	if s.policy != nil {
-		arm, ok, err := s.Bandit.Take(ctx, a.UserID, a.VideoID)
-		if err != nil {
-			return err
-		}
-		if ok {
-			ev := bandit.RewardEvent{Arm: arm, Reward: bandit.RewardFromWeight(weight), TsMs: a.Timestamp.UnixMilli()}
-			if err := s.Bandit.Reward(ctx, ev); err != nil {
-				return err
-			}
-		}
-	}
-
-	if err := s.Hot.Record(ctx, demographic.GlobalGroup, a.VideoID, weight, a.Timestamp); err != nil {
-		return err
-	}
-	if s.opts.DemographicFiltering && group != demographic.GlobalGroup {
-		if err := s.Hot.Record(ctx, group, a.VideoID, weight, a.Timestamp); err != nil {
-			return err
-		}
-	}
-
-	// Pair generation needs the history *before* this action joins it.
-	recent, err := s.History.RecentVideos(ctx, a.UserID, s.opts.PairWindow)
-	if err != nil {
-		return err
-	}
-	if err := s.History.Append(ctx, a.UserID, a.VideoID, a.Timestamp); err != nil {
-		return err
-	}
-	for _, pair := range simtable.Pairs(a.VideoID, recent) {
-		if err := s.updatePair(ctx, groupModel, group, pair[0], pair[1], a.Timestamp); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// updatePair recomputes one touched pair's similarity and writes it in both
-// directions into the group's tables (and the global tables when they
-// differ).
-func (s *System) updatePair(ctx context.Context, model *core.Model, group, i, j string, ts time.Time) error {
-	tables, err := s.Tables.For(group)
-	if err != nil {
-		return err
-	}
-	score, err := tables.PairScore(ctx, model, s.Catalog, i, j)
-	if err != nil {
-		return err
-	}
-	if err := tables.UpdateDirected(ctx, i, j, score, ts); err != nil {
-		return err
-	}
-	if err := tables.UpdateDirected(ctx, j, i, score, ts); err != nil {
-		return err
-	}
-	if group == demographic.GlobalGroup || !s.opts.DemographicTraining {
-		return nil
-	}
-	globalTables, err := s.Tables.For(demographic.GlobalGroup)
-	if err != nil {
-		return err
-	}
-	globalModel, err := s.Models.For(demographic.GlobalGroup)
-	if err != nil {
-		return err
-	}
-	gscore, err := globalTables.PairScore(ctx, globalModel, s.Catalog, i, j)
-	if err != nil {
-		return err
-	}
-	if err := globalTables.UpdateDirected(ctx, i, j, gscore, ts); err != nil {
-		return err
-	}
-	return globalTables.UpdateDirected(ctx, j, i, gscore, ts)
 }

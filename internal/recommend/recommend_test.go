@@ -360,3 +360,31 @@ func TestEvalAdapter(t *testing.T) {
 		t.Errorf("adapter Recommend = %v", got)
 	}
 }
+
+// TestIngestRecommendConcurrent: recserve's /action and /recommend handlers
+// run Ingest and Recommend on different goroutines, and Recommend reads the
+// stream clock Ingest advances. Run under -race.
+func TestIngestRecommendConcurrent(t *testing.T) {
+	s := testSystem(t, DefaultOptions())
+	seedCatalog(t, s, vid("a", "movie"), vid("b", "movie"), vid("c", "movie"))
+	ctx := context.Background()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		for i := 0; i < 200; i++ {
+			if err := s.Ingest(ctx, watch("u1", []string{"a", "b", "c"}[i%3], i)); err != nil {
+				t.Error(err)
+				return
+			}
+		}
+	}()
+	for i := 0; i < 200; i++ {
+		if _, err := s.Recommend(ctx, Request{UserID: "u2", N: 3}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	<-done
+	if want := watch("u1", "a", 199).Timestamp; !s.Now().Equal(want) {
+		t.Errorf("Now() = %v after the stream, want its latest timestamp %v", s.Now(), want)
+	}
+}

@@ -268,7 +268,6 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 			MaxPending:  sc.MaxPending,
 			Synchronous: sc.Synchronous,
 			Seed:        sc.Seed ^ 0xED6E,
-			CacheClock:  vclock.Now,
 			WrapBolt:    boltWrapper(sc.BoltFaults),
 		})
 	if err != nil {
@@ -369,7 +368,6 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 				MaxPending:  sc.MaxPending,
 				Synchronous: sc.Synchronous,
 				Seed:        sc.Seed ^ 0xFEED,
-				CacheClock:  vclock.Now,
 				WrapBolt:    boltWrapper(sc.BoltFaults),
 			})
 		if err != nil {

@@ -427,13 +427,6 @@ func (t *Tables) PairScore(ctx context.Context, m *core.Model, cat *catalog.Cata
 	return t.cfg.Fuse(cf, TypeSimilarity(ti, tj)), nil
 }
 
-// FuseVectors computes the undamped fused similarity directly from item
-// vectors and types — the cache-friendly form of PairScore used by workers
-// that hold vectors locally (§5.1's cache technique).
-func (c Config) FuseVectors(yi, yj []float64, ti, tj string) float64 {
-	return c.Fuse(vecmath.Dot(yi, yj), TypeSimilarity(ti, tj))
-}
-
 // Pairs lists the item pairs a new action generates: the acted-on video
 // against each of the user's recent distinct videos (the GetItemPairs bolt).
 // Self-pairs are skipped.

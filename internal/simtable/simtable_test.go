@@ -319,35 +319,6 @@ func TestCorruptTableRecordErrors(t *testing.T) {
 	}
 }
 
-// TestFuseVectorsMatchesPairScore: the cache-friendly form must agree with
-// the store-reading form.
-func TestFuseVectorsMatchesPairScore(t *testing.T) {
-	kv := kvstore.NewLocal(4)
-	p := core.DefaultParams()
-	p.Factors = 8
-	m, _ := core.NewModel("m", kv, p)
-	cat, _ := catalog.New("c", kv)
-	cat.Put(context.Background(), catalog.Video{ID: "a", Type: "movie", Length: time.Hour})
-	cat.Put(context.Background(), catalog.Video{ID: "b", Type: "movie", Length: time.Hour})
-	for i := 0; i < 20; i++ {
-		m.ProcessAction(context.Background(), feedback.Action{UserID: "u1", VideoID: "a", Type: feedback.Share})
-		m.ProcessAction(context.Background(), feedback.Action{UserID: "u1", VideoID: "b", Type: feedback.Share})
-	}
-	tb, _ := New("t", kv, DefaultConfig())
-	want, err := tb.PairScore(context.Background(), m, cat, "a", "b")
-	if err != nil {
-		t.Fatal(err)
-	}
-	ya, _, _, _ := m.ItemVector(context.Background(), "a")
-	yb, _, _, _ := m.ItemVector(context.Background(), "b")
-	ta, _ := cat.Type(context.Background(), "a")
-	tbType, _ := cat.Type(context.Background(), "b")
-	got := tb.Config().FuseVectors(ya, yb, ta, tbType)
-	if math.Abs(got-want) > 1e-12 {
-		t.Errorf("FuseVectors = %v, PairScore = %v", got, want)
-	}
-}
-
 func TestCFSimilaritySurfacesStoreErrors(t *testing.T) {
 	faulty := kvstore.NewFaulty(kvstore.NewLocal(2), 5)
 	p := core.DefaultParams()

@@ -3,6 +3,7 @@ package storm
 import (
 	"context"
 	"fmt"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -177,7 +178,7 @@ func TestFieldsGroupingSingleWriter(t *testing.T) {
 	b.SetBolt("sink", func() Bolt {
 		fb := &funcBolt{}
 		fb.fn = func(tp *Tuple, _ *BoltCollector) error {
-			k, err := tp.String("k")
+			k, err := Get[string](tp, "k")
 			if err != nil {
 				return err
 			}
@@ -456,11 +457,17 @@ func TestTopologyIsSingleUse(t *testing.T) {
 
 func TestTupleFieldAccess(t *testing.T) {
 	tp := &Tuple{Values: Values{"u1", 42}, schema: []string{"user", "n"}, Source: "s"}
-	if v, err := tp.String("user"); err != nil || v != "u1" {
-		t.Errorf("String(user) = %q, %v", v, err)
+	if v, err := Get[string](tp, "user"); err != nil || v != "u1" {
+		t.Errorf("Get[string](user) = %q, %v", v, err)
 	}
-	if _, err := tp.String("n"); err == nil {
-		t.Error("String on int field succeeded, want type error")
+	if _, err := Get[string](tp, "n"); err == nil || !strings.Contains(err.Error(), `field "n" is int, not string`) {
+		t.Errorf("Get[string] on int field: err = %v, want type error", err)
+	}
+	if _, err := Get[float64](tp, "n"); err == nil || !strings.Contains(err.Error(), `field "n" is int, not float64`) {
+		t.Errorf("Get[float64] on int field: err = %v, want type error", err)
+	}
+	if _, err := Get[int](tp, "missing"); err == nil {
+		t.Error("Get(missing) succeeded, want error")
 	}
 	if _, err := tp.Field("missing"); err == nil {
 		t.Error("Field(missing) succeeded, want error")

@@ -53,19 +53,20 @@ func (t *Tuple) Field(name string) (any, error) {
 	return nil, fmt.Errorf("storm: tuple from %q has no field %q (schema %v)", t.Source, name, t.schema)
 }
 
-// String returns the value of the named field as a string. It errors if the
-// field is absent or not a string — tuple schemas are declared statically,
-// so a type mismatch is a wiring bug worth surfacing loudly.
-func (t *Tuple) String(name string) (string, error) {
+// Get returns the value of the named field as a T. It errors if the field is
+// absent or not a T — tuple schemas are declared statically, so a type
+// mismatch is a wiring bug worth surfacing loudly.
+func Get[T any](t *Tuple, name string) (T, error) {
+	var zero T
 	v, err := t.Field(name)
 	if err != nil {
-		return "", err
+		return zero, err
 	}
-	s, ok := v.(string)
+	x, ok := v.(T)
 	if !ok {
-		return "", fmt.Errorf("storm: field %q is %T, not string", name, v)
+		return zero, fmt.Errorf("storm: field %q is %T, not %T", name, v, zero)
 	}
-	return s, nil
+	return x, nil
 }
 
 // Schema returns the field names of the tuple.

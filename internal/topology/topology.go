@@ -2,8 +2,8 @@
 // spout parsing the raw action stream, and the three processing lines —
 //
 //	spout ─▶ ComputeMF ─▶ MFStorage            (model updates)
-//	spout ─▶ UserHistory                        (behaviour histories + hot lists)
 //	spout ─▶ GetItemPairs ─▶ ItemPairSim ─▶ ResultStorage   (similar-video tables)
+//	spout ─▶ UserHistory                        (behaviour histories + hot lists)
 //	spout ─▶ BanditReward ─▶ BanditState        (exploration reward loop)
 //
 // with the groupings the paper specifies: action tuples are fields-grouped
@@ -11,9 +11,12 @@
 // the way to MFStorage (the single-writer guarantee of §5.1), and pair
 // similarities are grouped by the owning video before storage.
 //
-// The bolts operate on the exact same components as recommend.System's
-// sequential Ingest; the topology is the scalable deployment of the same
-// state machine.
+// Every bolt is "decode the tuple, run one of recommend.System's write-path
+// steps, emit the result": the training arithmetic lives there once, shared
+// with the sequential System.Ingest. Under Options.Synchronous the topology
+// and Ingest leave byte-identical stored state (internal/sim's
+// TestSyncTopologyEqualsIngest); the concurrent scheduler interleaves sibling
+// bolts' reads and writes, the documented production behaviour.
 package topology
 
 import (
@@ -22,12 +25,8 @@ import (
 	"time"
 
 	"vidrec/internal/bandit"
-	"vidrec/internal/core"
-	"vidrec/internal/demographic"
 	"vidrec/internal/feedback"
-	"vidrec/internal/lru"
 	"vidrec/internal/recommend"
-	"vidrec/internal/simtable"
 	"vidrec/internal/storm"
 )
 
@@ -120,10 +119,6 @@ type Options struct {
 	Synchronous bool
 	// Seed seeds the engine's per-task edge-id generators when non-zero.
 	Seed uint64
-	// CacheClock, when non-nil, replaces the wall clock in the ItemPairSim
-	// task-local TTL caches so cache expiry follows a virtual clock instead
-	// of wall time.
-	CacheClock func() time.Time
 	// WrapBolt, when non-nil, decorates every bolt instance as it is
 	// created (name is the component name) — the hook the simulation
 	// harness uses to model bolt restarts and slow bolts.
@@ -157,13 +152,6 @@ func BuildWithOptions(sys *recommend.System, sources func(task int) Source, par 
 	if opt.Synchronous {
 		b.SetSynchronous(true)
 	}
-	wrap := func(name string, mk func() storm.Bolt) func() storm.Bolt {
-		if opt.WrapBolt == nil {
-			return mk
-		}
-		return func() storm.Bolt { return opt.WrapBolt(name, mk()) }
-	}
-
 	spoutTask := 0
 	b.SetSpout(SpoutName, func() storm.Spout {
 		s := &actionSpout{tracked: opt.Tracked}
@@ -172,32 +160,46 @@ func BuildWithOptions(sys *recommend.System, sources func(task int) Source, par 
 		return s
 	}, par.Spout).OutputFields("user", "video", "action")
 
-	b.SetBolt(ComputeMFName, wrap(ComputeMFName, func() storm.Bolt { return &computeMFBolt{sys: sys} }), par.ComputeMF).
+	// bolt registers one Figure 2 bolt; every task gets its own instance.
+	bolt := func(name string, par int, mk func(base) storm.Bolt) *storm.BoltDecl {
+		return b.SetBolt(name, func() storm.Bolt {
+			inst := mk(base{sys: sys})
+			if opt.WrapBolt != nil {
+				inst = opt.WrapBolt(name, inst)
+			}
+			return inst
+		}, par)
+	}
+
+	bolt(ComputeMFName, par.ComputeMF, func(s base) storm.Bolt { return &computeMFBolt{s} }).
 		FieldsGrouping(SpoutName, "user").
 		OutputFields("key", "kind", "group", "id", "vec", "bias")
 
-	b.SetBolt(MFStorageName, wrap(MFStorageName, func() storm.Bolt { return &mfStorageBolt{sys: sys} }), par.MFStorage).
+	bolt(MFStorageName, par.MFStorage, func(s base) storm.Bolt { return &mfStorageBolt{s} }).
 		FieldsGrouping(ComputeMFName, "key")
 
-	b.SetBolt(UserHistoryName, wrap(UserHistoryName, func() storm.Bolt { return &userHistoryBolt{sys: sys} }), par.UserHistory).
+	// GetItemPairs is declared before UserHistory: the synchronous scheduler
+	// delivers a spout tuple to its subscribers in declaration order, and the
+	// pair line must read the user's history before this action joins it.
+	bolt(GetItemPairsName, par.GetItemPairs, func(s base) storm.Bolt { return &getItemPairsBolt{s} }).
+		FieldsGrouping(SpoutName, "user").
+		OutputFields("video1", "video2", "group", "ts")
+
+	bolt(UserHistoryName, par.UserHistory, func(s base) storm.Bolt { return &userHistoryBolt{s} }).
 		FieldsGrouping(SpoutName, "user")
 
-	b.SetBolt(GetItemPairsName, wrap(GetItemPairsName, func() storm.Bolt { return &getItemPairsBolt{sys: sys} }), par.GetItemPairs).
-		FieldsGrouping(SpoutName, "user").
-		OutputFields("video1", "video2", "group", "tsms")
-
-	b.SetBolt(ItemPairSimName, wrap(ItemPairSimName, func() storm.Bolt { return &itemPairSimBolt{sys: sys, clock: opt.CacheClock} }), par.ItemPairSim).
+	bolt(ItemPairSimName, par.ItemPairSim, func(s base) storm.Bolt { return &itemPairSimBolt{s} }).
 		FieldsGrouping(GetItemPairsName, "video1", "video2").
-		OutputFields("video1", "video2", "sim", "group", "tsms")
+		OutputFields("video1", "video2", "sim", "group", "ts")
 
-	b.SetBolt(ResultStorageName, wrap(ResultStorageName, func() storm.Bolt { return &resultStorageBolt{sys: sys} }), par.ResultStorage).
+	bolt(ResultStorageName, par.ResultStorage, func(s base) storm.Bolt { return &resultStorageBolt{s} }).
 		FieldsGrouping(ItemPairSimName, "video1")
 
-	b.SetBolt(BanditRewardName, wrap(BanditRewardName, func() storm.Bolt { return &banditRewardBolt{sys: sys} }), par.BanditReward).
+	bolt(BanditRewardName, par.BanditReward, func(s base) storm.Bolt { return &banditRewardBolt{s} }).
 		FieldsGrouping(SpoutName, "user").
 		OutputFields("arm", "reward", "tsms")
 
-	b.SetBolt(BanditStateName, wrap(BanditStateName, func() storm.Bolt { return &banditStateBolt{sys: sys} }), par.BanditState).
+	bolt(BanditStateName, par.BanditState, func(s base) storm.Bolt { return &banditStateBolt{s} }).
 		FieldsGrouping(BanditRewardName, "arm")
 
 	return b.Build()
@@ -241,131 +243,78 @@ func (s *actionSpout) NextTuple() (bool, error) {
 func (s *actionSpout) Ack(any)  {}
 func (s *actionSpout) Fail(any) {}
 
-func actionOf(t *storm.Tuple) (feedback.Action, error) {
-	v, err := t.Field("action")
-	if err != nil {
-		return feedback.Action{}, err
-	}
-	a, ok := v.(feedback.Action)
-	if !ok {
-		return feedback.Action{}, fmt.Errorf("topology: action field is %T", v)
-	}
-	return a, nil
-}
-
-// computeMFBolt runs Algorithm 1's arithmetic and emits the new vectors,
-// regrouped by storage key, to MFStorage — compute and storage are separated
-// exactly as in §5.1 so that each key has a single writer.
-type computeMFBolt struct {
+// base is the state every Figure 2 bolt holds: the system whose write-path
+// steps it runs, the task's context and its collector.
+type base struct {
 	sys *recommend.System
 	ctx context.Context
 	out *storm.BoltCollector
 }
 
-func (b *computeMFBolt) Prepare(cctx *storm.Context, out *storm.BoltCollector) error {
+func (b *base) Prepare(cctx *storm.Context, out *storm.BoltCollector) error {
 	b.ctx = cctx.Ctx
 	b.out = out
 	return nil
 }
-func (b *computeMFBolt) Cleanup() error { return nil }
+func (b *base) Cleanup() error { return nil }
+
+// computeMFBolt runs Algorithm 1's arithmetic for every group the action
+// trains and emits the new vectors, regrouped by storage key, to MFStorage —
+// compute and storage are separated exactly as in §5.1 so that each key has a
+// single writer.
+type computeMFBolt struct{ base }
 
 func (b *computeMFBolt) Execute(t *storm.Tuple) error {
-	a, err := actionOf(t)
+	a, err := storm.Get[feedback.Action](t, "action")
 	if err != nil {
 		return err
 	}
-	group, err := b.sys.Profiles.GroupOf(b.ctx, a.UserID)
+	group, err := b.sys.Observe(b.ctx, a)
 	if err != nil {
 		return err
 	}
-	if err := b.step(demographic.GlobalGroup, a); err != nil {
-		return err
+	for _, g := range b.sys.TrainGroups(group) {
+		model, err := b.sys.Models.For(g)
+		if err != nil {
+			return err
+		}
+		next, ok, err := model.Compute(b.ctx, a)
+		if err != nil {
+			return err
+		}
+		if !ok {
+			continue // impression, or a non-finite step dropped
+		}
+		b.out.Emit(storm.Values{g + "|u|" + a.UserID, "user", g, a.UserID, next.UserVec, next.UserBias})
+		b.out.Emit(storm.Values{g + "|i|" + a.VideoID, "item", g, a.VideoID, next.ItemVec, next.ItemBias})
 	}
-	if b.sys.Options().DemographicTraining && group != demographic.GlobalGroup {
-		return b.step(group, a)
-	}
-	return nil
-}
-
-// step computes one model's update for the action and emits the new state.
-func (b *computeMFBolt) step(group string, a feedback.Action) error {
-	model, err := b.sys.Models.For(group)
-	if err != nil {
-		return err
-	}
-	rating, weight := model.Params().Weights.Confidence(a)
-	// The global-mean counter is shared state with per-key atomic update;
-	// it is observed here (compute side) for every action, using the
-	// rule's own training-rating scale exactly as ProcessAction does.
-	observed := 0.0
-	if rating > 0 {
-		observed = model.Params().TrainingRating(rating, weight)
-	}
-	if err := model.ObserveRating(b.ctx, observed); err != nil {
-		return err
-	}
-	if rating == 0 {
-		return nil
-	}
-	state, _, _, err := model.Load(b.ctx, a.UserID, a.VideoID)
-	if err != nil {
-		return err
-	}
-	mu, err := model.GlobalMean(b.ctx)
-	if err != nil {
-		return err
-	}
-	next := model.Params().Step(state, mu, rating, weight)
-	if !core.StateFinite(next) {
-		model.Stats().Diverged.Add(1)
-		return nil // drop the update rather than store non-finite vectors
-	}
-	b.out.Emit(storm.Values{group + "|u|" + a.UserID, "user", group, a.UserID, next.UserVec, next.UserBias})
-	b.out.Emit(storm.Values{group + "|i|" + a.VideoID, "item", group, a.VideoID, next.ItemVec, next.ItemBias})
 	return nil
 }
 
 // mfStorageBolt writes freshly computed vectors; fields grouping by key
 // guarantees it is the only writer for that vector.
-type mfStorageBolt struct {
-	sys *recommend.System
-	ctx context.Context
-}
-
-func (b *mfStorageBolt) Prepare(cctx *storm.Context, _ *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
-	return nil
-}
-func (b *mfStorageBolt) Cleanup() error { return nil }
+type mfStorageBolt struct{ base }
 
 func (b *mfStorageBolt) Execute(t *storm.Tuple) error {
-	kind, err := t.String("kind")
+	kind, err := storm.Get[string](t, "kind")
 	if err != nil {
 		return err
 	}
-	group, err := t.String("group")
+	group, err := storm.Get[string](t, "group")
 	if err != nil {
 		return err
 	}
-	id, err := t.String("id")
+	id, err := storm.Get[string](t, "id")
 	if err != nil {
 		return err
 	}
-	vecAny, err := t.Field("vec")
+	vec, err := storm.Get[[]float64](t, "vec")
 	if err != nil {
 		return err
 	}
-	vec, ok := vecAny.([]float64)
-	if !ok {
-		return fmt.Errorf("topology: vec field is %T", vecAny)
-	}
-	biasAny, err := t.Field("bias")
+	bias, err := storm.Get[float64](t, "bias")
 	if err != nil {
 		return err
-	}
-	bias, ok := biasAny.(float64)
-	if !ok {
-		return fmt.Errorf("topology: bias field is %T", biasAny)
 	}
 	model, err := b.sys.Models.For(group)
 	if err != nil {
@@ -383,200 +332,108 @@ func (b *mfStorageBolt) Execute(t *storm.Tuple) error {
 
 // userHistoryBolt records behaviour histories and heats the demographic hot
 // lists.
-type userHistoryBolt struct {
-	sys *recommend.System
-	ctx context.Context
-}
-
-func (b *userHistoryBolt) Prepare(cctx *storm.Context, _ *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
-	return nil
-}
-func (b *userHistoryBolt) Cleanup() error { return nil }
+type userHistoryBolt struct{ base }
 
 func (b *userHistoryBolt) Execute(t *storm.Tuple) error {
-	a, err := actionOf(t)
+	a, err := storm.Get[feedback.Action](t, "action")
 	if err != nil {
 		return err
 	}
-	weight := weightOf(b.sys, a)
-	if weight <= 0 {
-		return nil
-	}
-	if err := b.sys.History.Append(b.ctx, a.UserID, a.VideoID, a.Timestamp); err != nil {
+	group, err := b.sys.Observe(b.ctx, a)
+	if err != nil {
 		return err
 	}
-	if err := b.sys.Hot.Record(b.ctx, demographic.GlobalGroup, a.VideoID, weight, a.Timestamp); err != nil {
-		return err
-	}
-	if b.sys.Options().DemographicFiltering {
-		group, err := b.sys.Profiles.GroupOf(b.ctx, a.UserID)
-		if err != nil {
-			return err
-		}
-		if group != demographic.GlobalGroup {
-			return b.sys.Hot.Record(b.ctx, group, a.VideoID, weight, a.Timestamp)
-		}
-	}
-	return nil
-}
-
-func weightOf(sys *recommend.System, a feedback.Action) float64 {
-	return sys.Weights().Weight(a)
+	return b.sys.RecordBehaviour(b.ctx, a, group)
 }
 
 // getItemPairsBolt expands each positive action into (video, recent video)
-// pairs, emitted in both directions so each video's table has an owner task.
-type getItemPairsBolt struct {
-	sys *recommend.System
-	ctx context.Context
-	out *storm.BoltCollector
-}
-
-func (b *getItemPairsBolt) Prepare(cctx *storm.Context, out *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
-	b.out = out
-	return nil
-}
-func (b *getItemPairsBolt) Cleanup() error { return nil }
+// pairs, one tuple per unordered pair, tagged with the acting user's group.
+type getItemPairsBolt struct{ base }
 
 func (b *getItemPairsBolt) Execute(t *storm.Tuple) error {
-	a, err := actionOf(t)
+	a, err := storm.Get[feedback.Action](t, "action")
 	if err != nil {
 		return err
 	}
-	if weightOf(b.sys, a) <= 0 {
-		return nil
+	pairs, err := b.sys.ItemPairs(b.ctx, a)
+	if err != nil || len(pairs) == 0 {
+		return err
 	}
-	group, err := b.sys.Profiles.GroupOf(b.ctx, a.UserID)
+	group, err := b.sys.Observe(b.ctx, a)
 	if err != nil {
 		return err
 	}
-	recent, err := b.sys.History.RecentVideos(b.ctx, a.UserID, b.sys.Options().PairWindow)
-	if err != nil {
-		return err
-	}
-	ts := a.Timestamp.UnixMilli()
-	for _, pair := range simtable.Pairs(a.VideoID, recent) {
-		b.out.Emit(storm.Values{pair[0], pair[1], group, ts})
-		b.out.Emit(storm.Values{pair[1], pair[0], group, ts})
+	for _, pair := range pairs {
+		b.out.Emit(storm.Values{pair[0], pair[1], group, a.Timestamp})
 	}
 	return nil
 }
 
-// itemPairSimBolt computes the fused pair similarity (Eq. 9–12's undamped
-// part) for the pair's group — and for the global group when they differ.
-//
-// The bolt applies §5.1's cache technique: fields grouping routes all pairs
-// with the same video1 to this task, so the task caches item vectors and
-// catalog types locally with a short TTL and skips most store reads. A
-// vector up to vectorCacheTTL stale shifts a pair score well within the
-// online model's own step-to-step movement.
-type itemPairSimBolt struct {
-	sys     *recommend.System
-	ctx     context.Context
-	out     *storm.BoltCollector
-	clock   func() time.Time              // nil = wall clock; set via Options.CacheClock
-	vectors *lru.Cache[string, []float64] // key: group|video
-	types   *lru.Cache[string, string]    // key: video
-}
-
-// Cache sizing for the ItemPairSim task (§5.1's cache technique).
-const (
-	vectorCacheSize = 4096
-	vectorCacheTTL  = 2 * time.Second
-)
-
-func (b *itemPairSimBolt) Prepare(cctx *storm.Context, out *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
-	b.out = out
-	b.vectors = lru.New[string, []float64](vectorCacheSize, vectorCacheTTL)
-	b.types = lru.New[string, string](vectorCacheSize, 0) // types are immutable
-	if b.clock != nil {
-		b.vectors.SetClock(b.clock)
-		b.types.SetClock(b.clock)
-	}
-	return nil
-}
-func (b *itemPairSimBolt) Cleanup() error { return nil }
+// itemPairSimBolt scores each pair once per group its user trains and emits
+// both directed rows, so each video's table has an owner task downstream.
+// Vectors and catalog types are read through the system's coherent
+// decoded-value cache (objcache) — §5.1's cache technique without a staleness
+// window.
+type itemPairSimBolt struct{ base }
 
 func (b *itemPairSimBolt) Execute(t *storm.Tuple) error {
-	v1, err := t.String("video1")
+	v1, err := storm.Get[string](t, "video1")
 	if err != nil {
 		return err
 	}
-	v2, err := t.String("video2")
+	v2, err := storm.Get[string](t, "video2")
 	if err != nil {
 		return err
 	}
-	group, err := t.String("group")
+	group, err := storm.Get[string](t, "group")
 	if err != nil {
 		return err
 	}
-	tsAny, err := t.Field("tsms")
+	ts, err := storm.Get[time.Time](t, "ts")
 	if err != nil {
 		return err
 	}
-	ts, ok := tsAny.(int64)
-	if !ok {
-		return fmt.Errorf("topology: tsms field is %T", tsAny)
-	}
-	groups := []string{group}
-	if b.sys.Options().DemographicTraining && group != demographic.GlobalGroup {
-		groups = append(groups, demographic.GlobalGroup)
-	}
-	for _, g := range groups {
-		score, err := b.pairScore(g, v1, v2)
+	for _, g := range b.sys.TrainGroups(group) {
+		score, err := b.sys.ScorePair(b.ctx, g, v1, v2)
 		if err != nil {
 			return err
 		}
 		b.out.Emit(storm.Values{v1, v2, score, g, ts})
+		b.out.Emit(storm.Values{v2, v1, score, g, ts})
 	}
 	return nil
 }
 
-func (b *itemPairSimBolt) pairScore(group, v1, v2 string) (float64, error) {
+// resultStorageBolt persists the top-N similar list updates; fields grouping
+// by the owning video serializes writers per list.
+type resultStorageBolt struct{ base }
+
+func (b *resultStorageBolt) Execute(t *storm.Tuple) error {
+	v1, err := storm.Get[string](t, "video1")
+	if err != nil {
+		return err
+	}
+	v2, err := storm.Get[string](t, "video2")
+	if err != nil {
+		return err
+	}
+	score, err := storm.Get[float64](t, "sim")
+	if err != nil {
+		return err
+	}
+	group, err := storm.Get[string](t, "group")
+	if err != nil {
+		return err
+	}
+	ts, err := storm.Get[time.Time](t, "ts")
+	if err != nil {
+		return err
+	}
 	tables, err := b.sys.Tables.For(group)
 	if err != nil {
-		return 0, err
+		return err
 	}
-	y1, err := b.itemVector(group, v1)
-	if err != nil {
-		return 0, err
-	}
-	y2, err := b.itemVector(group, v2)
-	if err != nil {
-		return 0, err
-	}
-	t1, err := b.videoType(v1)
-	if err != nil {
-		return 0, err
-	}
-	t2, err := b.videoType(v2)
-	if err != nil {
-		return 0, err
-	}
-	return tables.Config().FuseVectors(y1, y2, t1, t2), nil
-}
-
-// itemVector reads a video's latent vector through the task-local TTL cache.
-func (b *itemPairSimBolt) itemVector(group, video string) ([]float64, error) {
-	return b.vectors.GetOrLoad(group+"|"+video, func() ([]float64, error) {
-		model, err := b.sys.Models.For(group)
-		if err != nil {
-			return nil, err
-		}
-		vec, _, _, err := model.ItemVector(b.ctx, video)
-		return vec, err
-	})
-}
-
-// videoType reads a video's category through the task-local cache; catalog
-// records are immutable, so no TTL is needed.
-func (b *itemPairSimBolt) videoType(video string) (string, error) {
-	return b.types.GetOrLoad(video, func() (string, error) {
-		return b.sys.Catalog.Type(b.ctx, video)
-	})
+	return tables.UpdateDirected(b.ctx, v1, v2, score, ts)
 }
 
 // banditRewardBolt attributes incoming actions to explored slates: fields
@@ -585,130 +442,38 @@ func (b *itemPairSimBolt) videoType(video string) (string, error) {
 // bounded reward tuple toward the state writer. On a system that is not
 // exploring, the bolt is a pure pass-through — no store traffic, so existing
 // scenarios' operation counts are untouched.
-type banditRewardBolt struct {
-	sys *recommend.System
-	ctx context.Context
-	out *storm.BoltCollector
-}
-
-func (b *banditRewardBolt) Prepare(cctx *storm.Context, out *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
-	b.out = out
-	return nil
-}
-func (b *banditRewardBolt) Cleanup() error { return nil }
+type banditRewardBolt struct{ base }
 
 func (b *banditRewardBolt) Execute(t *storm.Tuple) error {
-	if !b.sys.Options().Explore {
-		return nil
-	}
-	a, err := actionOf(t)
+	a, err := storm.Get[feedback.Action](t, "action")
 	if err != nil {
 		return err
 	}
-	weight := weightOf(b.sys, a)
-	if weight <= 0 {
-		return nil // impressions earn no reward
-	}
-	arm, ok, err := b.sys.Bandit.Take(b.ctx, a.UserID, a.VideoID)
-	if err != nil {
+	ev, ok, err := b.sys.AttributeReward(b.ctx, a)
+	if err != nil || !ok {
 		return err
 	}
-	if !ok {
-		return nil // action not on an attributed slot
-	}
-	b.out.Emit(storm.Values{int64(arm), bandit.RewardFromWeight(weight), a.Timestamp.UnixMilli()})
+	b.out.Emit(storm.Values{int64(ev.Arm), ev.Reward, ev.TsMs})
 	return nil
 }
 
 // banditStateBolt folds reward tuples into the shared posterior state. A
 // failed write fails the tuple tree, so tracked runs replay the action —
 // at-least-once, same as every storage bolt.
-type banditStateBolt struct {
-	sys *recommend.System
-	ctx context.Context
-}
-
-func (b *banditStateBolt) Prepare(cctx *storm.Context, _ *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
-	return nil
-}
-func (b *banditStateBolt) Cleanup() error { return nil }
+type banditStateBolt struct{ base }
 
 func (b *banditStateBolt) Execute(t *storm.Tuple) error {
-	armAny, err := t.Field("arm")
+	arm, err := storm.Get[int64](t, "arm")
 	if err != nil {
 		return err
 	}
-	armID, ok := armAny.(int64)
-	if !ok {
-		return fmt.Errorf("topology: arm field is %T", armAny)
-	}
-	rewardAny, err := t.Field("reward")
+	reward, err := storm.Get[float64](t, "reward")
 	if err != nil {
 		return err
 	}
-	reward, ok := rewardAny.(float64)
-	if !ok {
-		return fmt.Errorf("topology: reward field is %T", rewardAny)
-	}
-	tsAny, err := t.Field("tsms")
+	ts, err := storm.Get[int64](t, "tsms")
 	if err != nil {
 		return err
 	}
-	ts, ok := tsAny.(int64)
-	if !ok {
-		return fmt.Errorf("topology: tsms field is %T", tsAny)
-	}
-	ev := bandit.RewardEvent{Arm: bandit.Arm(armID), Reward: reward, TsMs: ts}
-	return b.sys.Bandit.Reward(b.ctx, ev)
-}
-
-// resultStorageBolt persists the top-N similar list updates; fields grouping
-// by the owning video serializes writers per list.
-type resultStorageBolt struct {
-	sys *recommend.System
-	ctx context.Context
-}
-
-func (b *resultStorageBolt) Prepare(cctx *storm.Context, _ *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
-	return nil
-}
-func (b *resultStorageBolt) Cleanup() error { return nil }
-
-func (b *resultStorageBolt) Execute(t *storm.Tuple) error {
-	v1, err := t.String("video1")
-	if err != nil {
-		return err
-	}
-	v2, err := t.String("video2")
-	if err != nil {
-		return err
-	}
-	group, err := t.String("group")
-	if err != nil {
-		return err
-	}
-	simAny, err := t.Field("sim")
-	if err != nil {
-		return err
-	}
-	score, ok := simAny.(float64)
-	if !ok {
-		return fmt.Errorf("topology: sim field is %T", simAny)
-	}
-	tsAny, err := t.Field("tsms")
-	if err != nil {
-		return err
-	}
-	ts, ok := tsAny.(int64)
-	if !ok {
-		return fmt.Errorf("topology: tsms field is %T", tsAny)
-	}
-	tables, err := b.sys.Tables.For(group)
-	if err != nil {
-		return err
-	}
-	return tables.UpdateDirected(b.ctx, v1, v2, score, time.UnixMilli(ts))
+	return b.sys.FoldReward(b.ctx, bandit.RewardEvent{Arm: bandit.Arm(arm), Reward: reward, TsMs: ts})
 }

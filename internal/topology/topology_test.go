@@ -108,10 +108,9 @@ func TestTopologyProcessesFullStream(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := global.Stats(); got.Trained.Load() != 0 {
-		// Topology trains via Step/Store, not ProcessAction, so model
-		// stats stay at zero — the check below asserts state instead.
-		t.Errorf("unexpected ProcessAction use in topology: %d", got.Trained.Load())
+	if st := global.Stats(); st.Received.Load() != uint64(len(actions)) || st.Trained.Load() != uint64(positives) {
+		t.Errorf("global model counted received %d / trained %d, want %d / %d",
+			st.Received.Load(), st.Trained.Load(), len(actions), positives)
 	}
 	// A user with positive actions must have a stored vector.
 	var trainedUser string
@@ -124,7 +123,6 @@ func TestTopologyProcessesFullStream(t *testing.T) {
 	if _, _, known, _ := global.UserVector(context.Background(), trainedUser); !known {
 		t.Errorf("user %s not trained by topology", trainedUser)
 	}
-	_ = positives
 }
 
 func TestTopologyPopulatesAllStateStores(t *testing.T) {
@@ -151,13 +149,18 @@ func TestTopologyPopulatesAllStateStores(t *testing.T) {
 	}
 
 	// Hot lists heated.
+	var latest time.Time
+	for _, a := range actions {
+		if a.Timestamp.After(latest) {
+			latest = a.Timestamp
+		}
+	}
+	if now := sys.Now(); !now.Equal(latest) {
+		t.Errorf("stream clock after replay = %v, want the latest action's %v", now, latest)
+	}
 	hot, err := sys.Hot.Hot(context.Background(), demographic.GlobalGroup, 10, sys.Now().Add(time.Hour))
 	if err != nil {
 		t.Fatal(err)
-	}
-	if len(hot) == 0 {
-		// sys.Now is only advanced by Ingest; use the last action time.
-		hot, _ = sys.Hot.Hot(context.Background(), demographic.GlobalGroup, 10, actions[len(actions)-1].Timestamp)
 	}
 	if len(hot) == 0 {
 		t.Error("global hot list empty after topology run")
