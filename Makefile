@@ -72,6 +72,7 @@ test-resilience:
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeEntries$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzEntryCursor$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeStrings$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzNetRequestFrame$$' -fuzztime $(FUZZTIME)

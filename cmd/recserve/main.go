@@ -7,7 +7,7 @@
 // Endpoints:
 //
 //	GET /recommend?user=u00001&n=10[&video=v00042]   ranked recommendations
-//	POST /action    body: TSV action line             ingest one action
+//	POST /action    body: TSV action lines (≤ 1 MiB)  ingest one action per line
 //	GET /similar?video=v00042&n=10                    similar-video table
 //	GET /stats                                        pipeline counters
 //	POST /rebalance?slot=N&to=group                   migrate a shard slot (-shards only)
@@ -36,6 +36,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -401,7 +402,17 @@ func newMux(sys *recommend.System, st *storeStack, replayMetrics map[string]stor
 	})
 	mux.HandleFunc("POST /action", func(w http.ResponseWriter, r *http.Request) {
 		defer func() { _ = r.Body.Close() }() // net/http closes the body anyway; this just frees it early
-		parsed, err := readBodyActions(r)
+		body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxActionBody))
+		if err != nil {
+			status := http.StatusBadRequest
+			var tooLarge *http.MaxBytesError
+			if errors.As(err, &tooLarge) {
+				status = http.StatusRequestEntityTooLarge
+			}
+			http.Error(w, err.Error(), status)
+			return
+		}
+		parsed, err := parseActions(string(body))
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
@@ -589,8 +600,26 @@ func readTSV[T any](path string, parse func(io.Reader) ([]T, error)) ([]T, error
 	return parse(f)
 }
 
-func readBodyActions(r *http.Request) ([]feedback.Action, error) {
-	return dataset.ReadActions(r.Body)
+// maxActionBody bounds a POST /action body. It is the longest line
+// dataset.ReadActions accepts, so nothing a file could hold is refused.
+const maxActionBody = 1 << 20
+
+// parseActions parses a POST /action body: TSV action lines, numbered and
+// reported as dataset.ReadActions numbers and reports a file's.
+func parseActions(body string) ([]feedback.Action, error) {
+	var out []feedback.Action
+	for n := 1; body != ""; n++ {
+		var line string
+		line, body, _ = strings.Cut(body, "\n")
+		a, ok, err := dataset.ParseAction(line)
+		if err != nil {
+			return nil, fmt.Errorf("dataset: line %d: %w", n, err)
+		}
+		if ok {
+			out = append(out, a)
+		}
+	}
+	return out, nil
 }
 
 func queryInt(r *http.Request, key string, def int) int {

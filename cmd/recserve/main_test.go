@@ -3,6 +3,7 @@ package main
 import (
 	"context"
 	"encoding/json"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strconv"
@@ -12,6 +13,7 @@ import (
 
 	"vidrec/internal/catalog"
 	"vidrec/internal/core"
+	"vidrec/internal/dataset"
 	"vidrec/internal/feedback"
 	"vidrec/internal/kvstore"
 	"vidrec/internal/recommend"
@@ -152,6 +154,65 @@ func TestActionIngestEndpoint(t *testing.T) {
 	defer resp2.Body.Close()
 	if resp2.StatusCode != http.StatusBadRequest {
 		t.Errorf("malformed body: status = %d, want 400", resp2.StatusCode)
+	}
+}
+
+// TestActionBodyParsing pins the POST /action edge: the body is bounded, a
+// multi-line body is ingested whole or not at all, and a malformed line is
+// refused in the words dataset.ReadActions uses for a file.
+func TestActionBodyParsing(t *testing.T) {
+	srv, sys := testServer(t)
+	post := func(body string) (int, string) {
+		t.Helper()
+		resp, err := http.Post(srv.URL+"/action", "text/tab-separated-values", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		text, err := io.ReadAll(resp.Body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return resp.StatusCode, strings.TrimSpace(string(text))
+	}
+	history := func(user string) []string {
+		t.Helper()
+		recent, err := sys.History.RecentVideos(context.Background(), user, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return recent
+	}
+	good := "1457308800000\tu7\ta\tclick\t0\t0\n"
+
+	if status, text := post("# two actions\r\n" + good + "\n1457308801000\tu7\tb\tclick\t0\t0"); status != http.StatusOK || text != `{"ingested":2}` {
+		t.Errorf("two-line body: %d %q, want 200 {\"ingested\":2}", status, text)
+	}
+	if got := history("u7"); len(got) != 2 || got[0] != "b" || got[1] != "a" {
+		t.Errorf("history after two-line body = %v, want [b a]", got)
+	}
+
+	malformed := strings.ReplaceAll(good, "u7", "u8") + "\n1457308801000\tu8\tb\n"
+	_, want := dataset.ReadActions(strings.NewReader(malformed))
+	if want == nil || !strings.Contains(want.Error(), "line 3: 3 fields, want 6") {
+		t.Fatalf("ReadActions on the malformed body = %v, want a line 3 field-count error", want)
+	}
+	if status, text := post(malformed); status != http.StatusBadRequest || text != want.Error() {
+		t.Errorf("malformed line: %d %q, want 400 %q", status, text, want)
+	}
+	if got := history("u8"); len(got) != 0 {
+		t.Errorf("malformed body ingested its first line: history = %v", got)
+	}
+
+	oversized := strings.ReplaceAll(good, "u7", "u9") + "#" + strings.Repeat("x", maxActionBody)
+	if status, _ := post(oversized); status != http.StatusRequestEntityTooLarge {
+		t.Errorf("oversized body: status = %d, want 413", status)
+	}
+	if got := history("u9"); len(got) != 0 {
+		t.Errorf("oversized body was ingested: history = %v", got)
+	}
+	if status, _ := post(good + "#" + strings.Repeat("x", maxActionBody-len(good)-1)); status != http.StatusOK {
+		t.Errorf("body of exactly the limit: status = %d, want 200", status)
 	}
 }
 

@@ -41,43 +41,56 @@ func ReadActions(r io.Reader) ([]feedback.Action, error) {
 	line := 0
 	for sc.Scan() {
 		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" || strings.HasPrefix(text, "#") {
-			continue
-		}
-		fields := strings.Split(text, "\t")
-		if len(fields) != 6 {
-			return nil, fmt.Errorf("dataset: line %d: %d fields, want 6", line, len(fields))
-		}
-		ts, err := strconv.ParseInt(fields[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad timestamp: %w", line, err)
-		}
-		typ, err := feedback.ParseActionType(fields[3])
+		a, ok, err := ParseAction(sc.Text())
 		if err != nil {
 			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
 		}
-		view, err := strconv.ParseInt(fields[4], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad view time: %w", line, err)
+		if ok {
+			out = append(out, a)
 		}
-		length, err := strconv.ParseInt(fields[5], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: bad video length: %w", line, err)
-		}
-		out = append(out, feedback.Action{
-			UserID:      fields[1],
-			VideoID:     fields[2],
-			Type:        typ,
-			ViewTime:    time.Duration(view) * time.Millisecond,
-			VideoLength: time.Duration(length) * time.Millisecond,
-			Timestamp:   time.UnixMilli(ts),
-		})
 	}
 	if err := sc.Err(); err != nil {
 		return nil, fmt.Errorf("dataset: read actions: %w", err)
 	}
 	return out, nil
+}
+
+// ParseAction parses one line of the TSV action format. Blank lines and
+// #-comments are not actions: ok is false. Errors say what is wrong with the
+// line; which line it was is the caller's to add.
+func ParseAction(line string) (a feedback.Action, ok bool, err error) {
+	text := strings.TrimSpace(line)
+	if text == "" || strings.HasPrefix(text, "#") {
+		return a, false, nil
+	}
+	fields := strings.Split(text, "\t")
+	if len(fields) != 6 {
+		return a, false, fmt.Errorf("%d fields, want 6", len(fields))
+	}
+	ts, err := strconv.ParseInt(fields[0], 10, 64)
+	if err != nil {
+		return a, false, fmt.Errorf("bad timestamp: %w", err)
+	}
+	typ, err := feedback.ParseActionType(fields[3])
+	if err != nil {
+		return a, false, err
+	}
+	view, err := strconv.ParseInt(fields[4], 10, 64)
+	if err != nil {
+		return a, false, fmt.Errorf("bad view time: %w", err)
+	}
+	length, err := strconv.ParseInt(fields[5], 10, 64)
+	if err != nil {
+		return a, false, fmt.Errorf("bad video length: %w", err)
+	}
+	return feedback.Action{
+		UserID:      fields[1],
+		VideoID:     fields[2],
+		Type:        typ,
+		ViewTime:    time.Duration(view) * time.Millisecond,
+		VideoLength: time.Duration(length) * time.Millisecond,
+		Timestamp:   time.UnixMilli(ts),
+	}, true, nil
 }
 
 // WriteCatalog writes the video catalog as TSV: id, type, length_ms.

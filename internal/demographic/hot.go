@@ -85,32 +85,35 @@ func (h *HotTracker) Record(ctx context.Context, group, videoID string, weight f
 	}
 	key := h.keys.Key(group)
 	return h.kv.Update(ctx, key, func(cur []byte, ok bool) ([]byte, bool) {
-		updatedAt := ts
-		list := topn.NewList(h.size)
-		if ok && len(cur) >= 8 {
-			if ms, err := kvstore.DecodeInt64(cur[:8]); err == nil {
-				prev := time.UnixMilli(ms)
-				factor := h.damp(ts.Sub(prev))
-				if factor > 1 {
-					factor = 1
-				}
-				if ts.Before(prev) {
-					updatedAt = prev
-				}
-				if entries, err := kvstore.DecodeEntries(cur[8:]); err == nil {
-					for _, e := range entries {
-						if v := e.Score * factor; v >= h.floor {
-							list.Update(e.ID, v)
-						}
-					}
-				}
-			}
-		}
-		prevScore, _ := list.Score(videoID)
-		list.Update(videoID, prevScore+weight)
-		buf := kvstore.EncodeInt64(updatedAt.UnixMilli())
-		return append(buf, kvstore.EncodeEntries(list.All())...), true
+		return h.rewrite(cur, ok, videoID, weight, ts), true
 	})
+}
+
+// rewrite is Record's record transform, a pure function of the stored bytes
+// (a retrying store may run it once per attempt): one pass loads the list off
+// cur with every counter decayed to ts, weight is added to the video's
+// decayed counter, and the record is encoded once. A list that does not parse
+// restarts empty; the clock before it is kept all the same.
+//
+// hotpath: every positive action rewrites the global hot list through here
+func (h *HotTracker) rewrite(cur []byte, ok bool, videoID string, weight float64, ts time.Time) []byte {
+	list := kvstore.AcquireEntryList(h.size)
+	defer list.Release()
+	updatedAt := ts
+	if ok && len(cur) >= 8 {
+		ms, _ := kvstore.DecodeInt64(cur[:8]) // exactly 8 bytes: cannot fail
+		prev := time.UnixMilli(ms)
+		factor := h.damp(ts.Sub(prev))
+		if factor > 1 {
+			factor = 1
+		}
+		if ts.Before(prev) {
+			updatedAt = prev
+		}
+		_ = list.Load(cur[8:], factor, h.floor) // a rejected list is an empty one
+	}
+	list.Add(videoID, weight)
+	return list.EncodeClocked(updatedAt.UnixMilli())
 }
 
 // Hot returns up to k hot videos for the group at time now, hottest first.

@@ -7,13 +7,14 @@
 package history
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"time"
 
 	"vidrec/internal/kvstore"
 	"vidrec/internal/objcache"
-	"vidrec/internal/topn"
 )
 
 // Event is one remembered interaction: the video and when it happened.
@@ -56,14 +57,6 @@ func New(name string, kv kvstore.Store, limit int) (*Store, error) {
 // Histories are stored as scored entry lists: ID = video, Score = unix
 // milliseconds. Reusing the entry codec keeps one binary format per store.
 
-func encode(events []Event) []byte {
-	entries := make([]topn.Entry, len(events))
-	for i, e := range events {
-		entries[i] = topn.Entry{ID: e.VideoID, Score: float64(e.Time.UnixMilli())}
-	}
-	return kvstore.EncodeEntries(entries)
-}
-
 func decode(raw []byte) ([]Event, error) {
 	entries, err := kvstore.DecodeEntries(raw)
 	if err != nil {
@@ -86,27 +79,62 @@ func (s *Store) Append(ctx context.Context, userID, videoID string, ts time.Time
 	}
 	key := s.keys.Key(userID)
 	return s.kv.Update(ctx, key, func(cur []byte, ok bool) ([]byte, bool) {
-		var events []Event
-		if ok {
-			if dec, err := decode(cur); err == nil {
-				events = dec
-			}
-			// A corrupt record is dropped and rebuilt; histories are
-			// advisory state, not a ledger.
-		}
-		out := make([]Event, 0, len(events)+1)
-		out = append(out, Event{VideoID: videoID, Time: ts})
-		for _, e := range events {
-			if e.VideoID == videoID {
-				continue
-			}
-			out = append(out, e)
-		}
-		if len(out) > s.limit {
-			out = out[:s.limit]
-		}
-		return encode(out), true
+		return s.rewrite(cur, ok, videoID, ts), true
 	})
+}
+
+// rewrite is Append's record transform, a pure function of the stored bytes
+// (a retrying store may run it once per attempt). It walks cur twice without
+// decoding it: once to validate it and size the result, once to copy the
+// entries that stay behind the new one, timestamps as whole milliseconds.
+//
+// hotpath: every positive action rewrites the user's history through here
+func (s *Store) rewrite(cur []byte, ok bool, videoID string, ts time.Time) []byte {
+	var idBuf [64]byte
+	id := append(idBuf[:0], videoID...) // compared as bytes; an id longer than this spills to the heap, no more
+	kept, size := 0, 0
+	if ok {
+		kept, size = s.survivors(cur, id)
+	}
+	size += kvstore.UvarintSize(uint64(kept+1)) + kvstore.EntrySize(len(id))
+	buf := make([]byte, 0, size) // alloccheck: the rewritten record, the one allocation of a rewrite
+	buf = binary.AppendUvarint(buf, uint64(kept+1))
+	buf = kvstore.AppendEntry(buf, id, float64(ts.UnixMilli()))
+	c, _ := kvstore.NewEntryCursor(cur) // kept > 0 only if survivors walked all of cur without an error
+	for kept > 0 {
+		e, _, _ := c.Next() // as above, and kept more entries are to come
+		if bytes.Equal(e.ID, id) {
+			continue
+		}
+		buf = kvstore.AppendEntry(buf, e.ID, float64(int64(e.Score)))
+		kept--
+	}
+	return buf
+}
+
+// survivors counts the entries of an encoded history that a new event for
+// videoID leaves in place — every other video's, in order, as far as the
+// limit has room behind the new event — and sums their encoded size. A
+// corrupt record has none: it is dropped and rebuilt; histories are advisory
+// state, not a ledger.
+func (s *Store) survivors(cur, videoID []byte) (kept, size int) {
+	c, err := kvstore.NewEntryCursor(cur)
+	if err != nil {
+		return 0, 0
+	}
+	for {
+		e, ok, err := c.Next()
+		if err != nil {
+			return 0, 0
+		}
+		if !ok {
+			return kept, size
+		}
+		if kept < s.limit-1 && !bytes.Equal(e.ID, videoID) {
+			kept++
+			size += kvstore.EntrySize(len(e.ID))
+		}
+	}
 }
 
 // record is the cached decoded form of one user's history: the stored events

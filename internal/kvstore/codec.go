@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 
 	"vidrec/internal/topn"
 )
@@ -86,42 +87,107 @@ func EncodeEntries(entries []topn.Entry) []byte {
 	buf := make([]byte, 0, size) // alloccheck: one record per write, sized by the caller's payload (attributions: one slate)
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
-		buf = binary.AppendUvarint(buf, uint64(len(e.ID)))
-		buf = append(buf, e.ID...)
-		var sb [8]byte
-		binary.LittleEndian.PutUint64(sb[:], math.Float64bits(e.Score))
-		buf = append(buf, sb[:]...)
+		buf = AppendEntry(buf, e.ID, e.Score)
 	}
 	return buf
 }
 
-// DecodeEntries decodes a value produced by EncodeEntries.
-func DecodeEntries(b []byte) ([]topn.Entry, error) {
+// AppendEntry appends one entry of the EncodeEntries format — the
+// uvarint-length-prefixed id and the 8-byte score — to dst. The uvarint
+// count that opens the list is the caller's to write first.
+//
+// hotpath: every stored list is written through here
+func AppendEntry[ID ~string | ~[]byte](dst []byte, id ID, score float64) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(id)))
+	dst = append(dst, id...)
+	return binary.LittleEndian.AppendUint64(dst, math.Float64bits(score))
+}
+
+// UvarintSize is the number of bytes binary.AppendUvarint writes for v.
+func UvarintSize(v uint64) int { return (bits.Len64(v|1) + 6) / 7 }
+
+// EntrySize is the number of bytes AppendEntry writes for an id of idLen
+// bytes. With UvarintSize of the count it lets a writer allocate its record
+// once, exactly.
+func EntrySize(idLen int) int { return UvarintSize(uint64(idLen)) + idLen + 8 }
+
+// RawEntry is one entry of an EncodeEntries value as EntryCursor yields it:
+// ID is a sub-slice of the encoded bytes, not a copy.
+type RawEntry struct {
+	ID    []byte
+	Score float64
+}
+
+// EntryCursor walks an EncodeEntries value entry by entry without allocating
+// — the parser under DecodeEntries, and what the write path reads stored
+// lists with. A value is accepted only when Next reached the end of the list
+// without an error; entries yielded before an error belong to a rejected
+// value and must be discarded.
+type EntryCursor struct {
+	b    []byte
+	off  int
+	n, i uint64 // entries the header claims; entries yielded
+}
+
+// NewEntryCursor validates the list header of b and returns a cursor on its
+// first entry.
+//
+// hotpath: the write path reads every stored list through the cursor
+func NewEntryCursor(b []byte) (EntryCursor, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 {
-		return nil, fmt.Errorf("kvstore: corrupt entry list header")
+		return EntryCursor{}, fmt.Errorf("kvstore: corrupt entry list header")
 	}
 	if n > uint64(len(b)) { // each entry needs at least 1 byte; cheap sanity bound
-		return nil, fmt.Errorf("kvstore: entry list claims %d entries in %d bytes", n, len(b))
+		return EntryCursor{}, fmt.Errorf("kvstore: entry list claims %d entries in %d bytes", n, len(b))
+	}
+	return EntryCursor{b: b, off: off, n: n}, nil
+}
+
+// Next returns the next entry; ok is false at the end of the list. A
+// malformed entry returns an error and leaves the cursor where it was.
+//
+// hotpath: one call per stored entry on the write path
+func (c *EntryCursor) Next() (e RawEntry, ok bool, err error) {
+	if c.i == c.n {
+		return RawEntry{}, false, nil
+	}
+	l, m := binary.Uvarint(c.b[c.off:])
+	if m <= 0 {
+		return RawEntry{}, false, fmt.Errorf("kvstore: corrupt entry %d length", c.i)
+	}
+	off := c.off + m
+	// The length is compared before 8 is added to it: a length near 2^64
+	// must not wrap into a small one.
+	if rest := uint64(len(c.b) - off); l > rest || rest-l < 8 {
+		return RawEntry{}, false, fmt.Errorf("kvstore: truncated entry %d", c.i)
+	}
+	end := off + int(l)
+	e = RawEntry{ID: c.b[off:end:end], Score: math.Float64frombits(binary.LittleEndian.Uint64(c.b[end:]))}
+	c.off = end + 8
+	c.i++
+	return e, true, nil
+}
+
+// DecodeEntries decodes a value produced by EncodeEntries.
+func DecodeEntries(b []byte) ([]topn.Entry, error) {
+	c, err := NewEntryCursor(b)
+	if err != nil {
+		return nil, err
 	}
 	// alloccheck: miss-path decode, sized by the encoded header
-	entries := make([]topn.Entry, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, m := binary.Uvarint(b[off:])
-		if m <= 0 {
-			return nil, fmt.Errorf("kvstore: corrupt entry %d length", i)
+	entries := make([]topn.Entry, 0, c.n)
+	for {
+		e, ok, err := c.Next()
+		if err != nil {
+			return nil, err
 		}
-		off += m
-		if uint64(len(b)-off) < l+8 {
-			return nil, fmt.Errorf("kvstore: truncated entry %d", i)
+		if !ok {
+			return entries, nil
 		}
-		id := string(b[off : off+int(l)]) // alloccheck: decoded IDs must not alias the store's buffer
-		off += int(l)
-		score := math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))
-		off += 8
-		entries = append(entries, topn.Entry{ID: id, Score: score})
+		id := string(e.ID) // alloccheck: decoded IDs must not alias the store's buffer
+		entries = append(entries, topn.Entry{ID: id, Score: e.Score})
 	}
-	return entries, nil
 }
 
 // EncodeStrings encodes a string slice (user histories as plain ID lists):

@@ -2,6 +2,7 @@ package kvstore
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"reflect"
@@ -42,6 +43,79 @@ func FuzzDecodeEntries(f *testing.F) {
 			if entries[i].ID != again[i].ID ||
 				math.Float64bits(entries[i].Score) != math.Float64bits(again[i].Score) {
 				t.Fatalf("entry %d changed across round trip:\n  first:  %#v\n  second: %#v", i, entries[i], again[i])
+			}
+		}
+	})
+}
+
+// referenceDecodeEntries is the entry-list parser as DecodeEntries had it
+// inline before EntryCursor existed, kept here so the cursor is fuzzed
+// against something other than itself. One line differs: the original added
+// 8 to an entry's length before bounding it, so a length within 8 of 2^64
+// wrapped, passed, and the slice expression panicked.
+func referenceDecodeEntries(b []byte) ([]topn.Entry, bool) {
+	n, off := binary.Uvarint(b)
+	if off <= 0 || n > uint64(len(b)) {
+		return nil, false
+	}
+	entries := make([]topn.Entry, 0, n)
+	for i := uint64(0); i < n; i++ {
+		l, m := binary.Uvarint(b[off:])
+		if m <= 0 {
+			return nil, false
+		}
+		off += m
+		if rest := uint64(len(b) - off); l > rest || rest-l < 8 {
+			return nil, false
+		}
+		id := string(b[off : off+int(l)])
+		off += int(l)
+		entries = append(entries, topn.Entry{ID: id, Score: math.Float64frombits(binary.LittleEndian.Uint64(b[off:]))})
+		off += 8
+	}
+	return entries, true
+}
+
+// FuzzEntryCursor holds the non-allocating cursor to the reference parser:
+// it never panics, accepts exactly the values the reference (and so
+// DecodeEntries) accepts, and yields the same ids and score bits in order.
+func FuzzEntryCursor(f *testing.F) {
+	f.Add([]byte{})
+	f.Add(EncodeEntries(nil))
+	f.Add(EncodeEntries([]topn.Entry{{ID: "v00001", Score: 0.5}, {ID: "", Score: math.NaN()}, {ID: "v00001", Score: -1.25}}))
+	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01})                            // huge uvarint count
+	f.Add([]byte{1, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01, 1, 2, 3, 4, 5, 6, 7, 8}) // id length 2^64-1: wrapped past the bound once
+	f.Add([]byte{2, 1, 'a', 0, 0, 0, 0, 0, 0, 0xe0, 0x3f, 1, 'b'})                                       // second entry truncated
+	f.Fuzz(func(t *testing.T, data []byte) {
+		want, wantOK := referenceDecodeEntries(data)
+		decoded, err := DecodeEntries(data)
+		if (err == nil) != wantOK {
+			t.Fatalf("DecodeEntries error = %v, reference accepts = %v", err, wantOK)
+		}
+		var got []topn.Entry
+		c, err := NewEntryCursor(data)
+		for err == nil {
+			var e RawEntry
+			var more bool
+			if e, more, err = c.Next(); err != nil || !more {
+				break
+			}
+			got = append(got, topn.Entry{ID: string(e.ID), Score: e.Score})
+		}
+		if (err == nil) != wantOK {
+			t.Fatalf("cursor error = %v, reference accepts = %v", err, wantOK)
+		}
+		if !wantOK {
+			return
+		}
+		if len(got) != len(want) || len(decoded) != len(want) {
+			t.Fatalf("entry counts: cursor %d, DecodeEntries %d, reference %d", len(got), len(decoded), len(want))
+		}
+		for i := range want {
+			for _, e := range []topn.Entry{got[i], decoded[i]} {
+				if e.ID != want[i].ID || math.Float64bits(e.Score) != math.Float64bits(want[i].Score) {
+					t.Fatalf("entry %d = %#v, reference %#v", i, e, want[i])
+				}
 			}
 		}
 	})

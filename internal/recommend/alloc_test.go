@@ -7,6 +7,9 @@ import (
 
 	"vidrec/internal/catalog"
 	"vidrec/internal/core"
+	"vidrec/internal/dataset"
+	"vidrec/internal/demographic"
+	"vidrec/internal/feedback"
 	"vidrec/internal/kvstore"
 	"vidrec/internal/simtable"
 )
@@ -73,5 +76,107 @@ func TestDegradedWarmAllocs(t *testing.T) {
 	// 18 measured: the degraded path matches the warm personalized budget.
 	if avg > 18 {
 		t.Fatalf("warm degraded Recommend allocates %v objects/op, want <= 18", avg)
+	}
+}
+
+// TestWritePathAllocs pins what one action costs to fold in on a system that
+// has been running: three days of a serve-warm-shaped corpus (1300 users, 600
+// videos, ≈ 45k actions) are ingested first, so the similar tables sit at
+// TableSize and the global hot list at HotCapacity, which is where a rewrite
+// that decodes the list it changes costs the most. The three record rewrites
+// allocate the Update closure, the store's copy of the value in and out, and
+// the one encoded record — cross-checking alloccheck's claims for their
+// // hotpath rewrite functions. The whole action pinned is the most expensive
+// shape there is: a registered user (two trained groups, two hot lists) with a
+// full pair window behind them, so 8 pairs × 2 groups × 2 directions = 32
+// table rewrites at 4 each, plus 2 hot records and 1 history record — 140 of
+// the 259 measured; scoring the pairs and the two MF steps are the rest. The
+// list rebuild alone used to cost seven times the whole budget (1867).
+func TestWritePathAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation heap-allocates closures and empties sync.Pool at random, inflating the count")
+	}
+	ctx := context.Background()
+	cfg := dataset.DefaultConfig()
+	cfg.Users, cfg.Videos, cfg.Days, cfg.EventsPerDay = 1300, 600, 3, 2000
+	d, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(kvstore.NewLocal(64), core.DefaultParams(), simtable.DefaultConfig(), DefaultOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FillCatalog(ctx, sys.Catalog); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FillProfiles(ctx, sys.Profiles); err != nil {
+		t.Fatal(err)
+	}
+	var last feedback.Action // the last positive action by a registered user with a full pair window behind it
+	for _, a := range d.AllActions() {
+		if err := sys.Ingest(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+		if sys.weights.Weight(a) <= 0 {
+			continue
+		}
+		recent, err := sys.History.RecentVideos(ctx, a.UserID, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		group, err := sys.Profiles.GroupOf(ctx, a.UserID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(recent) > sys.opts.PairWindow && group != demographic.GlobalGroup {
+			last = a
+		}
+	}
+	if last.UserID == "" {
+		t.Fatal("no positive action by a registered user with a full pair window")
+	}
+	tables, err := sys.Tables.For(demographic.GlobalGroup)
+	if err != nil {
+		t.Fatal(err)
+	}
+	owner := "" // a video whose similar table is full
+	for _, v := range d.Videos() {
+		if full, err := tables.Similar(ctx, v.Meta.ID, 1000, last.Timestamp); err != nil {
+			t.Fatal(err)
+		} else if len(full) == tables.Config().TableSize {
+			owner = v.Meta.ID
+			break
+		}
+	}
+	if owner == "" {
+		t.Fatalf("no similar table reached TableSize %d", tables.Config().TableSize)
+	}
+	if hot, err := sys.Hot.Hot(ctx, demographic.GlobalGroup, 1000, last.Timestamp); err != nil || len(hot) != sys.opts.HotCapacity {
+		t.Fatalf("global hot list holds %d entries (%v), want a full %d", len(hot), err, sys.opts.HotCapacity)
+	}
+	other, ts := "a-video-not-in-the-table", last.Timestamp
+	pins := []struct {
+		name string
+		max  float64
+		op   func() error
+	}{
+		{"Tables.UpdateDirected", 4, func() error { return tables.UpdateDirected(ctx, owner, other, 0.4, ts) }},
+		{"Hot.Record", 4, func() error { return sys.Hot.Record(ctx, demographic.GlobalGroup, last.VideoID, 1, ts) }},
+		{"History.Append", 4, func() error { return sys.History.Append(ctx, last.UserID, last.VideoID, ts) }},
+		{"Ingest of a positive action", 260, func() error { return sys.Ingest(ctx, last) }},
+	}
+	for _, pin := range pins {
+		avg := testing.AllocsPerRun(200, func() {
+			ts = ts.Add(time.Second)
+			last.Timestamp = ts
+			if err := pin.op(); err != nil {
+				t.Fatal(err)
+			}
+		})
+		t.Logf("%s: %v allocs/op", pin.name, avg)
+		if avg > pin.max {
+			t.Errorf("%s allocates %v objects/op, want <= %v", pin.name, avg, pin.max)
+		}
 	}
 }

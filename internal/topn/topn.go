@@ -37,16 +37,6 @@ func NewList(limit int) *List {
 	return &List{limit: limit, index: make(map[string]int)} // alloccheck: construction; the serving path reuses one List via Reset
 }
 
-// FromEntries builds a list from arbitrary entries, keeping the best limit.
-// Later duplicates of an ID overwrite earlier ones.
-func FromEntries(limit int, entries []Entry) *List {
-	l := NewList(limit)
-	for _, e := range entries {
-		l.Update(e.ID, e.Score)
-	}
-	return l
-}
-
 // Update inserts the item or replaces its score, then restores order and the
 // size bound. It reports whether the item is present after the update (false
 // means it fell off the bottom of a full list).
@@ -106,21 +96,6 @@ func (l *List) Score(id string) (float64, bool) {
 	return l.entries[pos].Score, true
 }
 
-// Remove deletes the item if present and reports whether it was.
-func (l *List) Remove(id string) bool {
-	pos, ok := l.index[id]
-	if !ok {
-		return false
-	}
-	delete(l.index, id)
-	copy(l.entries[pos:], l.entries[pos+1:])
-	l.entries = l.entries[:len(l.entries)-1]
-	for i := pos; i < len(l.entries); i++ {
-		l.index[l.entries[i].ID] = i
-	}
-	return true
-}
-
 // Reset empties the list in place, keeping its backing storage and limit, so
 // a serving path can reuse one List across requests instead of reallocating.
 func (l *List) Reset() {
@@ -149,23 +124,6 @@ func (l *List) Top(k int) []Entry {
 
 // All returns every entry, best first, as a copy.
 func (l *List) All() []Entry { return l.Top(len(l.entries)) }
-
-// Scale multiplies every score by factor, preserving order for positive
-// factors. The time-damping pass of the similar-video tables (Eq. 11) uses it
-// to decay a whole list in one sweep.
-func (l *List) Scale(factor float64) {
-	for i := range l.entries {
-		l.entries[i].Score *= factor
-	}
-	if factor < 0 { // order inverted; re-sort defensively
-		sort.SliceStable(l.entries, func(i, j int) bool {
-			return l.entries[i].Score > l.entries[j].Score
-		})
-		for i := range l.entries {
-			l.index[l.entries[i].ID] = i
-		}
-	}
-}
 
 // SortEntriesDesc orders entries by descending score in place, breaking ties
 // by ascending ID so that rankings are deterministic across runs.

@@ -71,27 +71,6 @@ func TestBoundedEviction(t *testing.T) {
 	}
 }
 
-func TestRemove(t *testing.T) {
-	l := NewList(4)
-	l.Update("a", 3)
-	l.Update("b", 2)
-	l.Update("c", 1)
-	if !l.Remove("b") {
-		t.Fatal("Remove(b) = false, want true")
-	}
-	if l.Remove("b") {
-		t.Fatal("second Remove(b) = true, want false")
-	}
-	got := ids(l.All())
-	if len(got) != 2 || got[0] != "a" || got[1] != "c" {
-		t.Errorf("entries = %v, want [a c]", got)
-	}
-	// Index must stay consistent after the shift.
-	if s, ok := l.Score("c"); !ok || s != 1 {
-		t.Errorf("Score(c) = %v,%v want 1,true", s, ok)
-	}
-}
-
 func TestTopClamps(t *testing.T) {
 	l := NewList(3)
 	l.Update("a", 1)
@@ -100,28 +79,6 @@ func TestTopClamps(t *testing.T) {
 	}
 	if got := l.Top(-1); len(got) != 0 {
 		t.Errorf("Top(-1) len = %d, want 0", len(got))
-	}
-}
-
-func TestScaleDecay(t *testing.T) {
-	l := NewList(3)
-	l.Update("a", 4)
-	l.Update("b", 2)
-	l.Scale(0.5)
-	if s, _ := l.Score("a"); s != 2 {
-		t.Errorf("Score(a) after Scale = %v, want 2", s)
-	}
-	got := ids(l.All())
-	if got[0] != "a" {
-		t.Errorf("order after positive Scale changed: %v", got)
-	}
-}
-
-func TestFromEntriesKeepsBest(t *testing.T) {
-	l := FromEntries(2, []Entry{{"a", 1}, {"b", 5}, {"c", 3}, {"b", 4}})
-	got := l.All()
-	if len(got) != 2 || got[0].ID != "b" || got[0].Score != 4 || got[1].ID != "c" {
-		t.Errorf("FromEntries = %+v, want [b/4 c/3]", got)
 	}
 }
 
