@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-baseline lint-stats test-sim test-resilience fuzz bench bench-gate cover check
+.PHONY: build test race vet fmt lint lint-baseline lint-stats test-sim test-resilience fuzz bench bench-gate cover bench-module check
 
 # Accepted pre-existing findings (pass<TAB>file<TAB>message). Kept empty when
 # the tree is clean; `make lint-baseline` regenerates it after a new pass
@@ -156,4 +156,12 @@ cover:
 				printf "sharding coverage %.1f%% is below the %d%% floor\n", pct, floor; exit 1 } }' \
 		$(SHARD_COVER_PROFILE)
 
-check: build vet fmt lint lint-stats cover test race test-sim test-resilience fuzz
+# The end-to-end benchmark harness is a nested module (benchmark/go.mod,
+# `replace vidrec => ../`) that links the internal core, demographic and
+# recommend APIs it measures. Tier-1 `go test ./...` stops at the module
+# boundary, so build, vet and test it here against this tree: an API change
+# that breaks the harness fails the gate instead of the next benchmark run.
+bench-module:
+	cd benchmark && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+
+check: build vet fmt lint lint-stats cover test bench-module race test-sim test-resilience fuzz

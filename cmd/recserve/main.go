@@ -34,6 +34,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -349,42 +350,25 @@ func newMux(sys *recommend.System, st *storeStack, replayMetrics map[string]stor
 		_, _ = fmt.Fprintln(w, "ok") // best-effort: a vanished client needs no liveness reply
 	})
 	mux.HandleFunc("GET /recommend", func(w http.ResponseWriter, r *http.Request) {
-		user := r.URL.Query().Get("user")
-		if user == "" {
+		q := parseRecQuery(r.URL.RawQuery)
+		if q.user == "" {
 			http.Error(w, "missing user parameter", http.StatusBadRequest)
 			return
 		}
-		n := queryInt(r, "n", 10)
 		res, err := sys.Recommend(r.Context(), recommend.Request{
-			UserID:       user,
-			CurrentVideo: r.URL.Query().Get("video"),
-			N:            n,
+			UserID:       q.user,
+			CurrentVideo: q.video,
+			N:            queryInt(q.n, 10),
 		})
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		body := map[string]any{
-			"videos":     res.Videos,
-			"seeds":      res.Seeds,
-			"candidates": res.Candidates,
-			"hot_merged": res.HotMerged,
-			"degraded":   res.Degraded,
-			"explored":   res.Explored,
-			"latency_us": res.Latency.Microseconds(),
-		}
-		if res.Arms != nil {
-			arms := make([]string, len(res.Arms))
-			for i, a := range res.Arms {
-				arms[i] = a.String()
-			}
-			body["arms"] = arms
-		}
-		writeJSON(w, body)
+		respond(w, res, appendRecommend)
 	})
 	mux.HandleFunc("GET /similar", func(w http.ResponseWriter, r *http.Request) {
-		video := r.URL.Query().Get("video")
-		if video == "" {
+		q := parseRecQuery(r.URL.RawQuery)
+		if q.video == "" {
 			http.Error(w, "missing video parameter", http.StatusBadRequest)
 			return
 		}
@@ -393,12 +377,12 @@ func newMux(sys *recommend.System, st *storeStack, replayMetrics map[string]stor
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		entries, err := tables.Similar(r.Context(), video, queryInt(r, "n", 10), sys.Now())
+		entries, err := tables.Similar(r.Context(), q.video, queryInt(q.n, 10), sys.Now())
 		if err != nil {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeJSON(w, entries)
+		respond(w, entries, appendSimilar)
 	})
 	mux.HandleFunc("POST /action", func(w http.ResponseWriter, r *http.Request) {
 		defer func() { _ = r.Body.Close() }() // net/http closes the body anyway; this just frees it early
@@ -423,7 +407,7 @@ func newMux(sys *recommend.System, st *storeStack, replayMetrics map[string]stor
 				return
 			}
 		}
-		writeJSON(w, map[string]int{"ingested": len(parsed)})
+		respond(w, len(parsed), appendIngested)
 	})
 	if st.sharded != nil {
 		// Operator-driven slot migration: move one slot to a named group with
@@ -622,21 +606,14 @@ func parseActions(body string) ([]feedback.Action, error) {
 	return out, nil
 }
 
-func queryInt(r *http.Request, key string, def int) int {
-	v := strings.TrimSpace(r.URL.Query().Get(key))
-	if v == "" {
-		return def
-	}
-	n, err := strconv.Atoi(v)
-	if err != nil || n <= 0 {
-		return def
-	}
-	return n
-}
-
+// writeJSON encodes v with encoding/json into a buffer and sends it as the
+// JSON response; an encode error answers 500 with its message. The
+// low-traffic endpoints (/stats, /rebalance) use it.
 func writeJSON(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := json.NewEncoder(w).Encode(v); err != nil {
-		log.Printf("recserve: encode response: %v", err)
+	var buf bytes.Buffer
+	if err := json.NewEncoder(&buf).Encode(v); err != nil {
+		http.Error(w, err.Error(), http.StatusInternalServerError)
+		return
 	}
+	writeBody(w, buf.Bytes())
 }

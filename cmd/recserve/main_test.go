@@ -338,17 +338,22 @@ func TestStatsResilienceSection(t *testing.T) {
 }
 
 func TestQueryIntDefaults(t *testing.T) {
-	req := httptest.NewRequest("GET", "/x?n=abc&m=-3&k=7", nil)
-	if got := queryInt(req, "n", 10); got != 10 {
+	if got := queryInt("abc", 10); got != 10 {
 		t.Errorf("non-numeric = %d, want default", got)
 	}
-	if got := queryInt(req, "m", 10); got != 10 {
+	if got := queryInt("-3", 10); got != 10 {
 		t.Errorf("negative = %d, want default", got)
 	}
-	if got := queryInt(req, "k", 10); got != 7 {
+	if got := queryInt("0", 10); got != 10 {
+		t.Errorf("zero = %d, want default", got)
+	}
+	if got := queryInt("7", 10); got != 7 {
 		t.Errorf("valid = %d, want 7", got)
 	}
-	if got := queryInt(req, "absent", 5); got != 5 {
+	if got := queryInt(" 7\t", 10); got != 7 {
+		t.Errorf("padded = %d, want 7", got)
+	}
+	if got := queryInt("", 5); got != 5 {
 		t.Errorf("absent = %d, want default", got)
 	}
 }

@@ -52,7 +52,7 @@ func (a Arm) String() string {
 	if int(a) < NumArms {
 		return armNames[a]
 	}
-	return fmt.Sprintf("arm(%d)", uint8(a))
+	return fmt.Sprintf("arm(%d)", uint8(a)) // alloccheck: out-of-range arm only; every served slot's arm is below NumArms
 }
 
 // Valid reports whether a names a real arm.

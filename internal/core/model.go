@@ -94,29 +94,27 @@ type Model struct {
 	nsItemQ8   string
 	keyMean    string
 
-	// quant, when non-nil, holds the quantized serving table (see quant.go):
-	// StoreItem publishes an int8 record per item and ScoreCandidatesQ8 scores
-	// from the dense slot-indexed table. itemHook observes every stored item
-	// vector (the ANN index's feed). Both are wired before traffic starts.
-	quant    *quantTable
+	// items, when non-nil, is the slot-indexed item table every scorer reads
+	// (see items.go): StoreItem writes through to it, and ScoreSlots scores
+	// from it. itemHook observes every stored item vector (the ANN index's
+	// feed). Both are wired before traffic starts.
+	items    *itemTable
 	itemHook func(id string, vec []float64)
 
 	// keyMemo interns the item-parameter store keys: they are pure functions
-	// of the item id, and serving composes the same few hundred on every
-	// request. Item ids are catalog-bounded, so the memo is too. User keys
-	// memoize separately in ukVec/ukBias — each entry is an order of
-	// magnitude smaller than the user's stored vector under the same key, so
-	// the memo tracks the store's own per-user growth.
+	// of the item id, and every item write and table miss composes them.
+	// Item ids are catalog-bounded, so the memo is too. User keys memoize
+	// separately in ukVec/ukBias — each entry is an order of magnitude
+	// smaller than the user's stored vector under the same key, so the memo
+	// tracks the store's own per-user growth.
 	keyMu   sync.RWMutex
 	keyMemo map[string]itemKeys // guarded by keyMu
 
 	ukVec  *kvstore.Keys
 	ukBias *kvstore.Keys
 
-	// scorePool recycles scoreCached's per-call working arrays; q8Pool does
-	// the same for ScoreCandidatesQ8.
+	// scorePool recycles the scorers' per-call working arrays.
 	scorePool sync.Pool
-	q8Pool    sync.Pool
 }
 
 // itemKeys is one item's store keys (vector, bias, and quantized-record
@@ -269,7 +267,15 @@ func (m *Model) userState(ctx context.Context, id string) ([]float64, float64, b
 	return vec, bias, false, nil
 }
 
+// itemState loads (or cold-start initializes) the item's vector and bias.
+// The returned bool reports whether the item was new. A float-form item
+// table holds exactly the store's item parameters (StoreItem writes through
+// to it), so the write path reads them there rather than through objcache.
 func (m *Model) itemState(ctx context.Context, id string) ([]float64, float64, bool, error) {
+	if t := m.items; t != nil && !t.q8 {
+		rec, err := m.itemRecord(ctx, id)
+		return rec.vec, rec.bias, rec.cold, err
+	}
 	ik := m.itemKeysFor(id)
 	vec, ok, err := m.loadVector(ctx, "item", ik.vec, id)
 	if err != nil {
@@ -354,27 +360,48 @@ func (m *Model) StoreUser(ctx context.Context, id string, vec []float64, bias fl
 	return nil
 }
 
-// StoreItem persists one item's vector and bias. When quantized serving is
-// enabled it additionally publishes the item's compact q8 record (write-
-// through into the serving table), and it notifies the item-vector hook —
-// the ANN index tracks the online model through exactly this call, whether
-// the write came from Ingest or from a topology storage bolt.
+// StoreItem persists one item's vector and bias — in the int8 form also the
+// item's compact q8 record — and writes the new record through to the item
+// table. When a write fails it drops the item's slot instead, so the next
+// read re-resolves whatever the store now holds. The table keeps vec itself
+// (Params.Step returns fresh clones), so callers must not mutate it
+// afterwards. Last, StoreItem notifies the item-vector hook — the ANN index
+// tracks the online model through exactly this call, whether the write came
+// from Ingest or from a topology storage bolt.
 func (m *Model) StoreItem(ctx context.Context, id string, vec []float64, bias float64) error {
-	if err := m.store.Set(ctx, kvstore.Key(m.nsItemVec, id), kvstore.EncodeFloats(vec)); err != nil {
-		return fmt.Errorf("core: store item vector %s: %w", id, err)
+	rec, err := m.storeItem(ctx, id, vec, bias)
+	if t := m.items; t != nil {
+		t.install(t.it.Slot(id), rec) // the zero record of a failed write drops the slot
 	}
-	if err := m.store.Set(ctx, kvstore.Key(m.nsItemBias, id), kvstore.EncodeFloat(bias)); err != nil {
-		return fmt.Errorf("core: store item bias %s: %w", id, err)
-	}
-	if m.quant != nil {
-		if err := m.publishQ8(ctx, id, vec, bias); err != nil {
-			return err
-		}
+	if err != nil {
+		return err
 	}
 	if m.itemHook != nil {
 		m.itemHook(id, vec)
 	}
 	return nil
+}
+
+// storeItem writes the item's records and returns the table record they
+// amount to (the zero record for a model without a table).
+func (m *Model) storeItem(ctx context.Context, id string, vec []float64, bias float64) (itemRec, error) {
+	ik := m.itemKeysFor(id)
+	if err := m.store.Set(ctx, ik.vec, kvstore.EncodeFloats(vec)); err != nil {
+		return itemRec{}, fmt.Errorf("core: store item vector %s: %w", id, err)
+	}
+	if err := m.store.Set(ctx, ik.bias, kvstore.EncodeFloat(bias)); err != nil {
+		return itemRec{}, fmt.Errorf("core: store item bias %s: %w", id, err)
+	}
+	if m.items == nil {
+		return itemRec{}, nil
+	}
+	rec := m.items.record(vec, bias)
+	if m.items.q8 {
+		if err := m.store.Set(ctx, ik.q8, kvstore.EncodeQ8Vec(rec.scale, bias, rec.data)); err != nil {
+			return itemRec{}, fmt.Errorf("core: store item q8 record %s: %w", id, err)
+		}
+	}
+	return rec, nil
 }
 
 // globalMean returns μ. When TrackGlobalMean is off it is 0, reducing Eq. 2
@@ -558,15 +585,28 @@ func (m *Model) ItemVector(ctx context.Context, id string) (vec []float64, bias 
 }
 
 // ScoreCandidates evaluates Eq. 2 for one user against many candidate items
-// with a single user-state load and a batched item fetch — the hot path of
-// real-time recommendation generation (Fig. 1's "SORT&SELECT WITH User
-// vector"). The result is parallel to items.
+// with a single user-state load — the hot path of real-time recommendation
+// generation (Fig. 1's "SORT&SELECT WITH User vector"). The result is a fresh
+// slice parallel to items.
 //
-// With a cache attached, item vectors and biases are looked up first and only
-// the misses go to the store, still in one MGet; a fully warm cache scores
-// with zero store round trips. Without a cache, vectors and biases share one
-// combined MGet and decode into a reused scratch buffer.
+// A model with an item table resolves the items' slots in one interner pass
+// and scores through ScoreSlots. A bare model (no interner) fetches every
+// vector and bias in one combined MGet and decodes into a reused scratch
+// buffer.
 func (m *Model) ScoreCandidates(ctx context.Context, userID string, items []string) ([]float64, error) {
+	scores := make([]float64, len(items)) // alloccheck: the returned scores slice is the API contract, one per batch
+	if m.items == nil {
+		return m.scoreFromStore(ctx, userID, items, scores)
+	}
+	scr := m.scratch()
+	defer m.scorePool.Put(scr)
+	scr.slots = m.items.it.Slots(items, scr.slots[:0])
+	return m.scoreSlots(ctx, userID, items, scr.slots, scores, scr)
+}
+
+// scoreFromStore is the bare model's scorer: it writes items' scores into
+// scores (len(items) long) straight from one combined MGet.
+func (m *Model) scoreFromStore(ctx context.Context, userID string, items []string, scores []float64) ([]float64, error) {
 	uvec, ubias, _, err := m.userState(ctx, userID)
 	if err != nil {
 		return nil, err
@@ -575,11 +615,7 @@ func (m *Model) ScoreCandidates(ctx context.Context, userID string, items []stri
 	if err != nil {
 		return nil, err
 	}
-	scores := make([]float64, len(items)) // alloccheck: the returned scores slice is the API contract, one per batch
-	if m.cache != nil {
-		return m.scoreCached(ctx, items, scores, uvec, ubias, mu)
-	}
-	keys := make([]string, 2*len(items)) // alloccheck: cacheless path; the warm path goes through scoreCached
+	keys := make([]string, 2*len(items)) // alloccheck: bare-model path; serving models score from the item table
 	for i, id := range items {
 		ik := m.itemKeysFor(id)
 		keys[i] = ik.vec
@@ -609,115 +645,6 @@ func (m *Model) ScoreCandidates(ctx context.Context, userID string, items []stri
 			}
 		}
 		scores[i] = mu + ubias + ibias + vecmath.Dot(uvec, ivec)
-	}
-	return scores, nil
-}
-
-// scoreScratch is scoreCached's per-call working memory, recycled through
-// Model.scorePool. vecs may briefly retain references to cached slices
-// between requests; they are cleared on reuse.
-type scoreScratch struct {
-	vecs     [][]float64
-	haveVec  []bool
-	biases   []float64
-	missKeys []string
-	missVers []uint64
-	missSlot []int
-}
-
-// sized returns the scratch arrays resized (and zeroed) for n items.
-func (s *scoreScratch) sized(n int) (vecs [][]float64, haveVec []bool, biases []float64) {
-	if cap(s.vecs) < n {
-		s.vecs = make([][]float64, n) // alloccheck: grow-once; the pooled scratch is reused
-		s.haveVec = make([]bool, n)   // alloccheck: grow-once; the pooled scratch is reused
-		s.biases = make([]float64, n) // alloccheck: grow-once; the pooled scratch is reused
-	} else {
-		s.vecs = s.vecs[:n]
-		s.haveVec = s.haveVec[:n]
-		s.biases = s.biases[:n]
-		clear(s.vecs)
-		clear(s.haveVec)
-		clear(s.biases)
-	}
-	return s.vecs, s.haveVec, s.biases
-}
-
-// scoreCached is the cache-aware half of ScoreCandidates: cache lookups
-// first, then one MGet covering every missing vector and bias key. Miss slots
-// record which (item, vector-or-bias) each fetched key fills; versions are
-// captured before the fetch so a concurrent write can never install a stale
-// decode (see objcache.StoreIfUnchanged).
-func (m *Model) scoreCached(ctx context.Context, items []string, scores, uvec []float64, ubias, mu float64) ([]float64, error) {
-	n := len(items)
-	scr, _ := m.scorePool.Get().(*scoreScratch)
-	if scr == nil {
-		scr = &scoreScratch{} // alloccheck: pool miss, cold start only
-	}
-	defer m.scorePool.Put(scr)
-	vecs, haveVec, biases := scr.sized(n) // haveVec: vector present in store (false ⇒ cold-start init)
-	missKeys := scr.missKeys[:0]
-	missVers := scr.missVers[:0]
-	missSlot := scr.missSlot[:0] // item index *2, +1 when the key is the bias
-	// alloccheck: non-escaping local closure over pooled scratch slices
-	miss := func(key string, slot int) {
-		missVers = append(missVers, m.cache.Version(key))
-		missKeys = append(missKeys, key)
-		missSlot = append(missSlot, slot)
-	}
-	for i, id := range items {
-		ik := m.itemKeysFor(id)
-		if v, present, ok := m.cache.Lookup(ik.vec); ok {
-			if present {
-				vecs[i] = v.([]float64)
-				haveVec[i] = true
-			}
-		} else {
-			miss(ik.vec, i*2)
-		}
-		if v, present, ok := m.cache.Lookup(ik.bias); ok {
-			if present {
-				biases[i] = v.(float64)
-			}
-		} else {
-			miss(ik.bias, i*2+1)
-		}
-	}
-	scr.missKeys, scr.missVers, scr.missSlot = missKeys[:0], missVers[:0], missSlot[:0]
-	if len(missKeys) > 0 {
-		vals, err := m.store.MGet(ctx, missKeys)
-		if err != nil {
-			return nil, fmt.Errorf("core: batch load item params: %w", err)
-		}
-		for j, b := range vals {
-			i := missSlot[j] / 2
-			if b == nil {
-				m.cache.StoreIfUnchanged(missKeys[j], nil, false, missVers[j])
-				continue
-			}
-			if missSlot[j]%2 == 0 {
-				v, err := kvstore.DecodeFloats(b)
-				if err != nil {
-					return nil, fmt.Errorf("core: decode item vector %s: %w", items[i], err)
-				}
-				vecs[i] = v
-				haveVec[i] = true
-				m.cache.StoreIfUnchanged(missKeys[j], v, true, missVers[j]) // alloccheck: install boxes on the miss path only
-			} else {
-				v, err := kvstore.DecodeFloat(b)
-				if err != nil {
-					return nil, fmt.Errorf("core: decode item bias %s: %w", items[i], err)
-				}
-				biases[i] = v
-				m.cache.StoreIfUnchanged(missKeys[j], v, true, missVers[j]) // alloccheck: install boxes on the miss path only
-			}
-		}
-	}
-	for i, id := range items {
-		ivec := vecs[i]
-		if !haveVec[i] {
-			ivec = m.params.initVector("i", id)
-		}
-		scores[i] = mu + ubias + biases[i] + vecmath.Dot(uvec, ivec)
 	}
 	return scores, nil
 }

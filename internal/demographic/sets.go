@@ -20,10 +20,11 @@ type ModelSet struct {
 	kv     kvstore.Store
 	params core.Params
 
-	mu       sync.RWMutex
-	models   map[string]*core.Model // guarded by mu
-	cache    *objcache.Cache        // guarded by mu; applied to lazily created models
-	interner *intern.Table          // guarded by mu; non-nil enables quantized serving on every model
+	mu        sync.RWMutex
+	models    map[string]*core.Model // guarded by mu
+	cache     *objcache.Cache        // guarded by mu; applied to lazily created models
+	interner  *intern.Table          // guarded by mu; non-nil gives every model its slot-indexed item table
+	quantized bool                   // guarded by mu; the item tables hold int8 records
 }
 
 // SetCache attaches a decoded-value read cache, applied to every existing and
@@ -37,14 +38,27 @@ func (s *ModelSet) SetCache(c *objcache.Cache) {
 	}
 }
 
-// EnableQuantized turns on quantized publish/serving (core.Model's int8
-// record table) for every existing and future group model, with item slots
-// drawn from the shared serving interner. Like SetCache, wire it before
-// traffic starts.
+// SetInterner gives every existing and future group model its slot-indexed
+// item table (core.Model.SetInterner), with item slots drawn from the shared
+// serving interner. Like SetCache, wire it before traffic starts.
+func (s *ModelSet) SetInterner(it *intern.Table) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.interner = it
+	for _, m := range s.models {
+		m.SetInterner(it)
+	}
+}
+
+// EnableQuantized switches every existing and future group model's item
+// table to int8 records (core.Model.EnableQuantized), with item slots drawn
+// from the shared serving interner. Like SetCache, wire it before traffic
+// starts.
 func (s *ModelSet) EnableQuantized(it *intern.Table) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.interner = it
+	s.quantized = it != nil
 	for _, m := range s.models {
 		m.EnableQuantized(it)
 	}
@@ -86,8 +100,10 @@ func (s *ModelSet) For(group string) (*core.Model, error) {
 		return nil, err
 	}
 	m.SetCache(s.cache)
-	if s.interner != nil {
+	if s.quantized {
 		m.EnableQuantized(s.interner)
+	} else {
+		m.SetInterner(s.interner)
 	}
 	s.models[group] = m
 	return m, nil

@@ -20,6 +20,8 @@ type Faulty struct {
 	mu       sync.Mutex
 	rng      *rand.Rand   // guarded by mu
 	schedule []FaultPhase // guarded by mu
+	phase    int          // guarded by mu; index of the schedule's current phase
+	phaseOps uint64       // guarded by mu; operations the current phase has counted
 	opCount  uint64       // guarded by mu; operations seen since SetSchedule
 
 	// FailRate is the probability in [0,1] that an operation returns
@@ -36,7 +38,10 @@ type Faulty struct {
 // fault timing a deterministic function of the workload instead of wall time:
 // the same scenario replays the same faults on every run.
 type FaultPhase struct {
-	// Ops is how many operations the phase covers. 0 means "until the end
+	// Ops is how many operations the phase covers: every operation, or with
+	// a KeyPrefix only the operations touching it — so a window over one
+	// namespace is placed by that namespace's own traffic, whatever the
+	// caches in front of the store absorb elsewhere. 0 means "until the end
 	// of the run" (only sensible for the last phase).
 	Ops uint64
 	// FailRate is the probability in [0,1] that an operation in this phase
@@ -73,13 +78,13 @@ func (f *Faulty) SetFailRate(p float64) {
 func (f *Faulty) SetLatency(d time.Duration) { f.latency.Store(int64(d)) }
 
 // SetSchedule installs an operation-counted fault schedule, replacing the
-// flat SetFailRate/SetLatency knobs while non-empty. The operation counter
-// restarts at zero, so phases are relative to the installation point. A nil
+// flat SetFailRate/SetLatency knobs while non-empty. The operation counters
+// restart at zero, so phases are relative to the installation point. A nil
 // or empty schedule reverts to the flat knobs.
 func (f *Faulty) SetSchedule(phases []FaultPhase) {
 	f.mu.Lock()
 	f.schedule = append([]FaultPhase(nil), phases...)
-	f.opCount = 0
+	f.phase, f.phaseOps, f.opCount = 0, 0, 0
 	f.mu.Unlock()
 }
 
@@ -122,7 +127,6 @@ func (f *Faulty) fault(ctx context.Context, keys ...string) error {
 func (f *Faulty) decide(keys []string) (time.Duration, bool) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	op := f.opCount
 	f.opCount++
 	roll := f.rng.Float64()
 	if len(f.schedule) == 0 {
@@ -130,25 +134,18 @@ func (f *Faulty) decide(keys []string) (time.Duration, bool) {
 		p := math.Float64frombits(f.failRate.Load())
 		return d, p > 0 && roll < p
 	}
-	ph := phaseAt(f.schedule, op)
-	if ph == nil || !prefixMatches(ph.KeyPrefix, keys) {
+	for f.phase < len(f.schedule) && f.schedule[f.phase].Ops != 0 && f.phaseOps >= f.schedule[f.phase].Ops {
+		f.phase, f.phaseOps = f.phase+1, 0
+	}
+	if f.phase == len(f.schedule) {
+		return 0, false // the schedule has run out
+	}
+	ph := &f.schedule[f.phase]
+	if !prefixMatches(ph.KeyPrefix, keys) {
 		return 0, false
 	}
+	f.phaseOps++
 	return ph.Latency, ph.FailRate > 0 && roll < ph.FailRate
-}
-
-// phaseAt finds the phase covering operation index op, or nil when the
-// schedule has run out.
-func phaseAt(schedule []FaultPhase, op uint64) *FaultPhase {
-	var start uint64
-	for i := range schedule {
-		ph := &schedule[i]
-		if ph.Ops == 0 || op < start+ph.Ops {
-			return ph
-		}
-		start += ph.Ops
-	}
-	return nil
 }
 
 // prefixMatches reports whether the phase applies: an empty prefix matches

@@ -180,3 +180,120 @@ func TestWritePathAllocs(t *testing.T) {
 		}
 	}
 }
+
+// warmServeSystem trains a BenchmarkRecommend-shaped system (400 users, 150
+// videos, one day of 8000 events) and serves every user once, so the item
+// tables, the decoded-value cache and the scratch pools are warm. It returns
+// the system, the user ids and the video ids.
+func warmServeSystem(t *testing.T, opts Options) (*System, []string, []string) {
+	t.Helper()
+	ctx := context.Background()
+	cfg := dataset.DefaultConfig()
+	cfg.Users, cfg.Videos, cfg.Days, cfg.EventsPerDay = 400, 150, 1, 8000
+	d, err := dataset.Generate(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys, err := NewSystem(kvstore.NewLocal(64), core.DefaultParams(), simtable.DefaultConfig(), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FillCatalog(ctx, sys.Catalog); err != nil {
+		t.Fatal(err)
+	}
+	if err := d.FillProfiles(ctx, sys.Profiles); err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range d.AllActions() {
+		if err := sys.Ingest(ctx, a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var users, videos []string
+	for _, u := range d.Users() {
+		users = append(users, u.ID)
+		if _, err := sys.Recommend(ctx, Request{UserID: u.ID, N: 10}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, v := range d.Videos() {
+		videos = append(videos, v.Meta.ID)
+	}
+	return sys, users, videos
+}
+
+// TestWarmServeAllocs pins the warm personalized request, float and int8:
+// both score from the item table into pooled scratch, so what a request
+// allocates is the ranked list and the Result it returns — 2 objects — plus,
+// for a registered user, the demographic group key Profile.Group builds.
+func TestWarmServeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation heap-allocates closures and empties sync.Pool at random, inflating the count")
+	}
+	for _, quantized := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Quantized = quantized
+		sys, users, _ := warmServeSystem(t, opts)
+		ctx := context.Background()
+		var global, registered []string
+		for _, u := range users {
+			if sys.groupOf(ctx, u) == demographic.GlobalGroup {
+				global = append(global, u)
+			} else {
+				registered = append(registered, u)
+			}
+		}
+		for _, pin := range []struct {
+			name  string
+			users []string
+			max   float64
+		}{{"global-group users", global, 2}, {"registered users", registered, 3}} {
+			if len(pin.users) == 0 {
+				t.Fatalf("no %s in the corpus", pin.name)
+			}
+			i := 0
+			avg := testing.AllocsPerRun(400, func() {
+				if _, err := sys.Recommend(ctx, Request{UserID: pin.users[i%len(pin.users)], N: 10}); err != nil {
+					t.Fatal(err)
+				}
+				i++
+			})
+			t.Logf("quantized=%v, %s: %v allocs/op", quantized, pin.name, avg)
+			if avg > pin.max {
+				t.Errorf("warm Recommend (quantized=%v, %s) allocates %v objects/op, want <= %v", quantized, pin.name, avg, pin.max)
+			}
+		}
+	}
+}
+
+// TestServingSkipsObjcacheForItemParams checks the scorers read item
+// parameters only from the item tables: with the decoded-value cache flushed
+// under warm tables, serving every user again installs no item vector or
+// bias in it — a read-through of either key would have.
+func TestServingSkipsObjcacheForItemParams(t *testing.T) {
+	for _, quantized := range []bool{false, true} {
+		opts := DefaultOptions()
+		opts.Quantized = quantized
+		sys, users, videos := warmServeSystem(t, opts)
+		ctx := context.Background()
+		sys.Cache().Flush()
+		for _, u := range users {
+			if _, err := sys.Recommend(ctx, Request{UserID: u, N: 10}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for _, g := range sys.Models.Groups() {
+			m, err := sys.Models.For(g)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, id := range videos {
+				for _, ns := range []string{".iv", ".ib"} {
+					if _, _, ok := sys.Cache().Lookup(kvstore.Key(m.Name()+ns, id)); ok {
+						t.Fatalf("quantized=%v: serving read %s's %s key through objcache", quantized, id, ns)
+					}
+				}
+			}
+		}
+	}
+}

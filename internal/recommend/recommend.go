@@ -93,7 +93,7 @@ type Options struct {
 	// the golden explored slate and the sim digests pin.
 	ExploreSeed uint64
 	// Quantized serves Eq. 2 scores from int8-quantized item records
-	// (core.Model's dense record table) instead of float64 vectors: every
+	// (core.Model's item table in its int8 form) instead of float64 vectors: every
 	// item publish additionally writes one compact scale+bias+int8 record,
 	// and scoring runs integer dot products over a slot-indexed in-memory
 	// table. Items trained before the switch fall back to quantizing their
@@ -208,8 +208,8 @@ type System struct {
 	cache *objcache.Cache
 
 	// interner maps item ids to dense int32 slots shared by the serving
-	// scratch (mark arrays), the quantized record tables, and the ANN
-	// index — one string-hash per id per batch instead of per structure.
+	// scratch (mark arrays), the models' item tables, and the ANN index —
+	// one string-hash per id per batch instead of per structure.
 	interner *intern.Table
 	// annIndex is the LSH candidate source (nil unless Options.ANN). It is
 	// fed by the global model's item-vector hook, so it tracks every item
@@ -288,12 +288,13 @@ func NewSystem(kv kvstore.Store, params core.Params, simCfg simtable.Config, opt
 	hot.SetCache(cache)
 	bd.SetCache(cache)
 	interner := intern.New()
+	models.SetInterner(interner)
 	if opts.Quantized {
 		models.EnableQuantized(interner)
 	}
 	// The global model is resolved eagerly: its item-vector hook (the ANN
-	// feed) and quantized table must exist before the first write, whether
-	// that write comes from Ingest or a topology bolt.
+	// feed) and item table must exist before the first write, whether that
+	// write comes from Ingest or a topology bolt.
 	global, err := models.For(demographic.GlobalGroup)
 	if err != nil {
 		return nil, err
@@ -344,17 +345,18 @@ func NewSystem(kv kvstore.Store, params core.Params, simCfg simtable.Config, opt
 // ANN returns the LSH candidate index, or nil when Options.ANN is off.
 func (s *System) ANN() *ann.Index { return s.annIndex }
 
-// FlushCaches empties every decoded-value cache and every model's quantized
-// record table — the benchmark's cold-serving drill. A plain Cache().Flush()
-// only covers the float path; the quantized tables resolve through their own
-// read-through and need their own flush to measure a true cold request.
+// FlushCaches empties the decoded-value cache and every model's item table —
+// the benchmark's cold-serving drill. A plain Cache().Flush() leaves item
+// parameters warm: the scorers read them from the item tables, which resolve
+// through their own read-through and need their own flush to measure a true
+// cold request.
 func (s *System) FlushCaches() {
 	if s.cache != nil {
 		s.cache.Flush()
 	}
 	for _, g := range s.Models.Groups() {
 		if m, err := s.Models.For(g); err == nil {
-			m.FlushQ8()
+			m.FlushItems()
 		}
 	}
 }

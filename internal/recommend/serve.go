@@ -357,23 +357,15 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 
 	// 4. Preference prediction (Eq. 2) over candidates and merge-eligible
 	// hot videos only — the whole corpus is never scored — then ranking.
-	// Quantized models score from the int8 record table through the batch's
-	// already-resolved slots; float models take the decoded-vector path.
-	// Both paths rank through the same allocation-free Ranker, whose
+	// The model scores from its slot-indexed item table (float or int8
+	// records) through the batch's already-resolved slots, into the pooled
+	// scores scratch. Ranking goes through the allocation-free Ranker, whose
 	// admission semantics are pinned equal to topn.List's.
-	var scores []float64
-	if model.Quantized() {
-		scores, err = model.ScoreCandidatesQ8(ctx, req.UserID, toScore, toScoreSlots, scr.scores)
-		if err != nil {
-			return nil, err
-		}
-		scr.scores = scores
-	} else {
-		scores, err = model.ScoreCandidates(ctx, req.UserID, toScore)
-		if err != nil {
-			return nil, err
-		}
+	scores, err := model.ScoreSlots(ctx, req.UserID, toScore, toScoreSlots, scr.scores)
+	if err != nil {
+		return nil, err
 	}
+	scr.scores = scores
 	if scr.ranker == nil || scr.ranker.Limit() != req.N {
 		scr.ranker = topn.NewRanker(req.N)
 	} else {

@@ -69,26 +69,27 @@ func Scenarios() []Scenario {
 		},
 		{
 			// A partial partition: the global similar-video tables become
-			// unreachable for a 300-op window while every other namespace
-			// keeps working — the per-group tables and models train through.
+			// unreachable while every other namespace keeps working — the
+			// per-group tables and models train through.
 			Name:    "kv-partition",
 			Seed:    505,
 			Tracked: true,
-			// The outage starts mid-replay and holds to the end: early
-			// operations are model and history writes — similar-table
-			// traffic only picks up once users have accumulated history,
-			// so an early window would never hit the partitioned namespace.
-			// The lead-in is counted in ops that REACH the store, which the
-			// decoded-value cache keeps well below the logical access count —
-			// and, under the concurrent scheduler, makes variable across runs
-			// (interleaving decides which reads the cache absorbs; observed
-			// totals range roughly 9.5k–11.7k). The outage must start well
-			// before the *smallest* plausible end of ingest so similar-table
-			// writes always land inside it, or the scenario is vacuous (the
-			// expectations in scenarios_test.go demand injected faults AND
-			// failed tuple trees).
+			// The outage starts mid-replay and holds to the end. Its lead-in
+			// is counted in operations on the partitioned namespace itself,
+			// so no other traffic — reads the caches absorb or not — moves
+			// its start. That traffic's own volume is set by how far pair
+			// generation runs ahead of the history appends it reads: with
+			// unbounded pending trees the concurrent scheduler let it run
+			// the whole replay ahead, and a run made anywhere from a few
+			// dozen to ~4k similar-table operations. MaxPending bounds the
+			// lag, which holds the total at 2.3k ± 1% over hundreds of runs
+			// (under CPU contention too), so the outage reliably begins
+			// after the first thousand of them and the rest land inside it
+			// — the expectations in scenarios_test.go demand injected
+			// faults AND failed tuple trees.
+			MaxPending: 16,
 			KVFaults: []kvstore.FaultPhase{
-				{Ops: 5000},
+				{Ops: 1000, KeyPrefix: "sys/global.sim"},
 				{FailRate: 1, KeyPrefix: "sys/global.sim"},
 			},
 		},

@@ -662,4 +662,27 @@ func TestFaultScheduleScoping(t *testing.T) {
 	if err := f.Set(ctx, "sys.hist:u", []byte("x")); err != nil {
 		t.Errorf("non-prefixed key failed in a scoped phase: %v", err)
 	}
+
+	// A scoped lead-in counts only the operations on its prefix: other
+	// traffic, however much of it, never moves the outage's start.
+	f.SetSchedule([]kvstore.FaultPhase{
+		{Ops: 2, KeyPrefix: "sys.hot"},
+		{Ops: 0, FailRate: 1, KeyPrefix: "sys.hot"},
+	})
+	for i := 0; i < 5; i++ {
+		if err := f.Set(ctx, "sys.hist:u", []byte("x")); err != nil {
+			t.Fatalf("unscoped op %d failed: %v", i, err)
+		}
+	}
+	for i := 0; i < 2; i++ {
+		if err := f.Set(ctx, "sys.hot:g", []byte("x")); err != nil {
+			t.Fatalf("scoped lead-in op %d failed after unscoped traffic: %v", i+1, err)
+		}
+	}
+	if err := f.Set(ctx, "sys.hot:g", []byte("x")); err == nil {
+		t.Error("third scoped op survived: the lead-in counted more than its prefix's ops")
+	}
+	if got := f.Ops(); got != 8 {
+		t.Errorf("Ops() = %d, want 8: every operation still counts toward the total", got)
+	}
 }
