@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-baseline lint-stats test-sim test-resilience fuzz bench bench-gate cover bench-module check
+.PHONY: build test race vet fmt lint lint-baseline lint-stats test-sim test-resilience fuzz cover bench-module check
 
 # Accepted pre-existing findings (pass<TAB>file<TAB>message). Kept empty when
 # the tree is clean; `make lint-baseline` regenerates it after a new pass
@@ -28,9 +28,8 @@ fmt:
 
 # vidlint is the repo's own analyzer (internal/lint): the per-function passes
 # (lockcheck, atomiccheck, errcheck, goroutinecheck, clockcheck), the
-# call-graph dataflow suite (lockorder, numcheck, ctxcheck), the
-# serving-budget suite (alloccheck, leakcheck), and the flowcheck CFG suite
-# (nilcheck, wirecheck, blockcheck). Zero NEW findings is the merge bar: the
+# call-graph dataflow suite (lockorder, numcheck, ctxcheck) and the serving
+# allocation budget (alloccheck). Zero NEW findings is the merge bar: the
 # baseline suppresses only entries recorded in $(LINT_BASELINE), which is
 # empty on a clean tree, and stale entries fail the run until pruned.
 lint:
@@ -83,48 +82,6 @@ fuzz:
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardEvent$$' -fuzztime $(FUZZTIME)
 
-# Serving-latency benchmark tier: the BenchmarkRecommend matrix (embedded vs
-# networked vs replicated vs sharded store × cold vs warm object cache, plus
-# the PR9 serving fast-path variants score=q8 and ann=on on the local store)
-# with allocation stats, recorded to BENCH_PR10.json via cmd/benchjson. The
-# baseline field of the JSON is preserved across runs; compare against it
-# before claiming a serving-path change is an improvement (the warm-cache
-# fast path must stay within 10%). BENCHTIME trades precision for wall-clock
-# time.
-BENCHTIME ?= 200x
-bench:
-	$(GO) test -run '^$$' -bench '^BenchmarkRecommend$$' -benchmem -benchtime $(BENCHTIME) . \
-		| $(GO) run ./cmd/benchjson -out BENCH_PR10.json
-
-# Benchmark regression gate: re-run the Recommend matrix into a scratch file
-# and compare it three ways — against the committed BENCH_PR5.json record
-# (the pre-PR9 float matrix: the historic warm-path gate keeps holding),
-# against BENCH_PR9.json (the fast-path matrix, with -require proving the q8
-# and ANN columns actually ran instead of silently vanishing), and against
-# BENCH_PR10.json (the full matrix including the sharded column, -require
-# proving the partitioned tier ran). The PR5 compare fails on any benchmark
-# more than 10% slower on ns/op; the PR9/PR10 self-compares allow 75%
-# because their records are quiet-window references for microsecond-scale
-# ops — the same binary drifts 50%+ run to run on a busy shared box, while
-# a real regression (losing the q8 kernel, say) costs 170%+, so the loose
-# ns/op bound still catches catastrophe and the real day-to-day signal
-# there is the allocs/op bound. All compares fail on allocs/op growth
-# beyond 0.5%: exact on the pinned single-digit warm budgets (AllocsPerRun
-# pins + alloccheck — 0.5% of 3 rounds to zero), with just enough slack for
-# the ±1 wobble of the hundreds-of-allocs cold paths. The fresh side runs
-# -count=3 and benchjson -compare takes the best of the repeats, which
-# keeps scheduler noise from tripping the ns/op bound. Not part of
-# `make check` (benchmark timing still wants a quiet machine); run it
-# before claiming a serving-path change is safe.
-BENCH_GATE_SCRATCH ?= /tmp/vidrec-bench-gate.json
-bench-gate:
-	@rm -f $(BENCH_GATE_SCRATCH)
-	$(GO) test -run '^$$' -bench '^BenchmarkRecommend$$' -benchmem -benchtime $(BENCHTIME) -count=3 . \
-		| $(GO) run ./cmd/benchjson -out $(BENCH_GATE_SCRATCH)
-	$(GO) run ./cmd/benchjson -compare BENCH_PR5.json $(BENCH_GATE_SCRATCH) -max-regress 10
-	$(GO) run ./cmd/benchjson -compare BENCH_PR9.json $(BENCH_GATE_SCRATCH) -max-regress 75 -require score=q8,ann=on
-	$(GO) run ./cmd/benchjson -compare BENCH_PR10.json $(BENCH_GATE_SCRATCH) -max-regress 75 -require store=sharded
-
 # Coverage floors: internal/lint is the merge bar for everything else, and
 # internal/bandit decides what users see — both must hold >= 85% statement
 # coverage. Each package's coverage line is checked individually; the awk
@@ -159,9 +116,13 @@ cover:
 # The end-to-end benchmark harness is a nested module (benchmark/go.mod,
 # `replace vidrec => ../`) that links the internal core, demographic and
 # recommend APIs it measures. Tier-1 `go test ./...` stops at the module
-# boundary, so build, vet and test it here against this tree: an API change
-# that breaks the harness fails the gate instead of the next benchmark run.
+# boundary, so build, vet, test and lint it here against this tree: an API
+# change that breaks the harness fails the gate instead of the next benchmark
+# run. vidlint lints the module it is started in, so it runs from inside
+# benchmark/, named by import path (the replace makes vidrec/cmd/vidlint
+# resolvable there; the relative ../cmd/vidlint is outside that module).
 bench-module:
-	cd benchmark && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./...
+	cd benchmark && $(GO) build ./... && $(GO) vet ./... && $(GO) test ./... \
+		&& $(GO) run vidrec/cmd/vidlint ./...
 
 check: build vet fmt lint lint-stats cover test bench-module race test-sim test-resilience fuzz

@@ -359,11 +359,12 @@ func BenchmarkRecommendLatency(b *testing.B) {
 // shard groups under a coordinator, pricing the partitioned tier's routing,
 // dedup stamping, and synchronous replication. The dataset
 // shape matches BenchmarkRecommendLatency so numbers stay comparable across
-// revisions; `make bench` records this matrix in BENCH_PR10.json. The local
-// store additionally runs the serving fast-path variants PR9 introduced —
-// int8 quantized scoring (score=q8) and LSH candidate retrieval (ann=on) —
-// against the same dataset; the unsuffixed names remain the float/ann-off
-// configurations so the matrix stays comparable with earlier baselines.
+// revisions; run it with `go test -run '^$' -bench '^BenchmarkRecommend$'
+// -benchmem .`. The local store additionally runs the serving fast-path
+// variants — int8 quantized scoring (score=q8) and LSH candidate retrieval
+// (ann=on) — against the same dataset; the unsuffixed names remain the
+// float/ann-off configurations so the matrix stays comparable across
+// revisions.
 func BenchmarkRecommend(b *testing.B) {
 	cfg := dataset.DefaultConfig()
 	cfg.Users = 400

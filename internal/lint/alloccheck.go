@@ -89,7 +89,7 @@ func shortFuncName(fn *types.Func) string {
 
 func runAlloccheck(p *Program) []Finding {
 	g := p.CallGraph()
-	hot := hotSet(p) // shared with blockcheck, see hotpath.go
+	hot := hotSet(p) // see hotpath.go
 
 	var findings []Finding
 	for _, fn := range g.Functions() {

@@ -33,14 +33,6 @@ func (p *Program) CallGraph() *CallGraph {
 	return p.cg
 }
 
-// UnitFor returns the unit a function was declared in, or nil.
-func (p *Program) UnitFor(fn *types.Func) *Unit {
-	if d, ok := p.CallGraph().decls[fn]; ok {
-		return d.unit
-	}
-	return nil
-}
-
 // CallGraph is a static, declaration-level call graph: an edge f -> g means
 // the body of f contains a call expression that resolves to g, or a
 // reference to g as a value (a method value like `h := s.score`, a function

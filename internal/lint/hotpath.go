@@ -10,9 +10,8 @@ import "go/types"
 // only through an interface need their own annotation.
 //
 // The result maps each hot function to the immediate caller that made it hot
-// ("" for an annotated root), so findings can explain themselves. alloccheck
-// and blockcheck share this: the same functions that must not allocate must
-// not block.
+// ("" for an annotated root), so alloccheck's findings can explain
+// themselves.
 func hotSet(p *Program) map[*types.Func]string {
 	g := p.CallGraph()
 	hot := make(map[*types.Func]string)

@@ -28,6 +28,8 @@
 //     unchecked model-state writes are findings.
 //   - ctxcheck: serving/network paths thread context.Context; root contexts
 //     are minted only in cmd/.
+//   - alloccheck: "// hotpath" functions and their transitive callees may
+//     not allocate outside a named budget (hotpath.go).
 //
 // New passes register themselves in an init function via Register; see
 // lockcheck.go (per-unit) or lockorder.go (module-level) for the shape.

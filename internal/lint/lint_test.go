@@ -209,57 +209,6 @@ func TestAlloccheckFixtures(t *testing.T) {
 	})
 }
 
-func TestLeakcheckFixtures(t *testing.T) {
-	runFixture(t, "leakcheck", []expect{
-		{"bad1.go", "leaks f on the read-error path", "can reach this return unreleased"},
-		{"bad1.go", "conn is never closed", `connection "conn"`},
-		{"bad1.go", "ticker t still running", `ticker "t"`},
-		{"bad1.go", "time.Tick leaks", "time.Tick"},
-		{"bad2.go", "cancel never called on this path", "cancel function"},
-		{"bad2.go", "b never returned to scratch", "pooled object"},
-		{"bad2.go", "blocks forever if the receiver is gone", "unbuffered channel"},
-		{"bad2.go", "result discarded", "discarded"},
-	})
-}
-
-func TestNilcheckFixtures(t *testing.T) {
-	runFixture(t, "nilcheck", []expect{
-		{"bad1.go", "deref on the error path: r is nil here", "may be nil here"},
-		{"bad1.go", "deref on the error path: f is nil here", "may be nil here"},
-		{"bad1.go", "index of a nil slice on the error path", "may be nil here"},
-		{"bad1.go", "write to nil map", "write to nil map"},
-		{"bad2.go", "used before the comma-ok check", "before its comma-ok result"},
-		{"bad2.go", "ok is false here: c is nil", `comma-ok result "ok" is false`},
-		{"bad2.go", "assertion failed: s is nil", `comma-ok result "ok" is false`},
-	})
-}
-
-func TestBlockcheckFixtures(t *testing.T) {
-	runFixture(t, "blockcheck", []expect{
-		{"bad1.go", "sleeping with s.mu held", "time.Sleep while holding s.mu"},
-		{"bad1.go", "network write with s.mu held", "network write"},
-		{"bad1.go", "unbuffered send with s.mu held", `send on unbuffered channel "ch"`},
-		{"bad1.go", "second lock acquired with p.a held", "acquiring p.b while holding p.a"},
-		{"bad2.go", "sleeping in a hot callee", "hot function blockcheck.slowRank (hot via blockcheck.Serve)"},
-		{"bad2.go", "waiting on the group with g.mu held", "sync.WaitGroup.Wait while holding g.mu"},
-	})
-}
-
-func TestWirecheckFixtures(t *testing.T) {
-	runFixture(t, "wirecheck", []expect{
-		{"bad1.go", "unexported: silently dropped", "gob silently drops it"},
-		{"bad1.go", "a chan cannot cross the wire", "which gob cannot encode"},
-		{"bad1.go", "process-local lock in a message", "synchronization state"},
-		{"bad1.go", "error values do not gob-encode", "does not gob-encode"},
-		{"bad1.go", "func: unencodable", "which gob cannot encode"},
-		{"bad1.go", "no registered implementation", "no gob.Register'd implementation"},
-		{"bad1.go", "unexported: dropped from the tuple", "via the storm transport"},
-		{"bad1.go", "chan riding the transport", "which gob cannot encode"},
-		{"bad2.go", "unexported, two structs deep", "gob silently drops it"},
-		{"bad2.go", "unregistered interface element", "interface-valued element crossing the storm transport"},
-	})
-}
-
 func TestPassScoping(t *testing.T) {
 	p := &Pass{Scope: []string{"internal/storm", "cmd"}}
 	for rel, wantApplies := range map[string]bool{

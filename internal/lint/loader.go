@@ -3,6 +3,7 @@ package lint
 import (
 	"fmt"
 	"go/ast"
+	"go/build"
 	"go/importer"
 	"go/parser"
 	"go/token"
@@ -136,8 +137,8 @@ func modulePath(gomod string) (string, error) {
 
 // LoadModule parses and type-checks every package under the module root,
 // returning units in dependency order. Directories named testdata, vendor,
-// or starting with "." or "_" are skipped, as are _test.go files unless
-// IncludeTests is set.
+// or starting with "." or "_" are skipped, as are files the default build
+// context excludes and _test.go files unless IncludeTests is set.
 func (l *Loader) LoadModule() ([]*Unit, error) {
 	dirs, err := l.packageDirs()
 	if err != nil {
@@ -244,6 +245,16 @@ func (l *Loader) parseDirAs(dir, path, rel string) (*parsedPkg, error) {
 			continue
 		}
 		if !l.IncludeTests && strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		// Honor //go:build lines and _GOOS/_GOARCH suffixes as `go build`
+		// does, so a tag-split pair (race_test.go / norace_test.go) loads
+		// one file instead of two redeclarations.
+		match, err := build.Default.MatchFile(dir, name)
+		if err != nil {
+			return nil, fmt.Errorf("lint: %w", err)
+		}
+		if !match {
 			continue
 		}
 		file, err := parser.ParseFile(l.fset, filepath.Join(dir, name), nil,

@@ -19,7 +19,7 @@ type Cache[K comparable, V any] struct {
 	order *list.List // front = most recent
 	items map[K]*list.Element
 
-	hits, misses, evictions uint64
+	evictions uint64
 }
 
 type entry[K comparable, V any] struct {
@@ -46,11 +46,9 @@ func (c *Cache[K, V]) Get(key K) (V, bool) {
 	var zero V
 	el, ok := c.items[key]
 	if !ok {
-		c.misses++
 		return zero, false
 	}
 	c.order.MoveToFront(el)
-	c.hits++
 	return el.Value.(*entry[K, V]).value, true
 }
 
@@ -79,9 +77,6 @@ func (c *Cache[K, V]) Len() int { return c.order.Len() }
 // Cap returns the configured capacity.
 func (c *Cache[K, V]) Cap() int { return c.capacity }
 
-// Stats returns cumulative hit and miss counts.
-func (c *Cache[K, V]) Stats() (hits, misses uint64) { return c.hits, c.misses }
-
 // Evictions returns how many entries capacity pressure has pushed out.
 func (c *Cache[K, V]) Evictions() uint64 { return c.evictions }
 
@@ -95,13 +90,4 @@ func (c *Cache[K, V]) Remove(key K) bool {
 	c.order.Remove(el)
 	delete(c.items, key)
 	return true
-}
-
-// HitRate returns hits/(hits+misses), or 0 before any access.
-func (c *Cache[K, V]) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

@@ -46,25 +46,6 @@ func TestLRUEviction(t *testing.T) {
 	}
 }
 
-func TestStats(t *testing.T) {
-	c := New[string, int](2)
-	c.Put("a", 1)
-	c.Get("a")
-	c.Get("a")
-	c.Get("miss")
-	hits, misses := c.Stats()
-	if hits != 2 || misses != 1 {
-		t.Errorf("stats = %d/%d, want 2/1", hits, misses)
-	}
-	if hr := c.HitRate(); hr < 0.66 || hr > 0.67 {
-		t.Errorf("HitRate = %v, want 2/3", hr)
-	}
-	empty := New[string, int](2)
-	if empty.HitRate() != 0 {
-		t.Error("HitRate of untouched cache not 0")
-	}
-}
-
 func TestEvictionsCounter(t *testing.T) {
 	c := New[string, int](2)
 	c.Put("a", 1)
