@@ -75,6 +75,7 @@ fuzz:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeStrings$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzNetRequestFrame$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzApplyOp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeQ8Vec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeShardMap$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeStateSync$$' -fuzztime $(FUZZTIME)

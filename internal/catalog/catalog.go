@@ -30,7 +30,7 @@ type Video struct {
 // Catalog is a kvstore-backed video metadata table.
 type Catalog struct {
 	kv    kvstore.Store
-	ns    string
+	keys  *kvstore.Keys   // memoized ns-qualified keys (catalog-bounded)
 	cache *objcache.Cache // nil disables the decoded-record read cache
 }
 
@@ -47,7 +47,7 @@ func New(name string, kv kvstore.Store) (*Catalog, error) {
 	if kv == nil {
 		return nil, fmt.Errorf("catalog: store must not be nil")
 	}
-	return &Catalog{kv: kv, ns: name + ".video"}, nil
+	return &Catalog{kv: kv, keys: kvstore.NewKeys(name + ".video")}, nil
 }
 
 // Put inserts or replaces a video record.
@@ -56,15 +56,27 @@ func (c *Catalog) Put(ctx context.Context, v Video) error {
 		return fmt.Errorf("catalog: video id must not be empty")
 	}
 	enc := kvstore.EncodeStrings([]string{v.Type, strconv.FormatInt(int64(v.Length/time.Millisecond), 10)})
-	if err := c.kv.Set(ctx, kvstore.Key(c.ns, v.ID), enc); err != nil {
+	if err := c.kv.Set(ctx, c.keys.Key(v.ID), enc); err != nil {
 		return fmt.Errorf("catalog: put %s: %w", v.ID, err)
 	}
 	return nil
 }
 
-// Get fetches a video record, reporting whether it exists.
+// Get fetches a video record, reporting whether it exists. A cache hit
+// returns without building the loader closure.
+//
+// hotpath: pair scoring reads both videos' types through here
 func (c *Catalog) Get(ctx context.Context, id string) (Video, bool, error) {
-	key := kvstore.Key(c.ns, id)
+	key := c.keys.Key(id)
+	if c.cache != nil {
+		if tv, present, ok := c.cache.Lookup(key); ok {
+			if !present {
+				return Video{}, false, nil
+			}
+			return tv.(Video), true, nil
+		}
+	}
+	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	return objcache.Cached(c.cache, key, func() (Video, bool, error) {
 		raw, ok, err := c.kv.Get(ctx, key)
 		if err != nil {

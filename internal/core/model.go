@@ -87,9 +87,7 @@ type Model struct {
 	stats  Stats
 	cache  *objcache.Cache // nil disables the decoded-value read cache
 
-	nsUserVec  string
 	nsItemVec  string
-	nsUserBias string
 	nsItemBias string
 	nsItemQ8   string
 	keyMean    string
@@ -156,9 +154,7 @@ func NewModel(name string, store kvstore.Store, p Params) (*Model, error) {
 		name:       name,
 		store:      store,
 		params:     p,
-		nsUserVec:  name + ".uv",                      // alloccheck: once per model
 		nsItemVec:  name + ".iv",                      // alloccheck: once per model
-		nsUserBias: name + ".ub",                      // alloccheck: once per model
 		nsItemBias: name + ".ib",                      // alloccheck: once per model
 		nsItemQ8:   name + ".q8",                      // alloccheck: once per model
 		keyMean:    kvstore.Key(name+".meta", "mean"), // alloccheck: once per model
@@ -339,74 +335,100 @@ func (m *Model) Load(ctx context.Context, userID, itemID string) (s State, newUs
 	return s, newUser, newItem, nil
 }
 
-// StoreState persists a (user, item) state pair — ProcessAction's write-back.
-// The MFStorage bolt, which owns all writes for its key partition, receives
-// the two halves as separate tuples and calls StoreUser / StoreItem.
+// StoreState persists a (user, item) state pair — ProcessAction's write-back
+// — as one batch of Sets (kvstore.Apply), so a remote store takes it in one
+// round trip. The MFStorage bolt, which owns all writes for its key
+// partition, receives the two halves as separate tuples and calls StoreUser /
+// StoreItem.
 func (m *Model) StoreState(ctx context.Context, userID, itemID string, s State) error {
-	if err := m.StoreUser(ctx, userID, s.UserVec, s.UserBias); err != nil {
-		return err
+	b := kvstore.AcquireBatch()
+	defer b.Release()
+	var rec itemRec
+	b.Ops, rec = m.itemOps(m.userOps(b.Ops, userID, s.UserVec, s.UserBias), itemID, s.ItemVec, s.ItemBias)
+	_, err := kvstore.Apply(ctx, m.store, b.Ops...)
+	m.itemStored(itemID, s.ItemVec, rec, err)
+	if err != nil {
+		return fmt.Errorf("core: store state of user %s, item %s: %w", userID, itemID, err)
 	}
-	return m.StoreItem(ctx, itemID, s.ItemVec, s.ItemBias)
+	return nil
+}
+
+// userOps appends the Sets that persist one user's vector and bias.
+func (m *Model) userOps(dst []kvstore.Op, id string, vec []float64, bias float64) []kvstore.Op {
+	return append(dst,
+		kvstore.Op{Kind: kvstore.OpSet, Key: m.ukVec.Key(id), Val: kvstore.EncodeFloats(vec)},
+		kvstore.Op{Kind: kvstore.OpSet, Key: m.ukBias.Key(id), Val: kvstore.EncodeFloat(bias)})
 }
 
 // StoreUser persists one user's vector and bias.
 func (m *Model) StoreUser(ctx context.Context, id string, vec []float64, bias float64) error {
-	if err := m.store.Set(ctx, kvstore.Key(m.nsUserVec, id), kvstore.EncodeFloats(vec)); err != nil {
-		return fmt.Errorf("core: store user vector %s: %w", id, err)
-	}
-	if err := m.store.Set(ctx, kvstore.Key(m.nsUserBias, id), kvstore.EncodeFloat(bias)); err != nil {
-		return fmt.Errorf("core: store user bias %s: %w", id, err)
+	var buf [2]kvstore.Op
+	for _, op := range m.userOps(buf[:0], id, vec, bias) {
+		if err := m.store.Set(ctx, op.Key, op.Val); err != nil {
+			return fmt.Errorf("core: store user %s record %s: %w", id, op.Key, err)
+		}
 	}
 	return nil
 }
 
 // StoreItem persists one item's vector and bias — in the int8 form also the
-// item's compact q8 record — and writes the new record through to the item
-// table. When a write fails it drops the item's slot instead, so the next
-// read re-resolves whatever the store now holds. The table keeps vec itself
-// (Params.Step returns fresh clones), so callers must not mutate it
-// afterwards. Last, StoreItem notifies the item-vector hook — the ANN index
-// tracks the online model through exactly this call, whether the write came
-// from Ingest or from a topology storage bolt.
+// item's compact q8 record — one Set at a time, and writes the new record
+// through to the item table. When a write fails it drops the item's slot
+// instead, so the next read re-resolves whatever the store now holds. The
+// table keeps vec itself (Params.Step returns fresh clones), so callers must
+// not mutate it afterwards. Last, StoreItem notifies the item-vector hook —
+// the ANN index tracks the online model through exactly this call, whether
+// the write came from Ingest or from a topology storage bolt.
 func (m *Model) StoreItem(ctx context.Context, id string, vec []float64, bias float64) error {
-	rec, err := m.storeItem(ctx, id, vec, bias)
-	if t := m.items; t != nil {
-		t.install(t.it.Slot(id), rec) // the zero record of a failed write drops the slot
+	var buf [3]kvstore.Op
+	ops, rec := m.itemOps(buf[:0], id, vec, bias)
+	var err error
+	for _, op := range ops {
+		if err = m.store.Set(ctx, op.Key, op.Val); err != nil {
+			err = fmt.Errorf("core: store item %s record %s: %w", id, op.Key, err)
+			break
+		}
 	}
-	if err != nil {
-		return err
-	}
-	if m.itemHook != nil {
-		m.itemHook(id, vec)
-	}
-	return nil
+	m.itemStored(id, vec, rec, err)
+	return err
 }
 
-// storeItem writes the item's records and returns the table record they
-// amount to (the zero record for a model without a table).
-func (m *Model) storeItem(ctx context.Context, id string, vec []float64, bias float64) (itemRec, error) {
+// itemOps appends the Sets that persist one item — vector, bias and, in the
+// int8 form, the q8 record — and returns the item-table record they amount
+// to (the zero record for a model without a table).
+func (m *Model) itemOps(dst []kvstore.Op, id string, vec []float64, bias float64) ([]kvstore.Op, itemRec) {
 	ik := m.itemKeysFor(id)
-	if err := m.store.Set(ctx, ik.vec, kvstore.EncodeFloats(vec)); err != nil {
-		return itemRec{}, fmt.Errorf("core: store item vector %s: %w", id, err)
-	}
-	if err := m.store.Set(ctx, ik.bias, kvstore.EncodeFloat(bias)); err != nil {
-		return itemRec{}, fmt.Errorf("core: store item bias %s: %w", id, err)
-	}
+	dst = append(dst,
+		kvstore.Op{Kind: kvstore.OpSet, Key: ik.vec, Val: kvstore.EncodeFloats(vec)},
+		kvstore.Op{Kind: kvstore.OpSet, Key: ik.bias, Val: kvstore.EncodeFloat(bias)})
 	if m.items == nil {
-		return itemRec{}, nil
+		return dst, itemRec{}
 	}
 	rec := m.items.record(vec, bias)
 	if m.items.q8 {
-		if err := m.store.Set(ctx, ik.q8, kvstore.EncodeQ8Vec(rec.scale, bias, rec.data)); err != nil {
-			return itemRec{}, fmt.Errorf("core: store item q8 record %s: %w", id, err)
-		}
+		dst = append(dst, kvstore.Op{Kind: kvstore.OpSet, Key: ik.q8, Val: kvstore.EncodeQ8Vec(rec.scale, bias, rec.data)})
 	}
-	return rec, nil
+	return dst, rec
+}
+
+// itemStored follows an item's write: it installs rec in the item table and
+// notifies the item-vector hook, or after a failed write (err != nil) drops
+// the item's slot.
+func (m *Model) itemStored(id string, vec []float64, rec itemRec, err error) {
+	if err != nil {
+		rec = itemRec{}
+	}
+	if t := m.items; t != nil {
+		t.install(t.it.Slot(id), rec) // the zero record drops the slot
+	}
+	if err == nil && m.itemHook != nil {
+		m.itemHook(id, vec)
+	}
 }
 
 // globalMean returns μ. When TrackGlobalMean is off it is 0, reducing Eq. 2
 // to the bias-plus-interaction form. The computed ratio is cached under the
-// record's key; every observeRating update invalidates it.
+// record's key; every MeanOp fold invalidates it.
 func (m *Model) globalMean(ctx context.Context) (float64, error) {
 	if !m.params.TrackGlobalMean {
 		return 0, nil
@@ -443,22 +465,22 @@ func (m *Model) globalMean(ctx context.Context) (float64, error) {
 	return mu, nil
 }
 
-// observeRating folds one action's training rating into the running global
-// mean without touching any other parameter.
-func (m *Model) observeRating(ctx context.Context, r float64) error {
+// MeanOp returns the op that folds the action's training rating into the
+// running global mean μ, or ok=false when the model does not track μ. μ
+// tracks the mean of the ratings the model's rule actually regresses to
+// (binary for Binary/Combine, the confidence weight for Conf), and 0 for an
+// action without a rating, so the error term is centred identically across
+// rules.
+func (m *Model) MeanOp(a feedback.Action) (op kvstore.Op, ok bool) {
 	if !m.params.TrackGlobalMean {
-		return nil
+		return op, false
 	}
-	return m.store.Update(ctx, m.keyMean, func(cur []byte, ok bool) ([]byte, bool) {
-		sum, n := 0.0, 0.0
-		if ok {
-			if vals, err := kvstore.DecodeFloats(cur); err == nil && len(vals) == 2 {
-				sum, n = vals[0], vals[1]
-			}
-		}
-		sum, n = sum+r, n+1
-		return kvstore.EncodeFloats([]float64{sum, n}), true
-	})
+	rating, weight := m.params.Weights.Confidence(a)
+	observed := 0.0
+	if rating > 0 {
+		observed = m.params.TrainingRating(rating, weight)
+	}
+	return kvstore.Op{Kind: kvstore.OpMeanFold, Key: m.keyMean, Score: observed}, true
 }
 
 // GlobalMean returns the current μ (0 when tracking is disabled or nothing
@@ -466,24 +488,25 @@ func (m *Model) observeRating(ctx context.Context, r float64) error {
 func (m *Model) GlobalMean(ctx context.Context) (float64, error) { return m.globalMean(ctx) }
 
 // Compute runs Algorithm 1's arithmetic for one user action: fold r_ui into
-// μ, skip if r_ui = 0, otherwise load (or initialize) the touched entities
-// and take one adjusted SGD step. It writes no vector: ok reports whether
-// next is an update to store — ProcessAction stores it inline, the ComputeMF
-// bolt hands it to MFStorage (§5.1 separates compute from storage so each
-// key has a single writer).
+// μ (MeanOp, one op the store executes), skip if r_ui = 0, otherwise load
+// (or initialize) the touched entities and take one adjusted SGD step. It
+// writes no vector: ok reports whether next is an update to store —
+// ProcessAction stores it inline, the ComputeMF bolt hands it to MFStorage
+// (§5.1 separates compute from storage so each key has a single writer).
 func (m *Model) Compute(ctx context.Context, a feedback.Action) (next State, ok bool, err error) {
+	if op, ok := m.MeanOp(a); ok {
+		if _, err := kvstore.Apply(ctx, m.store, op); err != nil {
+			return State{}, false, err
+		}
+	}
+	return m.ComputeFolded(ctx, a)
+}
+
+// ComputeFolded is Compute for an action whose MeanOp the caller has already
+// applied — Ingest folds every trained model's μ in one batch first.
+func (m *Model) ComputeFolded(ctx context.Context, a feedback.Action) (next State, ok bool, err error) {
 	m.stats.Received.Add(1)
 	rating, weight := m.params.Weights.Confidence(a)
-	// μ tracks the mean of the ratings this rule actually regresses to
-	// (binary for Binary/Combine, the confidence weight for Conf), so the
-	// error term is centred identically across rules.
-	observed := 0.0
-	if rating > 0 {
-		observed = m.params.TrainingRating(rating, weight)
-	}
-	if err := m.observeRating(ctx, observed); err != nil {
-		return State{}, false, err
-	}
 	if rating == 0 {
 		m.stats.Skipped.Add(1)
 		return State{}, false, nil

@@ -3,7 +3,6 @@ package demographic
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"vidrec/internal/kvstore"
@@ -61,59 +60,33 @@ func NewHotTracker(name string, kv kvstore.Store, halfLife time.Duration, size i
 	return &HotTracker{kv: kv, ns: ns, keys: kvstore.NewKeys(ns), halfLife: halfLife, size: size, floor: 1e-6}, nil
 }
 
-func (h *HotTracker) damp(age time.Duration) float64 {
-	if h.halfLife <= 0 {
-		return 0 // zero-value tracker (skipped NewHotTracker): treat as fully decayed
-	}
-	if age <= 0 {
-		return 1
-	}
-	// halfLife > 0 is established above; the exponent is finite and
-	// nonpositive, so Exp2 lands in (0, 1].
-	return math.Exp2(-float64(age) / float64(h.halfLife))
-}
+func (h *HotTracker) damp(age time.Duration) float64 { return kvstore.Damp(age, h.halfLife) }
 
 // Record adds weight to a video's popularity in the group at time ts.
 // Weight is the action's confidence w_ui, so a full watch heats a video more
-// than a bare click.
+// than a bare click. The rewrite is one op the store executes (RecordOp).
 func (h *HotTracker) Record(ctx context.Context, group, videoID string, weight float64, ts time.Time) error {
-	if group == "" || videoID == "" {
-		return fmt.Errorf("demographic: group and video ids must not be empty")
+	op, ok, err := h.RecordOp(group, videoID, weight, ts)
+	if err != nil || !ok {
+		return err
 	}
-	if weight <= 0 {
-		return nil // impressions carry no popularity signal
-	}
-	key := h.keys.Key(group)
-	return h.kv.Update(ctx, key, func(cur []byte, ok bool) ([]byte, bool) {
-		return h.rewrite(cur, ok, videoID, weight, ts), true
-	})
+	_, err = kvstore.Apply(ctx, h.kv, op)
+	return err
 }
 
-// rewrite is Record's record transform, a pure function of the stored bytes
-// (a retrying store may run it once per attempt): one pass loads the list off
-// cur with every counter decayed to ts, weight is added to the video's
-// decayed counter, and the record is encoded once. A list that does not parse
-// restarts empty; the clock before it is kept all the same.
-//
-// hotpath: every positive action rewrites the global hot list through here
-func (h *HotTracker) rewrite(cur []byte, ok bool, videoID string, weight float64, ts time.Time) []byte {
-	list := kvstore.AcquireEntryList(h.size)
-	defer list.Release()
-	updatedAt := ts
-	if ok && len(cur) >= 8 {
-		ms, _ := kvstore.DecodeInt64(cur[:8]) // exactly 8 bytes: cannot fail
-		prev := time.UnixMilli(ms)
-		factor := h.damp(ts.Sub(prev))
-		if factor > 1 {
-			factor = 1
-		}
-		if ts.Before(prev) {
-			updatedAt = prev
-		}
-		_ = list.Load(cur[8:], factor, h.floor) // a rejected list is an empty one
+// RecordOp returns Record's rewrite as an op, for a caller that batches it
+// with other writes (kvstore.Apply): every counter in the group's list is
+// decayed to ts and weight is added to the video's. ok is false when there is
+// nothing to record — impressions carry no popularity signal.
+func (h *HotTracker) RecordOp(group, videoID string, weight float64, ts time.Time) (op kvstore.Op, ok bool, err error) {
+	if group == "" || videoID == "" {
+		return op, false, fmt.Errorf("demographic: group and video ids must not be empty")
 	}
-	list.Add(videoID, weight)
-	return list.EncodeClocked(updatedAt.UnixMilli())
+	if weight <= 0 {
+		return op, false, nil
+	}
+	return kvstore.Op{Kind: kvstore.OpHot, Key: h.keys.Key(group), ID: videoID, Score: weight, Ts: ts,
+		Limit: h.size, HalfLife: h.halfLife, Floor: h.floor}, true, nil
 }
 
 // Hot returns up to k hot videos for the group at time now, hottest first.

@@ -7,9 +7,7 @@
 package history
 
 import (
-	"bytes"
 	"context"
-	"encoding/binary"
 	"fmt"
 	"time"
 
@@ -72,69 +70,24 @@ func decode(raw []byte) ([]Event, error) {
 // Append records an interaction, newest first. A video already present moves
 // to the front with the new timestamp rather than duplicating: the history
 // answers "which distinct videos did this user touch recently", and repeated
-// plays of one video should not crowd out the rest.
+// plays of one video should not crowd out the rest. The rewrite is one op the
+// store executes (AppendOp).
 func (s *Store) Append(ctx context.Context, userID, videoID string, ts time.Time) error {
-	if userID == "" || videoID == "" {
-		return fmt.Errorf("history: user and video ids must not be empty")
-	}
-	key := s.keys.Key(userID)
-	return s.kv.Update(ctx, key, func(cur []byte, ok bool) ([]byte, bool) {
-		return s.rewrite(cur, ok, videoID, ts), true
-	})
-}
-
-// rewrite is Append's record transform, a pure function of the stored bytes
-// (a retrying store may run it once per attempt). It walks cur twice without
-// decoding it: once to validate it and size the result, once to copy the
-// entries that stay behind the new one, timestamps as whole milliseconds.
-//
-// hotpath: every positive action rewrites the user's history through here
-func (s *Store) rewrite(cur []byte, ok bool, videoID string, ts time.Time) []byte {
-	var idBuf [64]byte
-	id := append(idBuf[:0], videoID...) // compared as bytes; an id longer than this spills to the heap, no more
-	kept, size := 0, 0
-	if ok {
-		kept, size = s.survivors(cur, id)
-	}
-	size += kvstore.UvarintSize(uint64(kept+1)) + kvstore.EntrySize(len(id))
-	buf := make([]byte, 0, size) // alloccheck: the rewritten record, the one allocation of a rewrite
-	buf = binary.AppendUvarint(buf, uint64(kept+1))
-	buf = kvstore.AppendEntry(buf, id, float64(ts.UnixMilli()))
-	c, _ := kvstore.NewEntryCursor(cur) // kept > 0 only if survivors walked all of cur without an error
-	for kept > 0 {
-		e, _, _ := c.Next() // as above, and kept more entries are to come
-		if bytes.Equal(e.ID, id) {
-			continue
-		}
-		buf = kvstore.AppendEntry(buf, e.ID, float64(int64(e.Score)))
-		kept--
-	}
-	return buf
-}
-
-// survivors counts the entries of an encoded history that a new event for
-// videoID leaves in place — every other video's, in order, as far as the
-// limit has room behind the new event — and sums their encoded size. A
-// corrupt record has none: it is dropped and rebuilt; histories are advisory
-// state, not a ledger.
-func (s *Store) survivors(cur, videoID []byte) (kept, size int) {
-	c, err := kvstore.NewEntryCursor(cur)
+	op, err := s.AppendOp(userID, videoID, ts)
 	if err != nil {
-		return 0, 0
+		return err
 	}
-	for {
-		e, ok, err := c.Next()
-		if err != nil {
-			return 0, 0
-		}
-		if !ok {
-			return kept, size
-		}
-		if kept < s.limit-1 && !bytes.Equal(e.ID, videoID) {
-			kept++
-			size += kvstore.EntrySize(len(e.ID))
-		}
+	_, err = kvstore.Apply(ctx, s.kv, op)
+	return err
+}
+
+// AppendOp returns Append's rewrite as an op, for a caller that batches it
+// with other writes (kvstore.Apply).
+func (s *Store) AppendOp(userID, videoID string, ts time.Time) (kvstore.Op, error) {
+	if userID == "" || videoID == "" {
+		return kvstore.Op{}, fmt.Errorf("history: user and video ids must not be empty")
 	}
+	return kvstore.Op{Kind: kvstore.OpHistory, Key: s.keys.Key(userID), ID: videoID, Ts: ts, Limit: s.limit}, nil
 }
 
 // record is the cached decoded form of one user's history: the stored events

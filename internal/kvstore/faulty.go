@@ -203,6 +203,20 @@ func (f *Faulty) Update(ctx context.Context, key string, fn func(cur []byte, exi
 	return f.inner.Update(ctx, key, fn)
 }
 
+// ApplyOps implements Applier: the fault is decided once for the whole
+// batch, over every key it touches, and a batch that passes goes to the
+// inner store as one.
+func (f *Faulty) ApplyOps(ctx context.Context, ops []Op) (int, error) {
+	keys := make([]string, len(ops))
+	for i := range ops {
+		keys[i] = ops[i].Key
+	}
+	if err := f.fault(ctx, keys...); err != nil {
+		return 0, err
+	}
+	return Apply(ctx, f.inner, ops...)
+}
+
 // Len implements Store.
 func (f *Faulty) Len(ctx context.Context) (int, error) {
 	if err := f.fault(ctx); err != nil {

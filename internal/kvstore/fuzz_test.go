@@ -2,12 +2,14 @@ package kvstore
 
 import (
 	"bytes"
+	"context"
 	"encoding/binary"
 	"encoding/gob"
 	"math"
 	"reflect"
 	"slices"
 	"testing"
+	"time"
 
 	"vidrec/internal/topn"
 	"vidrec/internal/vecmath"
@@ -159,7 +161,9 @@ func FuzzDecodeFloats(f *testing.F) {
 
 // FuzzNetRequestFrame feeds arbitrary bytes to the gob decoder the KV server
 // runs against every inbound connection: malformed frames must error, never
-// panic or tear state, and well-formed frames must round trip.
+// panic or tear state, well-formed frames must round trip, and the server
+// must answer a decoded frame without panicking — refusing an op batch with
+// a bad op before applying any of it.
 func FuzzNetRequestFrame(f *testing.F) {
 	frame := func(req request) []byte {
 		var buf bytes.Buffer
@@ -172,6 +176,14 @@ func FuzzNetRequestFrame(f *testing.F) {
 	f.Add(frame(request{Op: opGet, Key: "sys/global.uv:u00001"}))
 	f.Add(frame(request{Op: opSet, Key: "sys.hot:global", Val: []byte{1, 2, 3}}))
 	f.Add(frame(request{Op: opMGet, Keys: []string{"a", "b"}}))
+	f.Add(frame(request{Op: opApply, Ops: []Op{
+		{Kind: OpMeanFold, Key: "sys/global.meta:mean", Score: 1},
+		{Kind: OpHistory, Key: "sys.hist:u1", ID: "v1", Ts: time.UnixMilli(1_457_308_800_000), Limit: 200},
+		{Kind: OpHot, Key: "sys.hot:global", ID: "v1", Score: 2.5, Ts: time.UnixMilli(1_457_308_800_000), Limit: 100, HalfLife: 24 * time.Hour, Floor: 1e-6},
+		{Kind: OpSimilar, Key: "sys/global.sim:v1", ID: "v2", Score: 0.4, Ts: time.UnixMilli(1_457_308_800_000), Limit: 50, HalfLife: 24 * time.Hour, Floor: 1e-6},
+		{Kind: OpSet, Key: "sys/global.ub:u1", Val: EncodeFloat(0.25)},
+		{Kind: OpHot, Key: "sys.hot:global", ID: "v1", Score: math.NaN(), Limit: 100, HalfLife: time.Hour},
+	}}))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var req request
 		if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&req); err != nil {
@@ -187,10 +199,45 @@ func FuzzNetRequestFrame(f *testing.F) {
 		}
 		if req.Op != again.Op || req.Key != again.Key ||
 			!reflect.DeepEqual(noneOrSame(req.Keys), noneOrSame(again.Keys)) ||
-			!bytes.Equal(req.Val, again.Val) {
+			!bytes.Equal(req.Val, again.Val) || !sameOps(req.Ops, again.Ops) {
 			t.Fatalf("request changed across round trip:\n  first:  %#v\n  second: %#v", req, again)
 		}
+
+		backing := NewLocal(1)
+		resp := (&Server{backing: backing}).handle(context.Background(), &req)
+		if req.Op != opApply {
+			return
+		}
+		for i := range req.Ops {
+			if req.Ops[i].validate() != nil {
+				if n, _ := backing.Len(context.Background()); resp.ErrMsg == "" || resp.N != 0 || n != 0 {
+					t.Fatalf("a frame with an invalid op got %+v and stored %d keys", resp, n)
+				}
+				return
+			}
+		}
+		if resp.ErrMsg != "" || resp.N != len(req.Ops) {
+			t.Fatalf("a valid frame of %d ops got %+v", len(req.Ops), resp)
+		}
 	})
+}
+
+// sameOps compares op batches field by field: floats by their bits, so NaN
+// payloads compare equal, and times as instants.
+func sameOps(a, b []Op) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := &a[i], &b[i]
+		if x.Kind != y.Kind || x.Key != y.Key || !bytes.Equal(x.Val, y.Val) || x.ID != y.ID ||
+			math.Float64bits(x.Score) != math.Float64bits(y.Score) || !x.Ts.Equal(y.Ts) ||
+			x.Limit != y.Limit || x.HalfLife != y.HalfLife || x.Want != y.Want ||
+			math.Float64bits(x.Floor) != math.Float64bits(y.Floor) {
+			return false
+		}
+	}
+	return true
 }
 
 // noneOrSame maps a nil slice to its empty form so round-trip comparisons

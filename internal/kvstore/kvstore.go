@@ -13,8 +13,15 @@
 // Values are raw bytes; codec.go provides the binary encodings used for
 // vectors and scored lists. The paper's topology guarantees that only one
 // worker writes a given key at a time (fields grouping by key), which is why
-// the interface can offer a plain Set rather than compare-and-swap; Update is
-// provided for single-writer read-modify-write convenience.
+// the interface can offer a plain Set rather than compare-and-swap.
+//
+// The write path's read-modify-writes are ops (op.go): the similar-table,
+// hot-list and history rewrites and the global-mean fold, each a named,
+// serializable, pure function of the stored bytes. Apply runs a batch of
+// them; the network client ships the batch in one frame and the server
+// executes it, so those rewrites are atomic on every store configuration and
+// cost one round trip per batch. The closure-taking Update remains for
+// writers without an op (the bandit state) and for stores that take none.
 package kvstore
 
 import (
@@ -47,7 +54,9 @@ type Store interface {
 	// absent). fn returns the new value, or ok=false to delete the key.
 	// The atomicity guarantee is per-key and only holds within a Local
 	// store; the network client implements Update as get-modify-set, which
-	// is safe under the topology's single-writer-per-key discipline.
+	// is safe under the topology's single-writer-per-key discipline. The
+	// list and mean rewrites are ops instead (Apply), which the server
+	// executes atomically; fn is for writers without one.
 	Update(ctx context.Context, key string, fn func(cur []byte, exists bool) (next []byte, ok bool)) error
 	// Len reports the number of stored keys.
 	Len(ctx context.Context) (int, error)

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -31,6 +32,7 @@ const (
 	opDelete
 	opMGet
 	opLen
+	opApply
 )
 
 type request struct {
@@ -38,13 +40,14 @@ type request struct {
 	Key  string
 	Keys []string
 	Val  []byte
+	Ops  []Op // opApply
 }
 
 type response struct {
 	OK     bool
 	Val    []byte
-	Vals   [][]byte
-	N      int
+	Vals   [][]byte // opMGet: the values; opApply: each applied Want op's Result
+	N      int      // opLen: the key count; opApply: the ops applied
 	ErrMsg string
 }
 
@@ -58,6 +61,8 @@ type Server struct {
 	conns  map[net.Conn]struct{} // guarded by mu
 	closed bool                  // guarded by mu
 	wg     sync.WaitGroup
+
+	requests atomic.Uint64 // frames decoded, one per client round trip
 }
 
 // NewServer starts serving the backing store on addr (e.g. "127.0.0.1:0").
@@ -78,6 +83,10 @@ func NewServer(ctx context.Context, backing Store, addr string) (*Server, error)
 
 // Addr returns the address the server is listening on.
 func (s *Server) Addr() string { return s.listener.Addr().String() }
+
+// Requests reports how many request frames the server has decoded — the
+// number of client round trips it has served.
+func (s *Server) Requests() uint64 { return s.requests.Load() }
 
 // Close stops the listener and closes every open connection.
 func (s *Server) Close() error {
@@ -133,6 +142,7 @@ func (s *Server) serveConn(ctx context.Context, conn net.Conn) {
 		if err := dec.Decode(&req); err != nil {
 			return // connection closed or corrupt stream
 		}
+		s.requests.Add(1)
 		resp := s.handle(ctx, &req)
 		if err := enc.Encode(resp); err != nil {
 			return
@@ -164,6 +174,27 @@ func (s *Server) handle(ctx context.Context, req *request) *response {
 		resp.N = n
 		resp.OK = true
 		setErr(&resp, err)
+	case opApply:
+		// The whole frame is checked before any op runs, so a malformed
+		// frame applies nothing.
+		for i := range req.Ops {
+			if err := req.Ops[i].validate(); err != nil {
+				setErr(&resp, err)
+				return &resp
+			}
+		}
+		n, err := Apply(ctx, s.backing, req.Ops...)
+		resp.N = n
+		resp.OK = err == nil
+		setErr(&resp, err)
+		for i := range req.Ops[:n] {
+			if r := req.Ops[i].result; r != nil {
+				if resp.Vals == nil {
+					resp.Vals = make([][]byte, n)
+				}
+				resp.Vals[i] = r
+			}
+		}
 	default:
 		resp.ErrMsg = fmt.Sprintf("kvstore: unknown op %d", req.Op)
 	}
@@ -266,7 +297,7 @@ func (c *Client) Close() error {
 // flow) — so the poisoned conn is discarded and the exchange retried on the
 // next connection; once the pool is drained a fresh dial's verdict is final.
 // Server-reported errors (resp.ErrMsg) are never retried: the request was
-// delivered and answered.
+// delivered and answered, and the response comes back beside the error.
 func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error) {
 	if err := ctx.Err(); err != nil {
 		return nil, err
@@ -284,7 +315,7 @@ func (c *Client) roundTrip(ctx context.Context, req *request) (*response, error)
 			return nil, err
 		}
 		if resp.ErrMsg != "" {
-			return nil, errors.New(resp.ErrMsg)
+			return resp, errors.New(resp.ErrMsg)
 		}
 		return resp, nil
 	}
@@ -356,10 +387,33 @@ func (c *Client) MGet(ctx context.Context, keys []string) ([][]byte, error) {
 	return resp.Vals, nil
 }
 
-// Update implements Store as a get-modify-set sequence. This is linearizable
-// only under the topology's single-writer-per-key discipline (fields grouping
+// ApplyOps implements Applier: the whole batch travels in one frame and the
+// server applies it to its backing store, each rewrite atomically there; the
+// reply carries the Result of every applied Want op. A server-reported error
+// carries how many ops were applied before it; a transport error reports
+// none, though the server may have applied them all before the reply was
+// lost.
+func (c *Client) ApplyOps(ctx context.Context, ops []Op) (int, error) {
+	resp, err := c.roundTrip(ctx, &request{Op: opApply, Ops: ops})
+	if resp == nil {
+		return 0, err
+	}
+	n := min(resp.N, len(ops))
+	for i := range resp.Vals[:min(n, len(resp.Vals))] {
+		if ops[i].Want {
+			ops[i].result = resp.Vals[i]
+		}
+	}
+	return n, err
+}
+
+// Update implements Store as a get-modify-set sequence: a closure cannot
+// travel, so it runs here between two round trips. This is linearizable only
+// under the topology's single-writer-per-key discipline (fields grouping
 // guarantees exactly one worker updates a given key), matching the paper's
-// correctness argument in §5.1.
+// correctness argument in §5.1. The write path's list and mean rewrites do
+// not come through here: they are Ops (Apply), executed by the server; what
+// remains is the bandit state, whose writers fields grouping serializes.
 func (c *Client) Update(ctx context.Context, key string, fn func(cur []byte, exists bool) ([]byte, bool)) error {
 	cur, ok, err := c.Get(ctx, key)
 	if err != nil {

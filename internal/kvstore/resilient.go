@@ -24,6 +24,15 @@ import (
 // attempt when the inner Update fails after invoking it, so it must stay a
 // pure function of the current value — the same requirement the Client
 // already imposes.
+//
+// A batch (ApplyOps) is retried by what its failure says was applied. A
+// store-reported error names the ops applied before it, so the retry resends
+// only the rest. A transport error says nothing — the frame may have been
+// applied in full before its reply was lost — so the retry resends every op
+// not yet known applied, and a rewrite such as a mean fold can then apply
+// twice. That is the same hazard a retried get-modify-set Update carries;
+// exactly-once delivery would need a client id and sequence number on every
+// frame, which the network protocol does not have.
 type Resilient struct {
 	inner   Store
 	cfg     ResilienceConfig
@@ -224,6 +233,18 @@ func (r *Resilient) Update(ctx context.Context, key string, fn func(cur []byte, 
 	return r.do(ctx, func(ctx context.Context) error {
 		return r.inner.Update(ctx, key, fn)
 	})
+}
+
+// ApplyOps implements Applier, retrying the ops not yet applied; see the
+// type comment for what a lost reply means.
+func (r *Resilient) ApplyOps(ctx context.Context, ops []Op) (int, error) {
+	done := 0
+	err := r.do(ctx, func(ctx context.Context) error {
+		n, err := Apply(ctx, r.inner, ops[done:]...)
+		done += n
+		return err
+	})
+	return done, err
 }
 
 // Len implements Store.

@@ -264,6 +264,35 @@ func TestShardGroupDedupReplay(t *testing.T) {
 	}
 }
 
+// TestShardGroupDedupWindow pins the dedup table's bound: it keeps a
+// client's last dedupWindow writes — a recent duplicate is still absorbed —
+// and stops growing with the number of writes ever applied.
+func TestShardGroupDedupWindow(t *testing.T) {
+	ctx := context.Background()
+	_, _, groups, _ := newTestCluster(t, 1)
+	g := groups[0]
+	key := "ns:k"
+	slot := SlotForKey(key)
+	last := uint64(3 * dedupWindow)
+	for seq := uint64(1); seq <= last; seq++ {
+		if _, err := g.apply(ctx, slot, 7, seq, groupWrite{kind: writeSet, key: key, val: []byte("v")}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	g.mu.RLock()
+	size := len(g.applied)
+	g.mu.RUnlock()
+	if size > 2*dedupWindow {
+		t.Fatalf("dedup table holds %d writes after %d, want at most %d", size, last, 2*dedupWindow)
+	}
+	if _, err := g.apply(ctx, slot, 7, last-dedupWindow+1, groupWrite{kind: writeSet, key: key, val: []byte("dup")}); err != nil {
+		t.Fatal(err)
+	}
+	if hits := g.Stats().DedupHits; hits != 1 {
+		t.Fatalf("a duplicate inside the window: dedup hits = %d, want 1", hits)
+	}
+}
+
 func TestRebalanceMovesSlotAndDedup(t *testing.T) {
 	ctx := context.Background()
 	router, coord, groups, locals := newTestCluster(t, 2)

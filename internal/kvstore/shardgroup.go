@@ -29,7 +29,8 @@ var ErrSlotFrozen = fmt.Errorf("kvstore: shard slot frozen for handoff")
 // fails a write or loses applied state. Client writes carry a (CID, SeqNo)
 // identity recorded in a dedup table, so a duplicate delivery — an
 // at-least-once upstream retrying a write that already applied — is
-// acknowledged without applying twice.
+// acknowledged without applying twice. The table remembers each client's
+// last dedupWindow sequence numbers, not every write ever applied.
 //
 // The group tracks its keys per slot in an in-memory index, which is what
 // makes slot handoff and replica catch-up possible over the plain Store
@@ -45,7 +46,9 @@ type ShardGroup struct {
 	owned    [NumShardSlots]bool                // guarded by mu
 	frozen   [NumShardSlots]bool                // guarded by mu
 	keys     [NumShardSlots]map[string]struct{} // guarded by mu; per-slot key index
-	applied  map[DedupEntry]struct{}            // guarded by mu; client writes already applied
+	applied  map[DedupEntry]struct{}            // guarded by mu; client writes already applied (see rememberLocked)
+	latest   map[uint64]uint64                  // guarded by mu; each client's highest applied sequence number
+	sweepAt  int                                // guarded by mu; len(applied) at which rememberLocked next prunes
 	missed   []map[string]struct{}              // guarded by mu; deletes each down replica missed
 
 	promotes      metrics.Counter // primary failovers
@@ -74,6 +77,8 @@ func NewShardGroup(name string, replicas ...Store) (*ShardGroup, error) {
 		replicas: append([]Store(nil), replicas...),
 		down:     make([]bool, len(replicas)),
 		applied:  make(map[DedupEntry]struct{}),
+		latest:   make(map[uint64]uint64),
+		sweepAt:  2 * dedupWindow,
 		missed:   make([]map[string]struct{}, len(replicas)),
 	}, nil
 }
@@ -239,9 +244,37 @@ func (g *ShardGroup) apply(ctx context.Context, slot int, cid, seq uint64, w gro
 		}
 	}
 	if cid != 0 {
-		g.applied[id] = struct{}{}
+		g.rememberLocked(id)
 	}
 	return existed, nil
+}
+
+// dedupWindow is how many of a client's most recent sequence numbers the
+// dedup table keeps. A duplicate arrives while its original is still among
+// a client's latest writes — the router retries at once — whereas a table
+// of every write ever applied grows with the write rate, without bound.
+const dedupWindow = 1 << 14
+
+// rememberLocked records an applied client write. Once the table has doubled
+// since its last pruning, it drops every write more than dedupWindow
+// sequence numbers behind its client's latest, rebuilding the map so the
+// memory is returned too. The caller holds mu.
+func (g *ShardGroup) rememberLocked(id DedupEntry) {
+	g.applied[id] = struct{}{}
+	if id.Seq > g.latest[id.CID] {
+		g.latest[id.CID] = id.Seq
+	}
+	if len(g.applied) < g.sweepAt {
+		return
+	}
+	kept := make(map[DedupEntry]struct{}, len(g.applied)/2)
+	for d := range g.applied {
+		if d.Seq+dedupWindow > g.latest[d.CID] {
+			kept[d] = struct{}{}
+		}
+	}
+	g.applied = kept
+	g.sweepAt = max(2*len(kept), 2*dedupWindow)
 }
 
 // applyTo runs one write against a store and returns the replication op for
@@ -479,7 +512,7 @@ func (g *ShardGroup) applyTransfer(ctx context.Context, s *StateSync) error {
 		g.keys[slot][e.Key] = struct{}{}
 	}
 	for _, d := range s.Dedup {
-		g.applied[d] = struct{}{}
+		g.rememberLocked(d)
 	}
 	return nil
 }

@@ -22,6 +22,11 @@
 //     shard's version before the backing fetch and refuses to install the
 //     decoded object if any invalidation touched the shard in between, so a
 //     stale decode can never outlive the write that obsoleted it.
+//   - Over a store that executes op batches remotely, a batch refreshes the
+//     records it rewrote instead of dropping them: the store returns the new
+//     bytes, and the next miss decodes them without a round trip (refresh,
+//     store.go). The same shard versions decide whether the bytes are still
+//     current when they arrive.
 //
 // Cached objects are shared across callers and MUST be treated as immutable;
 // every consumer either reads them in place (vector dot products) or copies
@@ -67,6 +72,11 @@ type cacheEntry struct {
 	present bool
 }
 
+// rawRecord is an entry value holding a record's encoded bytes as a write
+// left them in the store (see refresh): it answers the store read a miss
+// makes, not the miss itself.
+type rawRecord []byte
+
 // Stats are the cache's cumulative operation counters (kvstore.Stats-style),
 // updated atomically.
 type Stats struct {
@@ -110,14 +120,18 @@ func New(capacity int) *Cache {
 	return c
 }
 
-// shardFor hashes key with inline FNV-1a (no hash.Hash allocation) and
-// returns its shard.
-func (c *Cache) shardFor(key string) *cacheShard {
+// shardIndex hashes key with inline FNV-1a (no hash.Hash allocation) to its
+// shard's index.
+func (c *Cache) shardIndex(key string) int {
 	h := uint32(2166136261)
 	for i := 0; i < len(key); i++ {
 		h = (h ^ uint32(key[i])) * 16777619
 	}
-	return &c.shards[h&(shardCount-1)]
+	return int(h & (shardCount - 1))
+}
+
+func (c *Cache) shardFor(key string) *cacheShard {
+	return &c.shards[c.shardIndex(key)]
 }
 
 // Lookup returns the cached decode result for key. ok reports whether the
@@ -130,7 +144,7 @@ func (c *Cache) Lookup(key string) (v any, present, ok bool) {
 	s.mu.Lock()
 	e, ok := s.entries.Get(key)
 	s.mu.Unlock()
-	if !ok {
+	if !ok || isRaw(e) {
 		c.stats.Misses.Inc()
 		return nil, false, false
 	}
@@ -186,7 +200,7 @@ func (c *Cache) Store(key string, v any, present bool) {
 func (c *Cache) Load(key string, load func() (v any, present bool, err error)) (any, bool, error) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if e, ok := s.entries.Get(key); ok {
+	if e, ok := s.entries.Get(key); ok && !isRaw(e) {
 		s.mu.Unlock()
 		c.stats.Hits.Inc()
 		return e.value, e.present, nil
@@ -212,6 +226,74 @@ func (c *Cache) Invalidate(key string) {
 	s.version++
 	s.mu.Unlock()
 	c.stats.Invalidations.Inc()
+}
+
+// shardVersions is what a write-back knows of the shards its keys live in:
+// each shard's version as first seen, advanced past the writer's own bumps;
+// a shard anyone else bumped is no longer known.
+type shardVersions struct {
+	known [shardCount]bool
+	v     [shardCount]uint64
+}
+
+// track readies key for a write-back: it records the key's shard version
+// when the write is about to start and reports whether the cache holds the
+// key — a record worth refreshing.
+func (c *Cache) track(key string, sv *shardVersions) (held bool) {
+	i := c.shardIndex(key)
+	s := &c.shards[i]
+	s.mu.Lock()
+	if !sv.known[i] {
+		sv.known[i], sv.v[i] = true, s.version
+	}
+	_, held = s.entries.Get(key)
+	s.mu.Unlock()
+	return held
+}
+
+// refresh ends the write-back of key, whose write has landed: it installs
+// raw, the record the write left in the store, in place of the cached
+// object, or — when raw is nil, or something else bumped the shard since
+// track — drops the object as Invalidate does. Either way the shard version
+// moves on, so no load that started before the write can install what it
+// read. The installed bytes serve the next miss's store read without a round
+// trip; that reader decodes them and replaces the entry.
+func (c *Cache) refresh(key string, raw []byte, sv *shardVersions) {
+	i := c.shardIndex(key)
+	s := &c.shards[i]
+	s.mu.Lock()
+	current := sv.known[i] && s.version == sv.v[i]
+	if raw != nil && current {
+		s.entries.Put(key, cacheEntry{value: rawRecord(raw), present: true})
+	} else {
+		s.entries.Remove(key)
+	}
+	s.version++
+	sv.known[i], sv.v[i] = current, s.version
+	s.mu.Unlock()
+	c.stats.Invalidations.Inc()
+}
+
+// holdsRaw reports whether a write-back left key's encoded record.
+func (c *Cache) holdsRaw(key string) bool {
+	_, ok := c.raw(key)
+	return ok
+}
+
+// raw returns the encoded record a write-back left for key, if the cache
+// holds one.
+func (c *Cache) raw(key string) ([]byte, bool) {
+	s := c.shardFor(key)
+	s.mu.Lock()
+	e, ok := s.entries.Get(key)
+	s.mu.Unlock()
+	raw, isRaw := e.value.(rawRecord)
+	return raw, ok && isRaw
+}
+
+func isRaw(e cacheEntry) bool {
+	_, raw := e.value.(rawRecord)
+	return raw
 }
 
 // Flush empties the cache (benchmarks use it to measure cold-cache serving).

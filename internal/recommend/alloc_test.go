@@ -83,15 +83,16 @@ func TestDegradedWarmAllocs(t *testing.T) {
 // has been running: three days of a serve-warm-shaped corpus (1300 users, 600
 // videos, ≈ 45k actions) are ingested first, so the similar tables sit at
 // TableSize and the global hot list at HotCapacity, which is where a rewrite
-// that decodes the list it changes costs the most. The three record rewrites
-// allocate the Update closure, the store's copy of the value in and out, and
-// the one encoded record — cross-checking alloccheck's claims for their
-// // hotpath rewrite functions. The whole action pinned is the most expensive
-// shape there is: a registered user (two trained groups, two hot lists) with a
-// full pair window behind them, so 8 pairs × 2 groups × 2 directions = 32
-// table rewrites at 4 each, plus 2 hot records and 1 history record — 140 of
-// the 259 measured; scoring the pairs and the two MF steps are the rest. The
-// list rebuild alone used to cost seven times the whole budget (1867).
+// that decodes the list it changes costs the most. A one-op rewrite allocates
+// the batch Apply takes, the store's copy of the value in and out, and the
+// one encoded record — cross-checking alloccheck's claims for the op
+// rewrites' // hotpath functions. The whole action pinned is the most
+// expensive shape there is: a registered user (two trained groups, two hot
+// lists) with a full pair window behind them, so 8 pairs × 2 groups × 2
+// directions = 32 table rewrites, plus 2 hot records and 1 history record, at
+// 3 each inside Ingest's pooled batch — 105 of the 170 measured; scoring the
+// pairs and the two MF steps are the rest. The list rebuild alone used to
+// cost eleven times the whole budget (1867).
 func TestWritePathAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates closures and empties sync.Pool at random, inflating the count")
@@ -164,7 +165,7 @@ func TestWritePathAllocs(t *testing.T) {
 		{"Tables.UpdateDirected", 4, func() error { return tables.UpdateDirected(ctx, owner, other, 0.4, ts) }},
 		{"Hot.Record", 4, func() error { return sys.Hot.Record(ctx, demographic.GlobalGroup, last.VideoID, 1, ts) }},
 		{"History.Append", 4, func() error { return sys.History.Append(ctx, last.UserID, last.VideoID, ts) }},
-		{"Ingest of a positive action", 260, func() error { return sys.Ingest(ctx, last) }},
+		{"Ingest of a positive action", 171, func() error { return sys.Ingest(ctx, last) }},
 	}
 	for _, pin := range pins {
 		avg := testing.AllocsPerRun(200, func() {

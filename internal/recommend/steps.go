@@ -6,6 +6,7 @@ import (
 	"vidrec/internal/bandit"
 	"vidrec/internal/demographic"
 	"vidrec/internal/feedback"
+	"vidrec/internal/kvstore"
 	"vidrec/internal/simtable"
 )
 
@@ -40,22 +41,50 @@ func (s *System) TrainGroups(group string) []string {
 
 // RecordBehaviour appends a positive action to the user's history and heats
 // the hot lists it counts toward — global, plus the user's group under
-// Options.DemographicFiltering (UserHistory). Impressions record nothing.
+// Options.DemographicFiltering (UserHistory), one store op per record.
+// Impressions record nothing.
 func (s *System) RecordBehaviour(ctx context.Context, a feedback.Action, group string) error {
-	weight := s.weights.Weight(a)
-	if weight <= 0 {
-		return nil
-	}
-	if err := s.History.Append(ctx, a.UserID, a.VideoID, a.Timestamp); err != nil {
+	b := kvstore.AcquireBatch()
+	defer b.Release()
+	var err error
+	if b.Ops, err = s.behaviourOps(b.Ops, a, group); err != nil {
 		return err
 	}
-	if err := s.Hot.Record(ctx, demographic.GlobalGroup, a.VideoID, weight, a.Timestamp); err != nil {
-		return err
-	}
-	if s.opts.DemographicFiltering && group != demographic.GlobalGroup {
-		return s.Hot.Record(ctx, group, a.VideoID, weight, a.Timestamp)
+	for i := range b.Ops {
+		if _, err := kvstore.Apply(ctx, s.kv, b.Ops[i:i+1]...); err != nil {
+			return err
+		}
 	}
 	return nil
+}
+
+// behaviourOps appends RecordBehaviour's rewrites to dst: none for an
+// action without weight, else the history append and one hot-list add per
+// list the action heats.
+func (s *System) behaviourOps(dst []kvstore.Op, a feedback.Action, group string) ([]kvstore.Op, error) {
+	weight := s.weights.Weight(a)
+	if weight <= 0 {
+		return dst, nil
+	}
+	op, err := s.History.AppendOp(a.UserID, a.VideoID, a.Timestamp)
+	if err != nil {
+		return dst, err
+	}
+	dst = append(dst, op)
+	hot := []string{demographic.GlobalGroup, group}
+	if !s.opts.DemographicFiltering || group == demographic.GlobalGroup {
+		hot = hot[:1]
+	}
+	for _, g := range hot {
+		op, ok, err := s.Hot.RecordOp(g, a.VideoID, weight, a.Timestamp)
+		if err != nil {
+			return dst, err
+		}
+		if ok {
+			dst = append(dst, op)
+		}
+	}
+	return dst, nil
 }
 
 // ItemPairs expands a positive action into the unordered pairs it touches:
@@ -112,21 +141,45 @@ func (s *System) FoldReward(ctx context.Context, ev bandit.RewardEvent) error {
 
 // Ingest applies one user action to all pipeline state: the Figure 2 steps,
 // inline. Reads and writes of one key happen in the order the synchronous
-// topology schedules them (MF stored before pairs are scored, history read
-// before it is appended to), which is what makes the two paths equivalent.
+// topology schedules them (μ folded before the step reads it, MF stored
+// before pairs are scored, history read before it is appended to), which is
+// what makes the two paths equivalent. The writes go out in batches
+// (kvstore.Apply), so a remote store sees few round trips: every trained
+// model's μ fold in one, each model's step in one, and the history, hot-list
+// and similar-table rewrites of a positive action in one.
 func (s *System) Ingest(ctx context.Context, a feedback.Action) error {
 	group, err := s.Observe(ctx, a)
 	if err != nil {
 		return err
 	}
 	groups := s.TrainGroups(group)
+	b := kvstore.AcquireBatch()
+	defer b.Release()
 	for _, g := range groups {
 		model, err := s.Models.For(g)
 		if err != nil {
 			return err
 		}
-		if _, err := model.ProcessAction(ctx, a); err != nil {
+		if op, ok := model.MeanOp(a); ok {
+			b.Ops = append(b.Ops, op)
+		}
+	}
+	if _, err := kvstore.Apply(ctx, s.kv, b.Ops...); err != nil {
+		return err
+	}
+	for _, g := range groups {
+		model, err := s.Models.For(g)
+		if err != nil {
 			return err
+		}
+		next, ok, err := model.ComputeFolded(ctx, a)
+		if err != nil {
+			return err
+		}
+		if ok {
+			if err := model.StoreState(ctx, a.UserID, a.VideoID, next); err != nil {
+				return err
+			}
 		}
 	}
 	if ev, ok, err := s.AttributeReward(ctx, a); err != nil {
@@ -140,7 +193,7 @@ func (s *System) Ingest(ctx context.Context, a feedback.Action) error {
 	if err != nil {
 		return err
 	}
-	if err := s.RecordBehaviour(ctx, a, group); err != nil {
+	if b.Ops, err = s.behaviourOps(b.Ops[:0], a, group); err != nil {
 		return err
 	}
 	for _, g := range groups {
@@ -153,13 +206,17 @@ func (s *System) Ingest(ctx context.Context, a feedback.Action) error {
 			if err != nil {
 				return err
 			}
-			if err := tables.UpdateDirected(ctx, p[0], p[1], score, a.Timestamp); err != nil {
+			fwd, err := tables.DirectedOp(p[0], p[1], score, a.Timestamp)
+			if err != nil {
 				return err
 			}
-			if err := tables.UpdateDirected(ctx, p[1], p[0], score, a.Timestamp); err != nil {
+			back, err := tables.DirectedOp(p[1], p[0], score, a.Timestamp)
+			if err != nil {
 				return err
 			}
+			b.Ops = append(b.Ops, fwd, back)
 		}
 	}
-	return nil
+	_, err = kvstore.Apply(ctx, s.kv, b.Ops...)
+	return err
 }

@@ -146,15 +146,19 @@ func TestUpdateDirectedMatchesListReference(t *testing.T) {
 }
 
 // TestRewriteIsPureAndOwnsItsOutput pins what a retrying store relies on:
-// rewrite may run more than once on the same bytes with the same result, and
-// what it returned does not change when those bytes later do.
+// the rewrite op may run more than once on the same bytes with the same
+// result, and what it returned does not change when those bytes later do.
 func TestRewriteIsPureAndOwnsItsOutput(t *testing.T) {
 	tb := newTables(t, testConfig())
 	cur := referenceRewrite(tb.cfg, nil, false, "a", 0.5, at(0))
 	cur = referenceRewrite(tb.cfg, cur, true, "b", 0.7, at(1))
 	before := append([]byte(nil), cur...)
-	first := tb.rewrite(cur, true, "c", 0.6, at(2))
-	second := tb.rewrite(cur, true, "c", 0.6, at(2))
+	op, err := tb.DirectedOp("x", "c", 0.6, at(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	first, _ := op.Apply(cur, true)
+	second, _ := op.Apply(cur, true)
 	if !bytes.Equal(cur, before) {
 		t.Fatal("rewrite modified the stored bytes it was given")
 	}
@@ -164,7 +168,7 @@ func TestRewriteIsPureAndOwnsItsOutput(t *testing.T) {
 	for i := range cur {
 		cur[i] = 0xff
 	}
-	if second = tb.rewrite(before, true, "c", 0.6, at(2)); !bytes.Equal(first, second) {
+	if second, _ = op.Apply(before, true); !bytes.Equal(first, second) {
 		t.Fatal("rewrite's output aliases the stored bytes it was given")
 	}
 }

@@ -23,7 +23,6 @@ package simtable
 import (
 	"context"
 	"fmt"
-	"math"
 	"time"
 
 	"vidrec/internal/catalog"
@@ -77,17 +76,7 @@ func (c Config) Validate() error {
 // A non-positive Xi (a Config that skipped Validate) yields 0 — the pair is
 // treated as fully forgotten — rather than a NaN that would poison every
 // decayed score downstream.
-func (c Config) Damp(age time.Duration) float64 {
-	if c.Xi <= 0 {
-		return 0
-	}
-	if age <= 0 {
-		return 1
-	}
-	// Xi > 0 is established above; the exponent is finite and nonpositive,
-	// so Exp2 lands in (0, 1].
-	return math.Exp2(-float64(age) / float64(c.Xi))
-}
+func (c Config) Damp(age time.Duration) float64 { return kvstore.Damp(age, c.Xi) }
 
 // Fuse combines the CF and type similarities per Eq. 12 (without the time
 // factor, which Damp supplies).
@@ -179,49 +168,26 @@ func decodeTable(raw []byte) (table, error) {
 // replaced with the fresh score (its damping clock restarts, d=1), and
 // entries decayed below the floor are pruned.
 //
-// The topology emits each pair in both directions, fields-grouped by owner,
-// so each list has a single writer; UpdateDirected relies on the store's
-// per-key Update for safety against other writers.
+// The rewrite is one op the store executes (DirectedOp), atomic per key on
+// every store configuration; the topology additionally emits each pair in
+// both directions, fields-grouped by owner, so each list has a single writer.
 func (t *Tables) UpdateDirected(ctx context.Context, owner, other string, score float64, ts time.Time) error {
-	if owner == other {
-		return fmt.Errorf("simtable: self-pair %q", owner)
+	op, err := t.DirectedOp(owner, other, score, ts)
+	if err != nil {
+		return err
 	}
-	key := t.keys.Key(owner)
-	return t.kv.Update(ctx, key, func(cur []byte, ok bool) ([]byte, bool) {
-		return t.rewrite(cur, ok, other, score, ts), true
-	})
+	_, err = kvstore.Apply(ctx, t.kv, op)
+	return err
 }
 
-// rewrite is UpdateDirected's record transform, a pure function of the stored
-// bytes (a retrying store may run it once per attempt): one pass loads the
-// list off cur with every score decayed to ts, the pair's entry is set or
-// removed, and the record is encoded once. A record that does not parse
-// restarts as an empty list stamped ts.
-//
-// hotpath: every positive action rewrites ≈ 11 similar tables through here
-func (t *Tables) rewrite(cur []byte, ok bool, other string, score float64, ts time.Time) []byte {
-	list := kvstore.AcquireEntryList(t.cfg.TableSize)
-	defer list.Release()
-	updatedAt := ts
-	if ok && len(cur) >= 8 {
-		ms, _ := kvstore.DecodeInt64(cur[:8]) // exactly 8 bytes: cannot fail
-		prev := time.UnixMilli(ms)
-		// A negative age (out-of-order action) leaves scores unscaled
-		// rather than amplifying, and the list keeps its later clock.
-		factor := t.cfg.Damp(ts.Sub(prev))
-		if factor > 1 {
-			factor = 1
-		}
-		if list.Load(cur[8:], factor, t.cfg.ScoreFloor) == nil && ts.Before(prev) {
-			updatedAt = prev
-		}
+// DirectedOp returns UpdateDirected's rewrite as an op, for a caller that
+// batches it with other writes (kvstore.Apply).
+func (t *Tables) DirectedOp(owner, other string, score float64, ts time.Time) (kvstore.Op, error) {
+	if owner == other {
+		return kvstore.Op{}, fmt.Errorf("simtable: self-pair %q", owner)
 	}
-	if score >= t.cfg.ScoreFloor {
-		list.Update(other, score)
-	} else {
-		list.Remove(other)
-	}
-	return list.EncodeClocked(updatedAt.UnixMilli())
+	return kvstore.Op{Kind: kvstore.OpSimilar, Key: t.keys.Key(owner), ID: other, Score: score, Ts: ts,
+		Limit: t.cfg.TableSize, HalfLife: t.cfg.Xi, Floor: t.cfg.ScoreFloor}, nil
 }
 
 // loadTable reads and decodes one video's table record through the cache

@@ -2,6 +2,8 @@ package topology
 
 import (
 	"context"
+	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -15,10 +17,9 @@ import (
 // TestTopologyAgainstNetworkedStore runs the full Figure 2 topology with all
 // state in a remote TCP key-value store — the paper's actual deployment
 // shape (Storm workers talking to a distributed KV service over the
-// network). Correctness assertions focus on single-writer state (vectors,
-// histories, similar tables), which the fields groupings guarantee even
-// with the client's get-modify-set Update; multi-writer counters (global
-// mean, hot lists) are only checked for presence.
+// network). Its assertions check that state is present and readable through
+// the remote store; TestReplayOverClientEqualsLocal checks the multi-writer
+// records add up.
 func TestTopologyAgainstNetworkedStore(t *testing.T) {
 	backing := kvstore.NewLocal(64)
 	srv, err := kvstore.NewServer(context.Background(), backing, "127.0.0.1:0")
@@ -112,4 +113,101 @@ func TestTopologyAgainstNetworkedStore(t *testing.T) {
 	if n, _ := backing.Len(context.Background()); n == 0 {
 		t.Error("backing store empty — state did not cross the network")
 	}
+}
+
+// TestReplayOverClientEqualsLocal replays one stream through the topology at
+// DefaultParallelism twice — over a Local store, and over Client → Server →
+// Local — and compares the records several tasks write at once: every
+// model's global mean (four ComputeMF tasks fold into it) and every hot list
+// (two UserHistory tasks heat it). The rewrites are ops the server executes
+// atomically, so no fold or heat is lost over the network: n must match
+// exactly, sums to 1e-9 relative (tasks interleave, so floating-point
+// additions may happen in another order). Every action carries one
+// timestamp, which makes the hot lists' decay order-independent too.
+func TestReplayOverClientEqualsLocal(t *testing.T) {
+	ctx := context.Background()
+	d, actions := generatedActions(t)
+	for i := range actions {
+		actions[i].Timestamp = actions[0].Timestamp
+	}
+	replay := func(store kvstore.Store) {
+		t.Helper()
+		params := core.DefaultParams()
+		params.Factors = 8
+		sys, err := recommend.NewSystem(store, params, simtable.DefaultConfig(), recommend.DefaultOptions())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.FillCatalog(ctx, sys.Catalog); err != nil {
+			t.Fatal(err)
+		}
+		if err := d.FillProfiles(ctx, sys.Profiles); err != nil {
+			t.Fatal(err)
+		}
+		runTopology(t, sys, actions, DefaultParallelism())
+	}
+	local := kvstore.NewLocal(32)
+	replay(local)
+	backing := kvstore.NewLocal(32)
+	srv, err := kvstore.NewServer(ctx, backing, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	cli, err := kvstore.DialContext(ctx, srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	replay(cli)
+
+	want, got := sharedRecords(t, local), sharedRecords(t, backing)
+	if len(want) == 0 {
+		t.Fatal("the Local replay wrote no mean or hot-list record")
+	}
+	for key, w := range want {
+		g, ok := got[key]
+		switch {
+		case !ok:
+			t.Errorf("%s: missing over the network", key)
+		case g[1] != w[1]:
+			t.Errorf("%s: count %v over the network, %v over Local", key, g[1], w[1])
+		case math.Abs(g[0]-w[0]) > 1e-9*math.Abs(w[0]):
+			t.Errorf("%s: total %v over the network, %v over Local", key, g[0], w[0])
+		}
+	}
+	if mu := want["sys/global.meta:mean"]; mu[1] != float64(len(actions)) {
+		t.Errorf("global mean folded %v ratings over Local, want one per action (%d)", mu[1], len(actions))
+	}
+}
+
+// sharedRecords reads every mean record (sum, n) and every hot list (total
+// heat, entries) in st.
+func sharedRecords(t *testing.T, st *kvstore.Local) map[string][2]float64 {
+	t.Helper()
+	out := make(map[string][2]float64)
+	st.ForEach(func(key string, val []byte) bool {
+		switch {
+		case strings.HasSuffix(key, ".meta:mean"):
+			vals, err := kvstore.DecodeFloats(val)
+			if err != nil || len(vals) != 2 {
+				t.Errorf("%s: corrupt mean record %x", key, val)
+				return true
+			}
+			out[key] = [2]float64{vals[0], vals[1]}
+		case strings.HasPrefix(key, "sys.hot:"):
+			entries, err := kvstore.DecodeEntries(val[8:])
+			if err != nil {
+				t.Errorf("%s: corrupt hot list: %v", key, err)
+				return true
+			}
+			heat := 0.0
+			for _, e := range entries {
+				heat += e.Score
+			}
+			out[key] = [2]float64{heat, float64(len(entries))}
+		}
+		return true
+	})
+	return out
 }
