@@ -67,7 +67,10 @@ test-resilience:
 
 # Fuzz smoke: each target briefly, as a regression gate over the committed
 # seeds plus a short exploration budget. Long exploratory runs are manual
-# (raise FUZZTIME).
+# (raise FUZZTIME). The slate target's seeds are its 10k differential cases,
+# which the fuzzer replays for baseline coverage (about 25s on two cores)
+# before it explores; -fuzztime sums repeated units, so its 30s$(FUZZTIME) is
+# that pass plus FUZZTIME.
 FUZZTIME ?= 10s
 fuzz:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeEntries$$' -fuzztime $(FUZZTIME)
@@ -82,6 +85,7 @@ fuzz:
 	$(GO) test ./internal/feedback -run '^$$' -fuzz '^FuzzWeight$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardEvent$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/recommend -run '^$$' -fuzz '^FuzzSlateMatchesReference$$' -fuzztime 30s$(FUZZTIME)
 
 # Coverage floors: internal/lint is the merge bar for everything else, and
 # internal/bandit decides what users see — both must hold >= 85% statement

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
 	"strconv"
 	"strings"
 	"testing"
@@ -94,6 +95,31 @@ func TestRecommendEndpoint(t *testing.T) {
 	for _, v := range body.Videos {
 		if v.ID == "a" {
 			t.Error("current video recommended")
+		}
+	}
+}
+
+// TestRecommendHugeN: an n no slate can fill is served like any other large
+// n — the same body as n=100000 — rather than sized by it.
+func TestRecommendHugeN(t *testing.T) {
+	srv, _ := testServer(t)
+	for _, query := range []string{"user=visitor", "user=visitor&video=a"} {
+		body := func(n string) map[string]any {
+			var out map[string]any
+			if resp := getJSON(t, srv.URL+"/recommend?"+query+"&n="+n, &out); resp.StatusCode != http.StatusOK {
+				t.Fatalf("%s&n=%s: status = %d", query, n, resp.StatusCode)
+			}
+			delete(out, "latency_us")
+			return out
+		}
+		want := body("100000")
+		if videos, _ := want["videos"].([]any); len(videos) == 0 {
+			t.Fatalf("%s&n=100000 served no videos: %v", query, want)
+		}
+		for _, n := range []string{"17179869184", strconv.Itoa(1 << 40), strconv.FormatInt(1<<63-1, 10)} {
+			if got := body(n); !reflect.DeepEqual(got, want) {
+				t.Errorf("%s&n=%s serves %v, n=100000 serves %v", query, n, got, want)
+			}
 		}
 	}
 }

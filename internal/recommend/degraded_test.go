@@ -119,17 +119,6 @@ func TestDegradedServesUnknownUser(t *testing.T) {
 	}
 }
 
-func TestDegradedFallbackDisabled(t *testing.T) {
-	opts := DefaultOptions()
-	opts.DegradedFallback = false
-	sys, faulty := degradedSystem(t, opts)
-	modelBlackout(faulty)
-
-	if _, err := sys.Recommend(context.Background(), Request{UserID: "u1", N: 3}); err == nil {
-		t.Fatal("DegradedFallback=false still served under model outage, want error")
-	}
-}
-
 func TestDegradedValidationStillErrors(t *testing.T) {
 	sys, faulty := degradedSystem(t, DefaultOptions())
 	modelBlackout(faulty)

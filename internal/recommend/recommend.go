@@ -34,7 +34,11 @@ import (
 	"vidrec/internal/simtable"
 )
 
-// Options configure the recommendation pipeline.
+// Options configure the recommendation pipeline. Two behaviours have no
+// switch: a registered user's action trains their demographic group's model
+// and similar tables beside the global ones (§5.2.2), and a request whose
+// personalized path fails on storage errors is served the group's hot list
+// instead, marked Result.Degraded.
 type Options struct {
 	// SeedCount is how many recent history videos seed candidate expansion
 	// when no current video is given ("Guess you like").
@@ -53,9 +57,6 @@ type Options struct {
 	// PairWindow is how many recent history videos pair with each new
 	// action for similar-table updates (the GetItemPairs bolt).
 	PairWindow int
-	// DemographicTraining enables per-group models and tables (§5.2.2) in
-	// addition to the global ones.
-	DemographicTraining bool
 	// DemographicFiltering enables the hot-video merge (§5.2.1).
 	DemographicFiltering bool
 	// HotHalfLife is the popularity decay of the demographic hot lists.
@@ -68,16 +69,9 @@ type Options struct {
 	// results — write-through invalidation keeps cached reads coherent —
 	// only latency.
 	CacheCapacity int
-	// DegradedFallback serves the demographic hot list (marked
-	// Result.Degraded) when the personalized path fails on storage errors,
-	// instead of failing the request — the serving tier's last line of
-	// defense when the model/simtable namespace is unreachable. Validation
-	// errors never fall back, and when the fallback itself cannot be built
-	// the original personalized-path error surfaces.
-	DegradedFallback bool
-	// Explore re-ranks the final slate through a bandit policy over the
-	// blended candidate sources (MF rank, sim-table expansion, demographic
-	// hot), records per-arm pulls and slate attributions, and feeds implicit
+	// Explore draws the slate through a bandit policy over the blended
+	// candidate sources (MF rank, sim-table expansion, demographic hot, ANN
+	// probe), records per-arm pulls and slate attributions, and feeds implicit
 	// rewards back into the policy's posteriors — the paper title's
 	// exploration, as an online-matching bandit. Degraded responses never
 	// explore: the fallback path serves exactly as before.
@@ -106,11 +100,9 @@ type Options struct {
 	// publish and probed with the user's global factor vector. Explored
 	// slates expose it as the "ann" bandit arm.
 	ANN bool
-	// ANNTables and ANNBits size the LSH index (0 selects ann's defaults);
-	// ANNSeed derives its hyperplanes deterministically.
-	ANNTables int
-	ANNBits   int
-	ANNSeed   uint64
+	// ANNSeed derives the LSH index's hyperplanes deterministically; the
+	// index takes ann's default size.
+	ANNSeed uint64
 }
 
 // DefaultOptions returns production-shaped settings.
@@ -125,11 +117,9 @@ func DefaultOptions() Options {
 		// videos they watched earlier in the week.
 		HistoryLimit:         200,
 		PairWindow:           8,
-		DemographicTraining:  true,
 		DemographicFiltering: true,
 		HotHalfLife:          24 * time.Hour,
 		HotCapacity:          100,
-		DegradedFallback:     true,
 		ExploreEpsilon:       0.1,
 	}
 }
@@ -162,14 +152,6 @@ func (o Options) Validate() error {
 		}
 		if math.IsNaN(o.ExploreEpsilon) || o.ExploreEpsilon < 0 || o.ExploreEpsilon > 1 {
 			return fmt.Errorf("recommend: ExploreEpsilon must be in [0,1], got %v", o.ExploreEpsilon)
-		}
-	}
-	if o.ANN {
-		if o.ANNTables < 0 {
-			return fmt.Errorf("recommend: ANNTables must not be negative, got %d", o.ANNTables)
-		}
-		if o.ANNBits < 0 || o.ANNBits > 32 {
-			return fmt.Errorf("recommend: ANNBits must be in [0,32], got %d", o.ANNBits)
 		}
 	}
 	return nil
@@ -301,12 +283,7 @@ func NewSystem(kv kvstore.Store, params core.Params, simCfg simtable.Config, opt
 	}
 	var annIndex *ann.Index
 	if opts.ANN {
-		annIndex, err = ann.New(ann.Config{
-			Dims:   params.Factors,
-			Tables: opts.ANNTables,
-			Bits:   opts.ANNBits,
-			Seed:   opts.ANNSeed,
-		}, interner)
+		annIndex, err = ann.New(ann.Config{Dims: params.Factors, Seed: opts.ANNSeed}, interner)
 		if err != nil {
 			return nil, err
 		}

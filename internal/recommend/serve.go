@@ -3,6 +3,7 @@ package recommend
 import (
 	"context"
 	"fmt"
+	"math"
 	"time"
 
 	"vidrec/internal/bandit"
@@ -51,13 +52,13 @@ type Result struct {
 }
 
 // markExcluded is the mark value for history/current-video exclusions;
-// non-negative marks are candidate indexes into the toScore batch.
+// non-negative marks are positions in the scored batch.
 const markExcluded = -1
 
 // serveScratch is per-request working memory recycled across Recommend calls
 // through System.scratch. Nothing stored here may escape into a Result: ids
 // are immutable string headers owned by the cache or the store decode, and
-// every slice that escapes (the ranked list) is freshly allocated.
+// every slice that escapes (the slate, its arm tags) is freshly allocated.
 //
 // Candidate bookkeeping runs on intern slots instead of string-keyed maps:
 // ids are batch-resolved to dense slots once per source (one interner RLock
@@ -65,59 +66,225 @@ const markExcluded = -1
 // warm-path profile that motivated this showed the per-candidate map churn —
 // hashing, assignment, growth — dominating the request; the mark arrays turn
 // all of it into integer indexing.
+//
+// Every source is then a pool of positions in the scored batch, one per
+// bandit arm, and the slate is drawn from the pools: a position is one
+// video, so "already in the slate" is one flag per position.
 type serveScratch struct {
-	flat      []string // id scratch for batch slot resolution (sim entries, hot list)
-	slots     []int32  // slot scratch parallel to flat (also: watched slots)
-	ids       []string // the toScore batch: candidates, then merge-eligible hot
-	candSlots []int32  // slots parallel to ids
-	probe     []int32  // ANN probe output
-	scores    []float64
-	hot       []topn.Entry // hot-list scratch (damped copy-out target)
-	marks     []int32      // per intern slot: markExcluded or candidate index
-	markGen   []uint32     // generation stamp validating marks[slot]
-	gen       uint32
-	hotIdx    []int
-	merged    []topn.Entry
-	inList    map[string]bool
-	ranker    *topn.Ranker // reused ranking scratch; rebuilt when req.N changes
+	flat  []string     // id scratch for batch slot resolution (sim entries, hot list, ANN hits)
+	slots []int32      // slot scratch parallel to flat
+	probe []int32      // ANN probe output
+	hot   []topn.Entry // hot-list scratch (damped copy-out target)
+
+	// The scored batch: each admitted id at its position, with its intern
+	// slot, its Eq. 2 score, and whether the slate has taken it.
+	ids     []string
+	idSlots []int32
+	scores  []float64
+	taken   []bool
+
+	pools  [bandit.NumArms][]int32 // per arm: batch positions in the arm's order
+	cursor [bandit.NumArms]int     // per arm: the pool index next resumes at
+	drawn  []int32                 // the slate, as batch positions
+
+	marks   []int32  // per intern slot: markExcluded or batch position
+	markGen []uint32 // generation stamp validating marks[slot]
+	gen     uint32
 }
 
-// nextGen starts a fresh mark generation, clearing stamps on wrap so a
-// four-billion-requests-old mark can never read as current.
-func (scr *serveScratch) nextGen() {
+// reset empties the batch, the pools and the slate, and starts a fresh mark
+// generation, clearing stamps on wrap so a four-billion-requests-old mark can
+// never read as current.
+func (scr *serveScratch) reset() {
 	scr.gen++
 	if scr.gen == 0 {
 		clear(scr.markGen)
 		scr.gen = 1
 	}
+	scr.ids, scr.idSlots, scr.taken = scr.ids[:0], scr.idSlots[:0], scr.taken[:0]
+	for a := range scr.pools {
+		scr.pools[a] = scr.pools[a][:0]
+	}
+	scr.cursor = [bandit.NumArms]int{}
 }
 
-// growMarks ensures the mark arrays cover slots [0, n). Backing beyond the
-// copied prefix is freshly zeroed, and generation 0 is never current, so
-// grown slots read as unmarked.
-func (scr *serveScratch) growMarks(n int) {
-	if n <= len(scr.marks) {
-		return
+// admit is the one way an id enters a request. It walks one source's ids in
+// order (slots parallel) and stamps each id the request has not seen yet.
+// With arm == markExcluded the source is an exclusion: its ids are stamped
+// excluded and never scored. Otherwise each new id takes the next position in the
+// scored batch and joins the arm's pool, until the batch holds limit ids. An
+// id already in the batch joins the hot pool at the position it has — the hot
+// list is merged against the candidates, not beside them — while the sim and
+// ANN pools keep only what they added. It returns how many ids it stamped.
+func (scr *serveScratch) admit(arm int, ids []string, slots []int32, limit int) int {
+	stamped := 0
+	for i, sl := range slots {
+		if n := int(sl) + 1; n > len(scr.marks) {
+			// Slots are dense and only grow. The extension is zeroed, and
+			// generation 0 is never current, so new slots read as unseen.
+			scr.marks = append(scr.marks, make([]int32, n-len(scr.marks))...)        // alloccheck: catalog-bounded grow-once; the pooled scratch is reused
+			scr.markGen = append(scr.markGen, make([]uint32, n-len(scr.markGen))...) // alloccheck: catalog-bounded grow-once; the pooled scratch is reused
+		}
+		if scr.markGen[sl] == scr.gen {
+			if p := scr.marks[sl]; arm == int(bandit.ArmHot) && p != markExcluded {
+				scr.pools[arm] = append(scr.pools[arm], p)
+			}
+			continue
+		}
+		if len(scr.ids) >= limit {
+			break
+		}
+		scr.markGen[sl] = scr.gen
+		stamped++
+		if arm == markExcluded {
+			scr.marks[sl] = markExcluded
+			continue
+		}
+		p := int32(len(scr.ids))
+		scr.marks[sl] = p
+		scr.pools[arm] = append(scr.pools[arm], p)
+		scr.ids = append(scr.ids, ids[i])
+		scr.idSlots = append(scr.idSlots, sl)
+		scr.taken = append(scr.taken, false)
 	}
-	if n <= cap(scr.marks) && n <= cap(scr.markGen) {
-		scr.marks = scr.marks[:n]
-		scr.markGen = scr.markGen[:n]
-		return
+	return stamped
+}
+
+// slateCap bounds a request's N. A slate holds at most every candidate plus
+// the whole hot list, so a larger N cannot change the response; one past that
+// capacity keeps an explored slate ending on a dry draw as an unbounded N
+// would. Every count and allocation on the serve path is bounded by the
+// pools, never by the caller's N.
+func (o Options) slateCap(n int) int {
+	return min(n, o.MaxCandidates+o.HotCapacity+1)
+}
+
+// hotPlan sizes the hot merge of an n-slot slate over numCand candidates:
+// want is how many slots the hot pool may fill — HotShare of the slate, and
+// every slot MF cannot (new users get a full hot list, the paper's
+// cold-start answer) — and fetch is how long a hot list to read for it, n
+// past the excluded videos it may have to skip. Without demographic
+// filtering want is 0 and nothing is fetched.
+func (o Options) hotPlan(n, numCand, excluded int) (want, fetch int) {
+	if !o.DemographicFiltering {
+		return 0, 0
 	}
-	marks := make([]int32, n, 2*n) // alloccheck: catalog-bounded grow-once; the pooled scratch is reused
-	copy(marks, scr.marks)
-	gens := make([]uint32, n, 2*n) // alloccheck: catalog-bounded grow-once; the pooled scratch is reused
-	copy(gens, scr.markGen)
-	scr.marks, scr.markGen = marks, gens
+	return max(int(o.HotShare*float64(n)), n-min(n, numCand)), n + excluded
+}
+
+// rank fills the MF pool with the best n of batch positions [0, numCand) by
+// score, best first, equal scores in batch order. It is topn.Ranker's
+// admission — a full rank admits only a score strictly above its minimum —
+// kept on positions, which the slate draws, instead of ids.
+func (scr *serveScratch) rank(numCand, n int) {
+	mf := scr.pools[bandit.ArmMF]
+	for p := range int32(numCand) {
+		score := scr.scores[p]
+		k := len(mf)
+		if k == n {
+			if score <= scr.scores[mf[k-1]] {
+				continue
+			}
+			k-- // the minimum is displaced
+		}
+		i := k
+		for i > 0 && scr.scores[mf[i-1]] < score {
+			i--
+		}
+		mf = append(mf[:k], 0)
+		copy(mf[i+1:], mf[i:k])
+		mf[i] = p
+	}
+	scr.pools[bandit.ArmMF] = mf
+}
+
+// next takes arm a's first pool position the slate has not taken, or
+// returns -1 when the arm is dry.
+func (scr *serveScratch) next(a bandit.Arm) int32 {
+	pool := scr.pools[a]
+	for scr.cursor[a] < len(pool) {
+		p := pool[scr.cursor[a]]
+		scr.cursor[a]++
+		if !scr.taken[p] {
+			scr.taken[p] = true
+			return p
+		}
+	}
+	return -1
+}
+
+// merge ranks the candidates, batch positions [0, numCand), into the MF pool
+// and draws the slate without exploration: the MF rank is reserved, up to
+// want positions come from the hot pool in popularity order, and the rank
+// keeps the n - merged slots left ahead of them. The cut rank stays behind as
+// the MF pool. It returns how many hot positions it merged.
+func (scr *serveScratch) merge(numCand, n, want int) int {
+	scr.rank(numCand, n)
+	mf := scr.pools[bandit.ArmMF]
+	for _, p := range mf {
+		scr.taken[p] = true
+	}
+	drawn := append(scr.drawn[:0], mf...)
+	merged := 0
+	for ; merged < want; merged++ {
+		p := scr.next(bandit.ArmHot)
+		if p < 0 {
+			break
+		}
+		drawn = append(drawn, p)
+	}
+	keep := min(len(mf), n-merged)
+	scr.drawn = append(drawn[:keep], drawn[len(mf):]...)
+	scr.pools[bandit.ArmMF] = mf[:keep]
+	return merged
+}
+
+// explore redraws the slate slot by slot from the pools merge left: the
+// policy picks an arm and the arm's next untaken position fills the slot. A
+// dry arm falls through the arms in fixed order so the slate still fills, and
+// the arm that filled the slot takes the pull (it did the serving work). The
+// slate ends at n slots or when every pool is dry. The caller holds policyMu.
+func (scr *serveScratch) explore(n int, policy bandit.Policy, st *bandit.State) (arms []bandit.Arm, pulls [bandit.NumArms]int) {
+	clear(scr.taken)
+	scr.cursor = [bandit.NumArms]int{}
+	drawn := scr.drawn[:0]
+	arms = make([]bandit.Arm, 0, min(n, len(scr.ids))) // alloccheck: arm tags escape into the Result (explore budget)
+	for len(drawn) < n {
+		arm := policy.Pick(st)
+		p := scr.next(arm)
+		for f := 0; f < bandit.NumArms && p < 0; f++ {
+			arm = bandit.Arm(f)
+			p = scr.next(arm)
+		}
+		if p < 0 {
+			break
+		}
+		drawn = append(drawn, p)
+		arms = append(arms, arm)
+		pulls[arm]++
+	}
+	scr.drawn = drawn
+	return arms, pulls
+}
+
+// entries copies the drawn slate out as the response list, every position
+// with its Eq. 2 score.
+func (scr *serveScratch) entries() []topn.Entry {
+	out := make([]topn.Entry, len(scr.drawn)) // alloccheck: the slate escapes into the Result (warm budget)
+	for i, p := range scr.drawn {
+		out[i] = topn.Entry{ID: scr.ids[p], Score: scr.scores[p]}
+	}
+	return out
 }
 
 // Recommend runs the full Figure 1 pipeline for one request: the
-// personalized path (seed expansion → Eq. 2 scoring → ranking → hot merge),
-// and — when that path fails on storage errors and Options.DegradedFallback
-// is on — the demographic fallback, which serves the group's hot list so the
-// request degrades in quality instead of erroring. Validation failures never
-// fall back, and if the fallback cannot be built either, the personalized
-// path's error is the one returned.
+// personalized path (exclude → gather → score and rank → draw the slate),
+// and — when that path fails on storage errors — the demographic fallback,
+// which serves the group's hot list so the request degrades in quality
+// instead of erroring. Validation failures never fall back, and if the
+// fallback cannot be built either, the personalized path's error is the one
+// returned. An N beyond what the pools can fill serves the same response as
+// the pools' capacity.
 //
 // hotpath: the warm serving budget (18 allocs, sub-10µs quantized) is enforced from here
 func (s *System) Recommend(ctx context.Context, req Request) (*Result, error) {
@@ -128,11 +295,12 @@ func (s *System) Recommend(ctx context.Context, req Request) (*Result, error) {
 	if req.UserID == "" {
 		return nil, fmt.Errorf("recommend: user id must not be empty")
 	}
+	req.N = s.opts.slateCap(req.N)
 	now := s.Now()
 	group := s.groupOf(ctx, req.UserID)
 
 	res, err := s.personalized(ctx, req, group, now)
-	if err != nil && s.opts.DegradedFallback {
+	if err != nil {
 		if deg, derr := s.degraded(ctx, req, group, now); derr == nil {
 			res, err = deg, nil
 		}
@@ -146,38 +314,32 @@ func (s *System) Recommend(ctx context.Context, req Request) (*Result, error) {
 	return res, nil
 }
 
-// personalized is the MF-ranked serving path.
+// personalized is the MF-ranked serving path, in four steps: exclude the
+// watched and current videos, gather the candidate sources into one scored
+// batch, score and rank it, and draw the slate from the sources' pools.
 //
 // The store round trips are batched to a constant per request regardless of
 // seed or candidate count: one history fetch serves both seeding and the
 // exclusion set, all seeds' similar lists share one MGet (SimilarBatch), and
-// candidate scoring plus the hot-merge re-score fold into a single scoring
-// batch. Per-item scores under Eq. 2 are independent of what else is in the
-// batch, so the folded call ranks identically to scoring the two sets
-// separately; with the decoded-value cache warm the whole request runs with
-// zero store round trips.
-//
-// Dedup and exclusion run on intern slots: watched videos are marked
-// excluded up front (one batch resolve over the ~tens-deep history instead
-// of a map probe per candidate), each candidate source's ids resolve in one
-// batch, and admission is a mark-array read. Ranking uses topn.Ranker —
-// List's semantics without its id map — because the batch is distinct by
-// construction.
+// candidates plus merge-eligible hot videos are scored in a single batch.
+// Per-item scores under Eq. 2 are independent of what else is in the batch,
+// so a video's score is the same whichever pool draws it; with the
+// decoded-value cache warm the whole request runs with zero store round
+// trips.
 func (s *System) personalized(ctx context.Context, req Request, group string, now time.Time) (*Result, error) {
 	scr, _ := s.scratch.Get().(*serveScratch)
 	if scr == nil {
-		scr = &serveScratch{inList: make(map[string]bool, 16)} // alloccheck: pool miss, cold start only
+		scr = new(serveScratch) // alloccheck: pool miss, cold start only
 	}
 	defer s.scratch.Put(scr)
-	scr.nextGen()
-	gen := scr.gen
+	scr.reset()
 
-	// 1. One history fetch serves every consumer: the prefix of the cached
-	// video list seeds the expansion ("Guess you like") and the watched set
-	// becomes the exclusion marks — never recommend anything the user
-	// already watched; re-serving watched content wastes slots and triggers
+	// 1. Exclude. One history fetch serves every consumer: the prefix of the
+	// cached video list seeds the expansion ("Guess you like") and the
+	// watched set is excluded — never recommend anything the user already
+	// watched; re-serving watched content wastes slots and triggers
 	// fatigue. When a current video is given it is the sole seed and a
-	// history fetch failure only shrinks the exclusion set (as before).
+	// history fetch failure only shrinks the exclusion set.
 	watched, histSet, histErr := s.History.Watched(ctx, req.UserID, s.opts.HistoryLimit)
 	var seeds []string
 	if req.CurrentVideo != "" {
@@ -186,56 +348,32 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 		if histErr != nil {
 			return nil, histErr
 		}
-		seeds = watched
-		if len(seeds) > s.opts.SeedCount {
-			seeds = seeds[:s.opts.SeedCount]
-		}
+		seeds = watched[:min(len(watched), s.opts.SeedCount)]
 	}
-	wslots := s.interner.Slots(watched, scr.slots[:0])
-	scr.slots = wslots[:0]
-	scr.growMarks(s.interner.Len())
-	excludeLen := 0
-	for _, sl := range wslots {
-		if scr.markGen[sl] != gen {
-			scr.markGen[sl] = gen
-			scr.marks[sl] = markExcluded
-			excludeLen++
-		}
-	}
-	if excludeLen < len(histSet) {
+	scr.slots = s.interner.Slots(watched, scr.slots[:0])
+	excluded := scr.admit(markExcluded, watched, scr.slots, math.MaxInt)
+	if excluded < len(histSet) {
 		// The distinct-video view was truncated below the membership set (a
 		// history limit above the serve window — non-default configs); fold
 		// the remainder in so the exclusion still covers everything watched.
+		flat := scr.flat[:0]
 		// alloccheck: defensive fold-in for non-default history limits, never taken when the serve window equals the store limit (the default)
 		for id := range histSet {
-			sl := s.interner.Slot(id)
-			scr.growMarks(s.interner.Len())
-			if scr.markGen[sl] != gen {
-				scr.markGen[sl] = gen
-				scr.marks[sl] = markExcluded
-			}
+			flat = append(flat, id)
 		}
-		excludeLen = len(histSet)
+		scr.flat = flat
+		scr.slots = s.interner.Slots(flat, scr.slots[:0])
+		excluded += scr.admit(markExcluded, flat, scr.slots, math.MaxInt)
 	}
 	if req.CurrentVideo != "" {
-		sl := s.interner.Slot(req.CurrentVideo)
-		scr.growMarks(s.interner.Len())
-		if scr.markGen[sl] != gen {
-			scr.markGen[sl] = gen
-			scr.marks[sl] = markExcluded
-			excludeLen++
-		}
+		scr.slots = s.interner.Slots(seeds, scr.slots[:0])
+		excluded += scr.admit(markExcluded, seeds, scr.slots, math.MaxInt)
 	}
 
-	// 2. Candidate expansion through the group's similar-video tables
-	// (fall back to the global tables when group training is off). All
-	// seeds' lists arrive in one batched fetch; their ids resolve to slots
-	// in one batched intern pass; dedup preserves seed order.
-	tableGroup := group
-	if !s.opts.DemographicTraining {
-		tableGroup = demographic.GlobalGroup
-	}
-	tables, err := s.Tables.For(tableGroup)
+	// 2. Gather. Candidate expansion through the group's similar-video
+	// tables: all seeds' lists arrive in one batched fetch and resolve to
+	// slots in one batched intern pass; the sim pool keeps seed order.
+	tables, err := s.Tables.For(group)
 	if err != nil {
 		return nil, err
 	}
@@ -244,282 +382,107 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 		return nil, err
 	}
 	scr.flat = flat
-	slots := s.interner.Slots(flat, scr.slots[:0])
-	scr.growMarks(s.interner.Len())
-	candidates := scr.ids[:0]
-	candSlots := scr.candSlots[:0]
-	for i, id := range flat {
-		sl := slots[i]
-		if scr.markGen[sl] == gen {
-			continue // excluded, or already a candidate
-		}
-		scr.markGen[sl] = gen
-		scr.marks[sl] = int32(len(candidates))
-		candidates = append(candidates, id)
-		candSlots = append(candSlots, sl) // alloccheck: grow-once; candSlots extends the pooled scratch
-		if len(candidates) >= s.opts.MaxCandidates {
-			break
-		}
-	}
-	scr.flat = flat[:0]
-	scr.slots = slots[:0]
+	scr.slots = s.interner.Slots(flat, scr.slots[:0])
+	scr.admit(int(bandit.ArmSim), flat, scr.slots, s.opts.MaxCandidates)
 
-	// 2b. ANN retrieval (Options.ANN): probe the LSH index with the user's
-	// global factor vector and append whatever the matching buckets hold,
-	// after the sim expansion and under the same candidate cap. The probe
-	// returns slots — cross-table duplicates included — and the mark array
+	// ANN retrieval (Options.ANN): probe the LSH index with the user's global
+	// factor vector and admit whatever the matching buckets hold, after the
+	// sim expansion and under the same candidate cap, in bucket order. The
+	// probe returns slots, cross-table duplicates included, and admission
 	// absorbs them like any other dup. Unknown users skip the probe: their
 	// cold-start vector would hash to arbitrary buckets.
-	annStart := len(candidates)
-	if s.annIndex != nil && len(candidates) < s.opts.MaxCandidates {
+	if s.annIndex != nil && len(scr.ids) < s.opts.MaxCandidates {
 		uvec, _, known, err := s.global.UserVector(ctx, req.UserID)
 		if err != nil {
 			return nil, err
 		}
 		if known {
-			probe := s.annIndex.Probe(uvec, scr.probe)
-			scr.probe = probe
-			pids := s.interner.IDs(probe, scr.flat[:0])
-			scr.flat = pids[:0]
-			scr.growMarks(s.interner.Len())
-			for i, sl := range probe {
-				if scr.markGen[sl] == gen {
-					continue
-				}
-				scr.markGen[sl] = gen
-				scr.marks[sl] = int32(len(candidates))
-				candidates = append(candidates, pids[i])
-				candSlots = append(candSlots, sl)
-				if len(candidates) >= s.opts.MaxCandidates {
-					break
-				}
-			}
+			scr.probe = s.annIndex.Probe(uvec, scr.probe)
+			scr.flat = s.interner.IDs(scr.probe, scr.flat[:0])
+			scr.admit(int(bandit.ArmANN), scr.flat, scr.probe, s.opts.MaxCandidates)
 		}
 	}
+	numCand := len(scr.ids)
 
-	// 3. Decide the hot merge *before* scoring so the re-score can join the
-	// candidate batch. The ranked list's length is known without scores —
-	// the ranker keeps min(N, len(candidates)) distinct entries — so the
-	// wanted slot count (the HotShare reserve, or every slot MF cannot
-	// fill) is computable now.
-	model, err := s.Models.For(tableGroup)
+	// Demographic filtering reserves part of the list for the group's hot
+	// videos. The rank's length is known before scoring — min(N,
+	// candidates) — so whether to merge is too, and the hot list's eligible
+	// videos join the scoring batch. Hot videos that are already candidates
+	// keep their position: Eq. 2 is per-item.
+	model, err := s.Models.For(group)
 	if err != nil {
 		return nil, err
 	}
-	rankedLen := min(req.N, len(candidates))
-	want := 0
-	if s.opts.DemographicFiltering {
-		want = int(s.opts.HotShare * float64(req.N))
-		if deficit := req.N - rankedLen; deficit > want {
-			want = deficit
-		}
-	}
-	var hot []topn.Entry
-	numCand := len(candidates)
-	toScore := candidates
-	toScoreSlots := candSlots
-	hotIdx := scr.hotIdx[:0]
+	want, fetch := s.opts.hotPlan(req.N, numCand, excluded)
 	if want > 0 {
-		hot, err = s.hotFor(ctx, group, req.N+excludeLen, now, scr.hot[:0])
+		hot, err := s.hotFor(ctx, group, fetch, now, scr.hot[:0])
 		scr.hot = hot[:0]
 		if err != nil {
 			return nil, err
 		}
-		// Hot videos that are neither excluded nor already candidates may
-		// be merged below; score them in the same batch. (Hot videos that
-		// ARE candidates reuse their candidate score — Eq. 2 is per-item,
-		// so the score is the same either way.) hotIdx remembers where each
-		// hot entry's score will land so the merge needs no id→score map.
-		flat = scr.flat[:0]
+		flat := scr.flat[:0]
 		for _, e := range hot {
 			flat = append(flat, e.ID)
 		}
-		slots = s.interner.Slots(flat, scr.slots[:0])
-		scr.flat, scr.slots = flat[:0], slots[:0]
-		scr.growMarks(s.interner.Len())
-		for i := range hot {
-			sl := slots[i]
-			switch {
-			case scr.markGen[sl] == gen && scr.marks[sl] == markExcluded:
-				hotIdx = append(hotIdx, -1)
-			case scr.markGen[sl] == gen:
-				hotIdx = append(hotIdx, int(scr.marks[sl]))
-			default:
-				hotIdx = append(hotIdx, len(toScore))
-				toScore = append(toScore, hot[i].ID) // alloccheck: toScore extends the pooled scr.ids scratch
-				toScoreSlots = append(toScoreSlots, sl)
-			}
-		}
-		scr.hotIdx = hotIdx
+		scr.flat = flat
+		scr.slots = s.interner.Slots(flat, scr.slots[:0])
+		scr.admit(int(bandit.ArmHot), flat, scr.slots, math.MaxInt)
 	}
-	scr.ids = toScore[:0]
-	scr.candSlots = toScoreSlots[:0]
 
-	// 4. Preference prediction (Eq. 2) over candidates and merge-eligible
-	// hot videos only — the whole corpus is never scored — then ranking.
-	// The model scores from its slot-indexed item table (float or int8
-	// records) through the batch's already-resolved slots, into the pooled
-	// scores scratch. Ranking goes through the allocation-free Ranker, whose
-	// admission semantics are pinned equal to topn.List's.
-	scores, err := model.ScoreSlots(ctx, req.UserID, toScore, toScoreSlots, scr.scores)
+	// 3. Score: preference prediction (Eq. 2) over the batch only —
+	// the whole corpus is never scored — from the model's slot-indexed item
+	// table (float or int8 records) into the pooled scores scratch.
+	scores, err := model.ScoreSlots(ctx, req.UserID, scr.ids, scr.idSlots, scr.scores)
 	if err != nil {
 		return nil, err
 	}
 	scr.scores = scores
-	if scr.ranker == nil || scr.ranker.Limit() != req.N {
-		scr.ranker = topn.NewRanker(req.N)
-	} else {
-		scr.ranker.Reset()
-	}
-	ranker := scr.ranker
-	for i := 0; i < numCand; i++ {
-		ranker.Push(toScore[i], scores[i])
-	}
-	videos := ranker.All()
 
-	// 5. Demographic filtering: reserve part of the list for the group's
-	// hot videos, and fill every slot MF could not (new users get a full
-	// hot list — the paper's cold-start answer). Merged entries carry their
-	// model score so every entry's Score has one meaning: predicted
-	// preference (Eq. 2). The merge order (popularity) is preserved — that
-	// is the DB algorithm's ranking for its slots.
-	hotMerged := 0
-	if want > 0 {
-		inList := scr.inList
-		clear(inList)
-		for _, e := range videos {
-			inList[e.ID] = true
-		}
-		merged := scr.merged[:0]
-		for i, e := range hot {
-			if len(merged) == want {
-				break
-			}
-			if hotIdx[i] < 0 || inList[e.ID] {
-				continue
-			}
-			merged = append(merged, topn.Entry{ID: e.ID, Score: scores[hotIdx[i]]})
-		}
-		scr.merged = merged
-		if keep := req.N - len(merged); len(videos) > keep {
-			videos = videos[:keep]
-		}
-		videos = append(videos, merged...)
-		hotMerged = len(merged)
-	}
-
-	// 6. Exploration re-rank (Options.Explore): rebuild the slate slot by
-	// slot, each slot drawn by the bandit policy from one of the arms —
-	// the MF-ranked list, the sim-table expansion in seed order, the
-	// demographic hot list in popularity order, the ANN probe in bucket
-	// order. Every slot keeps its Eq. 2 score, so Score's meaning is
-	// unchanged; only the composition moves with the posteriors. Pulls are
-	// charged to the arm that actually filled the slot, and the slate's
-	// attributions replace the user's previous breadcrumbs. Any storage
-	// error here propagates, so a failed explore request falls into the
-	// same degraded fallback as any other serving failure — and the
-	// fallback never samples.
-	if s.policy != nil {
-		st, err := s.Bandit.State(ctx)
-		if err != nil {
-			return nil, err
-		}
-		mf := videos[:len(videos)-hotMerged]
-		inList := scr.inList
-		clear(inList)
-		explored := make([]topn.Entry, 0, req.N) // alloccheck: explored slate escapes into the Result (explore budget)
-		arms := make([]bandit.Arm, 0, req.N)     // alloccheck: arm tags escape into the Result (explore budget)
-		var cursors, pulls [bandit.NumArms]int
-		s.policyMu.Lock()
-		for len(explored) < req.N {
-			filled := s.policy.Pick(&st)
-			e, ok := armNext(filled, &cursors, inList, mf, hot, hotIdx, toScore, scores, annStart, numCand)
-			for f := 0; f < bandit.NumArms && !ok; f++ {
-				// Picked arm exhausted: fall through the arms in fixed
-				// order so the slate still fills; the filling arm takes
-				// the pull (it did the serving work).
-				filled = bandit.Arm(f)
-				e, ok = armNext(filled, &cursors, inList, mf, hot, hotIdx, toScore, scores, annStart, numCand)
-			}
-			if !ok {
-				break // every pool dry: the slate is as long as it can be
-			}
-			inList[e.ID] = true
-			explored = append(explored, e)
-			arms = append(arms, filled)
-			pulls[filled]++
-		}
-		s.policyMu.Unlock()
-		if err := s.Bandit.RecordPulls(ctx, &pulls, now); err != nil {
-			return nil, err
-		}
-		if err := s.Bandit.Attribute(ctx, req.UserID, explored, arms); err != nil {
-			return nil, err
-		}
-		return &Result{ // alloccheck: the returned Result is the API contract (explore budget)
-			Videos:     explored,
+	// 4. Draw the slate. The candidates' rank becomes the MF pool, and
+	// without exploration the slate is that rank with the hot merge after
+	// it; merged entries carry their model score so every entry's Score has
+	// one meaning, and keep the merge's popularity order — the DB
+	// algorithm's ranking for its slots.
+	merged := scr.merge(numCand, req.N, want)
+	if s.policy == nil {
+		return &Result{ // alloccheck: the returned Result is the API contract (warm budget)
+			Videos:     scr.entries(),
 			Seeds:      len(seeds),
 			Candidates: numCand,
-			HotMerged:  pulls[bandit.ArmHot],
-			Explored:   true,
-			Arms:       arms,
+			HotMerged:  merged,
 		}, nil
 	}
 
-	return &Result{ // alloccheck: the returned Result is the API contract (warm budget)
+	// Exploration (Options.Explore) redraws it slot by slot, each slot from
+	// the arm the bandit policy picks: the MF rank, the sim expansion in seed
+	// order, the hot list in popularity order, the ANN probe in bucket order.
+	// Pulls are charged to the arm that filled the slot, and the slate's
+	// attributions replace the user's previous breadcrumbs. Any storage error
+	// here propagates, so a failed explore request falls into the same
+	// degraded fallback as any other serving failure — and the fallback
+	// never samples.
+	st, err := s.Bandit.State(ctx)
+	if err != nil {
+		return nil, err
+	}
+	s.policyMu.Lock()
+	arms, pulls := scr.explore(req.N, s.policy, &st)
+	s.policyMu.Unlock()
+	videos := scr.entries()
+	if err := s.Bandit.RecordPulls(ctx, &pulls, now); err != nil {
+		return nil, err
+	}
+	if err := s.Bandit.Attribute(ctx, req.UserID, videos, arms); err != nil {
+		return nil, err
+	}
+	return &Result{ // alloccheck: the returned Result is the API contract (explore budget)
 		Videos:     videos,
 		Seeds:      len(seeds),
 		Candidates: numCand,
-		HotMerged:  hotMerged,
+		HotMerged:  pulls[bandit.ArmHot],
+		Explored:   true,
+		Arms:       arms,
 	}, nil
-}
-
-// armNext returns arm a's next unserved slate entry, advancing its cursor
-// past entries already in the slate (inList) or excluded from the pool.
-// Pools: ArmMF walks the MF-ranked list, ArmSim walks the similar-table
-// expansion in seed order carrying its Eq. 2 score (candidates [0, annStart)),
-// ArmANN walks the ANN-probed candidates in bucket order ([annStart,
-// numCand)), ArmHot walks the hot list in popularity order carrying the score
-// the fold assigned it (hotIdx < 0 marks hot entries the exclusion set
-// removed). A package-level function rather than a closure: the explore loop
-// calls it per slot inside the serving alloc budget.
-func armNext(a bandit.Arm, cursors *[bandit.NumArms]int, inList map[string]bool,
-	mf, hot []topn.Entry, hotIdx []int, toScore []string, scores []float64, annStart, numCand int) (topn.Entry, bool) {
-	switch a {
-	case bandit.ArmMF:
-		for cursors[a] < len(mf) {
-			e := mf[cursors[a]]
-			cursors[a]++
-			if !inList[e.ID] {
-				return e, true
-			}
-		}
-	case bandit.ArmSim:
-		for cursors[a] < annStart {
-			i := cursors[a]
-			cursors[a]++
-			if !inList[toScore[i]] {
-				return topn.Entry{ID: toScore[i], Score: scores[i]}, true
-			}
-		}
-	case bandit.ArmANN:
-		for annStart+cursors[a] < numCand {
-			i := annStart + cursors[a]
-			cursors[a]++
-			if !inList[toScore[i]] {
-				return topn.Entry{ID: toScore[i], Score: scores[i]}, true
-			}
-		}
-	case bandit.ArmHot:
-		for cursors[a] < len(hotIdx) {
-			i := cursors[a]
-			cursors[a]++
-			if hotIdx[i] >= 0 && !inList[hot[i].ID] {
-				return topn.Entry{ID: hot[i].ID, Score: scores[hotIdx[i]]}, true
-			}
-		}
-	}
-	return topn.Entry{}, false
 }
 
 // degraded builds the fallback response: the group's demographic hot list,

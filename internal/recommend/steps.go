@@ -30,10 +30,10 @@ func (s *System) Observe(ctx context.Context, a feedback.Action) (group string, 
 }
 
 // TrainGroups lists the groups whose model and similar tables an action by a
-// user of the given group trains: the global group always, the user's own
-// group in addition under Options.DemographicTraining (§5.2.2).
+// user of the given group trains: the global group always, and the user's
+// own group when they have one (§5.2.2).
 func (s *System) TrainGroups(group string) []string {
-	if s.opts.DemographicTraining && group != demographic.GlobalGroup {
+	if group != demographic.GlobalGroup {
 		return []string{demographic.GlobalGroup, group}
 	}
 	return []string{demographic.GlobalGroup}

@@ -1,12 +1,16 @@
 package topn
 
-// Ranker is the serving path's bounded descending-score ranker. It keeps the
-// same admission and ordering semantics as List for a stream of *distinct*
-// ids — reject when the list is full and the score does not beat the current
-// minimum, bubble strictly-better entries up, preserve insertion order among
-// equal scores — but maintains no id index: the candidate batch is already
-// deduplicated before ranking, so List's map was pure overhead there (the
-// warm-path profile showed its hash and assign churn dominating the request).
+// Ranker is a bounded descending-score ranker (ann.Index.Neighbors and the
+// benchmark's in-process harness use it). It keeps the same admission and
+// ordering semantics as List for a stream of *distinct* ids — reject when
+// the list is full and the score does not beat the current minimum, bubble
+// strictly-better entries up, preserve insertion order among equal scores —
+// but maintains no id index: a deduplicated batch makes List's map pure
+// overhead (the warm-path profile showed its hash and assign churn
+// dominating the request). The serve path applies the same rule to
+// positions in its scored batch rather than to ids (recommend's
+// serveScratch.rank); recommend.FuzzSlateMatchesReference holds that copy
+// to this one.
 //
 // Feeding a Ranker a duplicate id is a caller bug: both occurrences can end
 // up in the list. List remains the structure for id-updating workloads (the
@@ -24,7 +28,7 @@ func NewRanker(limit int) *Ranker {
 	if limit <= 0 {
 		panic("topn: limit must be positive")
 	}
-	return &Ranker{limit: limit, entries: make([]Entry, 0, limit)} // alloccheck: construction; serving reuses one Ranker via Reset
+	return &Ranker{limit: limit, entries: make([]Entry, 0, limit)} // alloccheck: construction; a hot loop reuses one Ranker via Reset
 }
 
 // Push offers one entry, reporting whether it was admitted. Identical to
