@@ -23,12 +23,22 @@ import (
 
 func testServer(t *testing.T) (*httptest.Server, *recommend.System) {
 	t.Helper()
+	sys, kv := testSystem(t, recommend.DefaultOptions())
+	srv := httptest.NewServer(newMux(sys, &storeStack{kv: kv, local: kv}, nil))
+	t.Cleanup(srv.Close)
+	return srv, sys
+}
+
+// testSystem builds a small embedded-store system: three videos, three
+// users, and a play of "a" and "b" by each.
+func testSystem(tb testing.TB, opts recommend.Options) (*recommend.System, *kvstore.Local) {
+	tb.Helper()
 	kv := kvstore.NewLocal(16)
 	params := core.DefaultParams()
 	params.Factors = 8
-	sys, err := recommend.NewSystem(kv, params, simtable.DefaultConfig(), recommend.DefaultOptions())
+	sys, err := recommend.NewSystem(kv, params, simtable.DefaultConfig(), opts)
 	if err != nil {
-		t.Fatal(err)
+		tb.Fatal(err)
 	}
 	for _, id := range []string{"a", "b", "c"} {
 		sys.Catalog.Put(context.Background(), catalog.Video{ID: id, Type: "movie", Length: 30 * time.Minute})
@@ -45,9 +55,7 @@ func testServer(t *testing.T) (*httptest.Server, *recommend.System) {
 			min++
 		}
 	}
-	srv := httptest.NewServer(newMux(sys, &storeStack{kv: kv, local: kv}, nil))
-	t.Cleanup(srv.Close)
-	return srv, sys
+	return sys, kv
 }
 
 func getJSON(t *testing.T, url string, out any) *http.Response {

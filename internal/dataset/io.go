@@ -67,6 +67,9 @@ func ParseAction(line string) (a feedback.Action, ok bool, err error) {
 	if len(fields) != 6 {
 		return a, false, fmt.Errorf("%d fields, want 6", len(fields))
 	}
+	if fields[1] == "" || fields[2] == "" {
+		return a, false, fmt.Errorf("empty user or video id")
+	}
 	ts, err := strconv.ParseInt(fields[0], 10, 64)
 	if err != nil {
 		return a, false, fmt.Errorf("bad timestamp: %w", err)

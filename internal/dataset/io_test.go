@@ -54,6 +54,8 @@ func TestReadActionsRejectsMalformed(t *testing.T) {
 		"1000\tu1\tv1\tnope\t0\t0",    // bad action type
 		"1000\tu1\tv1\tclick\tbad\t0", // bad view time
 		"1000\tu1\tv1\tclick\t0\tbad", // bad length
+		"1000\t\tv1\tclick\t0\t0",     // empty user id
+		"1000\tu1\t\tclick\t0\t0",     // empty video id
 	}
 	for i, in := range cases {
 		if _, err := ReadActions(strings.NewReader(in)); err == nil {

@@ -306,69 +306,3 @@ func FuzzDecodeQ8Vec(f *testing.F) {
 		}
 	})
 }
-
-func FuzzDecodeShardMap(f *testing.F) {
-	f.Add([]byte{})
-	if m, err := NewShardMap([]string{"g0"}); err == nil {
-		f.Add(EncodeShardMap(m))
-	}
-	if m, err := NewShardMap([]string{"alpha", "beta", "gamma"}); err == nil {
-		m.Version = 9
-		f.Add(EncodeShardMap(m))
-	}
-	f.Add([]byte{0x01, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge uvarint group count
-	f.Fuzz(func(t *testing.T, data []byte) {
-		m, err := DecodeShardMap(data)
-		if err != nil {
-			return
-		}
-		// Whatever decodes must validate — DecodeShardMap's contract is that
-		// a corrupt map can never be installed.
-		if err := m.Validate(); err != nil {
-			t.Fatalf("decoded map fails validation: %v", err)
-		}
-		again, err := DecodeShardMap(EncodeShardMap(m))
-		if err != nil {
-			t.Fatalf("re-decoding a freshly encoded map failed: %v", err)
-		}
-		if !reflect.DeepEqual(m, again) {
-			t.Fatalf("map changed across round trip:\n  first:  %+v\n  second: %+v", m, again)
-		}
-	})
-}
-
-func FuzzDecodeStateSync(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeStateSync(&StateSync{MapVersion: 1}))
-	f.Add(EncodeStateSync(&StateSync{
-		MapVersion: 3,
-		Slots:      []uint16{0, 17, 255},
-		Entries:    []SyncEntry{{Key: "uv:u1", Val: []byte{1, 2, 3}}, {Key: "sim:v2", Val: nil}},
-		Dedup:      []DedupEntry{{CID: 1, Seq: 9}, {CID: 2, Seq: 1}},
-	}))
-	f.Add([]byte{0x01, 0x00, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01}) // huge uvarint entry count
-	f.Fuzz(func(t *testing.T, data []byte) {
-		s, err := DecodeStateSync(data)
-		if err != nil {
-			return
-		}
-		for _, slot := range s.Slots {
-			if slot >= NumShardSlots {
-				t.Fatalf("decoded slot %d out of range", slot)
-			}
-		}
-		again, err := DecodeStateSync(EncodeStateSync(s))
-		if err != nil {
-			t.Fatalf("re-decoding a freshly encoded payload failed: %v", err)
-		}
-		if s.MapVersion != again.MapVersion || !slices.Equal(s.Slots, again.Slots) ||
-			len(s.Entries) != len(again.Entries) || !slices.Equal(s.Dedup, again.Dedup) {
-			t.Fatalf("payload changed across round trip:\n  first:  %+v\n  second: %+v", s, again)
-		}
-		for i := range s.Entries {
-			if s.Entries[i].Key != again.Entries[i].Key || !bytes.Equal(s.Entries[i].Val, again.Entries[i].Val) {
-				t.Fatalf("entry %d changed across round trip", i)
-			}
-		}
-	})
-}

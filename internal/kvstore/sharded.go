@@ -56,7 +56,7 @@ func (c *Coordinator) installLocked(m *ShardMap) {
 				owned[s] = true
 			}
 		}
-		g.install(m.Version, &owned)
+		g.install(&owned)
 	}
 }
 
@@ -72,9 +72,9 @@ func (c *Coordinator) View() (*ShardMap, []*ShardGroup) {
 
 // Rebalance moves one slot to the named group with the freeze→transfer→flip
 // handoff: writes to the slot freeze (reads keep serving from the source),
-// the slot's keys and the dedup table stream to the destination through the
-// StateSync wire codec, then the Version+1 map installs on every group and
-// the source drops the moved data. Returns the number of keys moved.
+// the slot's keys and the dedup table are copied to the destination, then
+// the Version+1 map installs on every group and the source drops the moved
+// data. Returns the number of keys moved.
 func (c *Coordinator) Rebalance(ctx context.Context, slot int, toGroup string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -103,19 +103,12 @@ func (c *Coordinator) Rebalance(ctx context.Context, slot int, toGroup string) (
 	// Freeze: writes to the slot now return ErrSlotFrozen and the writer's
 	// refresh parks on c.mu; reads keep answering from the source.
 	srcG.freeze(slot)
-	payload, err := srcG.buildTransfer(ctx, next.Version, slot)
+	payload, err := srcG.buildTransfer(ctx, slot)
 	if err != nil {
 		srcG.unfreeze(slot)
 		return 0, err
 	}
-	// Transfer through the wire codec — the same bytes a cross-process
-	// coordinator would ship, so the fuzz-hardened decoder is the live path.
-	dec, err := DecodeStateSync(EncodeStateSync(payload))
-	if err != nil {
-		srcG.unfreeze(slot)
-		return 0, fmt.Errorf("kvstore: rebalance codec: %w", err)
-	}
-	if err := dstG.applyTransfer(ctx, dec); err != nil {
+	if err := dstG.applyTransfer(ctx, payload); err != nil {
 		srcG.unfreeze(slot)
 		return 0, err
 	}

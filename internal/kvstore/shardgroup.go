@@ -27,10 +27,14 @@ var ErrSlotFrozen = fmt.Errorf("kvstore: shard slot frozen for handoff")
 // primary and replicate synchronously to live backups; a primary failure
 // promotes the next live replica mid-write, so a single replica loss never
 // fails a write or loses applied state. Client writes carry a (CID, SeqNo)
-// identity recorded in a dedup table, so a duplicate delivery — an
-// at-least-once upstream retrying a write that already applied — is
-// acknowledged without applying twice. The table remembers each client's
-// last dedupWindow sequence numbers, not every write ever applied.
+// identity recorded in a dedup table, and a write whose identity the table
+// already holds is acknowledged without applying twice. The table remembers
+// each client's last dedupWindow sequence numbers, not every write ever
+// applied. No caller presents an applied identity twice today: Sharded.write
+// draws a fresh sequence number per call and reuses it only after
+// ErrWrongServer or ErrSlotFrozen, both returned before the write applies.
+// The table starts to fire once a client can resend a stamped write that
+// did apply — stamped op frames, ROADMAP.md item 2(ii).
 //
 // The group tracks its keys per slot in an in-memory index, which is what
 // makes slot handoff and replica catch-up possible over the plain Store
@@ -42,7 +46,6 @@ type ShardGroup struct {
 	replicas []Store                            // fixed at construction; health in down
 	down     []bool                             // guarded by mu
 	primary  int                                // guarded by mu
-	version  uint64                             // guarded by mu; installed shard-map version
 	owned    [NumShardSlots]bool                // guarded by mu
 	frozen   [NumShardSlots]bool                // guarded by mu
 	keys     [NumShardSlots]map[string]struct{} // guarded by mu; per-slot key index
@@ -94,13 +97,6 @@ func (g *ShardGroup) PrimaryIndex() int {
 	g.mu.RLock()
 	defer g.mu.RUnlock()
 	return g.primary
-}
-
-// Version reports the installed shard-map version.
-func (g *ShardGroup) Version() uint64 {
-	g.mu.RLock()
-	defer g.mu.RUnlock()
-	return g.version
 }
 
 // OwnedSlots reports how many slots the group currently owns.
@@ -224,14 +220,7 @@ func (g *ShardGroup) apply(ctx context.Context, slot int, cid, seq uint64, w gro
 		if g.keys[slot] != nil {
 			delete(g.keys[slot], w.key)
 		}
-		for i := range g.replicas {
-			if g.down[i] {
-				if g.missed[i] == nil {
-					g.missed[i] = make(map[string]struct{})
-				}
-				g.missed[i][w.key] = struct{}{}
-			}
-		}
+		g.missLocked(w.key)
 	} else {
 		if g.keys[slot] == nil {
 			g.keys[slot] = make(map[string]struct{})
@@ -247,6 +236,19 @@ func (g *ShardGroup) apply(ctx context.Context, slot int, cid, seq uint64, w gro
 		g.rememberLocked(id)
 	}
 	return existed, nil
+}
+
+// missLocked records a delete every down replica missed, for Rejoin to
+// replay. The caller holds mu.
+func (g *ShardGroup) missLocked(key string) {
+	for i := range g.replicas {
+		if g.down[i] {
+			if g.missed[i] == nil {
+				g.missed[i] = make(map[string]struct{})
+			}
+			g.missed[i][key] = struct{}{}
+		}
+	}
 }
 
 // dedupWindow is how many of a client's most recent sequence numbers the
@@ -411,13 +413,12 @@ func (g *ShardGroup) promoteLocked() bool {
 	return false
 }
 
-// install publishes a shard-map revision to the group: its new ownership
-// set and version. All freezes clear — a freeze exists only inside the
-// coordinator's rebalance critical section, and install is its last step.
-func (g *ShardGroup) install(version uint64, owned *[NumShardSlots]bool) {
+// install publishes a shard-map revision's ownership set to the group. All
+// freezes clear — a freeze exists only inside the coordinator's rebalance
+// critical section, and install is its last step.
+func (g *ShardGroup) install(owned *[NumShardSlots]bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	g.version = version
 	g.owned = *owned
 	g.frozen = [NumShardSlots]bool{}
 }
@@ -437,41 +438,43 @@ func (g *ShardGroup) unfreeze(slot int) {
 	g.frozen[slot] = false
 }
 
-// buildTransfer snapshots one slot's state — keys, values, and the dedup
-// table — as a StateSync payload for the handoff's transfer step. The slot
-// must be frozen by the caller, so the snapshot cannot race a write.
-func (g *ShardGroup) buildTransfer(ctx context.Context, mapVersion uint64, slot int) (*StateSync, error) {
+// StateSync is a slot handoff's payload, passed from the source group to
+// the destination inside the coordinator's critical section: the slot's
+// key/value pairs in sorted key order, and the source's dedup table for the
+// destination to merge.
+type StateSync struct {
+	Entries []SyncEntry
+	Dedup   []DedupEntry
+}
+
+// SyncEntry is one key/value pair in a StateSync.
+type SyncEntry struct {
+	Key string
+	Val []byte
+}
+
+// DedupEntry identifies one applied client write: the client id and the
+// client-assigned sequence number.
+type DedupEntry struct {
+	CID uint64
+	Seq uint64
+}
+
+// buildTransfer snapshots one slot's keys, values and the dedup table for
+// the handoff's transfer step. The slot must be frozen by the caller, so
+// the snapshot cannot race a write.
+func (g *ShardGroup) buildTransfer(ctx context.Context, slot int) (*StateSync, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if !g.owned[slot] {
 		return nil, fmt.Errorf("kvstore: shard group %s asked to transfer unowned slot %d", g.name, slot)
 	}
-	return g.buildSyncLocked(ctx, mapVersion, []int{slot})
-}
-
-// buildSyncLocked assembles a StateSync over the given slots, reading every
-// indexed key from the primary in sorted order so the payload bytes are a
-// deterministic function of state. The caller holds mu.
-func (g *ShardGroup) buildSyncLocked(ctx context.Context, mapVersion uint64, slots []int) (*StateSync, error) {
-	if g.down[g.primary] && !g.promoteLocked() {
-		return nil, fmt.Errorf("kvstore: shard group %s has no live replica", g.name)
+	entries, err := g.entriesLocked(ctx, []int{slot})
+	if err != nil {
+		return nil, err
 	}
-	p := g.replicas[g.primary]
-	s := &StateSync{MapVersion: mapVersion}
-	for _, slot := range slots {
-		s.Slots = append(s.Slots, uint16(slot))
-		for _, k := range sortedKeys(g.keys[slot]) {
-			v, ok, err := p.Get(ctx, k)
-			if err != nil {
-				return nil, fmt.Errorf("kvstore: shard group %s transfer read %q: %w", g.name, k, err)
-			}
-			if !ok {
-				return nil, fmt.Errorf("kvstore: shard group %s index lists %q but the primary lacks it", g.name, k)
-			}
-			s.Entries = append(s.Entries, SyncEntry{Key: k, Val: v})
-		}
-	}
-	s.Dedup = make([]DedupEntry, 0, len(g.applied))
+	// Sorted, so the receiver's merge (and its pruning) is deterministic.
+	s := &StateSync{Entries: entries, Dedup: make([]DedupEntry, 0, len(g.applied))}
 	for d := range g.applied {
 		s.Dedup = append(s.Dedup, d)
 	}
@@ -484,11 +487,34 @@ func (g *ShardGroup) buildSyncLocked(ctx context.Context, mapVersion uint64, slo
 	return s, nil
 }
 
-// applyTransfer installs a StateSync payload: every entry writes to every
-// live replica, the slot index absorbs the keys, and the dedup table merges
-// — so a client retrying a write that applied before the move still
-// deduplicates against the new owner. Ownership of the transferred slots
-// arrives separately, via install, at the flip.
+// entriesLocked reads every indexed key of the given slots from the
+// primary, in sorted key order so every bulk copy writes in an order fixed
+// by state — the order sim replays depend on. The caller holds mu.
+func (g *ShardGroup) entriesLocked(ctx context.Context, slots []int) ([]SyncEntry, error) {
+	if g.down[g.primary] && !g.promoteLocked() {
+		return nil, fmt.Errorf("kvstore: shard group %s has no live replica", g.name)
+	}
+	p := g.replicas[g.primary]
+	var out []SyncEntry
+	for _, slot := range slots {
+		for _, k := range sortedKeys(g.keys[slot]) {
+			v, ok, err := p.Get(ctx, k)
+			if err != nil {
+				return nil, fmt.Errorf("kvstore: shard group %s transfer read %q: %w", g.name, k, err)
+			}
+			if !ok {
+				return nil, fmt.Errorf("kvstore: shard group %s index lists %q but the primary lacks it", g.name, k)
+			}
+			out = append(out, SyncEntry{Key: k, Val: v})
+		}
+	}
+	return out, nil
+}
+
+// applyTransfer installs a StateSync: every entry writes to every live
+// replica, the slot index absorbs the keys, and the dedup table merges, so
+// the destination holds every identity the source had applied. Ownership of
+// the transferred slots arrives separately, via install, at the flip.
 func (g *ShardGroup) applyTransfer(ctx context.Context, s *StateSync) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -518,8 +544,12 @@ func (g *ShardGroup) applyTransfer(ctx context.Context, s *StateSync) error {
 }
 
 // dropSlot deletes a moved slot's data from every live replica after the
-// flip, returning how many keys it removed. The group no longer owns the
-// slot, so reads racing the deletion already redirect to the new owner.
+// flip, returning how many keys it removed. Down replicas still hold the
+// keys, so each is recorded as a missed delete: without that, Rejoin would
+// leave the stale copies behind, and once the slot moved back a read that
+// fell back to that replica could serve a key deleted in the meantime. The
+// group no longer owns the slot, so reads racing the deletion already
+// redirect to the new owner.
 func (g *ShardGroup) dropSlot(ctx context.Context, slot int) (int, error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -537,15 +567,15 @@ func (g *ShardGroup) dropSlot(ctx context.Context, slot int) (int, error) {
 				g.syncSkips.Inc()
 			}
 		}
+		g.missLocked(k)
 	}
 	g.keys[slot] = nil
 	return len(names), nil
 }
 
 // Rejoin brings a down replica back: missed deletes replay first (a state
-// copy cannot un-delete), then the primary's full current state streams
-// over — through the StateSync wire codec, the same bytes a remote
-// catch-up would ship — and the replica rejoins the live set.
+// copy cannot un-delete), then the primary's entries for every owned slot
+// are written to the replica, and it rejoins the live set.
 func (g *ShardGroup) Rejoin(ctx context.Context, replica int) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -561,13 +591,9 @@ func (g *ShardGroup) Rejoin(ctx context.Context, replica int) error {
 			slots = append(slots, s)
 		}
 	}
-	payload, err := g.buildSyncLocked(ctx, g.version, slots)
+	entries, err := g.entriesLocked(ctx, slots)
 	if err != nil {
 		return err
-	}
-	dec, err := DecodeStateSync(EncodeStateSync(payload))
-	if err != nil {
-		return fmt.Errorf("kvstore: shard group %s rejoin codec: %w", g.name, err)
 	}
 	r := g.replicas[replica]
 	for _, k := range sortedKeys(g.missed[replica]) {
@@ -575,7 +601,7 @@ func (g *ShardGroup) Rejoin(ctx context.Context, replica int) error {
 			return fmt.Errorf("kvstore: shard group %s rejoin delete %q: %w", g.name, k, err)
 		}
 	}
-	for _, e := range dec.Entries {
+	for _, e := range entries {
 		if err := r.Set(ctx, e.Key, e.Val); err != nil {
 			return fmt.Errorf("kvstore: shard group %s rejoin write %q: %w", g.name, e.Key, err)
 		}

@@ -1,9 +1,6 @@
 package kvstore
 
-import (
-	"encoding/binary"
-	"fmt"
-)
+import "fmt"
 
 // Horizontal sharding: the key space is divided into NumShardSlots fixed
 // slots by FNV-1a hash, and a ShardMap assigns every slot to exactly one
@@ -18,8 +15,8 @@ import (
 // property test pins: at most ⌈slots/(N+1)⌉ slots move.
 
 // NumShardSlots is the fixed number of hash slots keys are partitioned
-// into. 256 slots keeps the map one byte per slot on the wire while still
-// giving a 16-group cluster 16 slots per group to balance with.
+// into: enough to give a 16-group cluster 16 slots per group to balance
+// with, few enough that a map revision is a 256-entry copy.
 const NumShardSlots = 256
 
 // SlotForKey returns the shard slot a key routes to. Every key maps to
@@ -117,94 +114,4 @@ func (m *ShardMap) Clone() *ShardMap {
 		Groups:  append([]string(nil), m.Groups...),
 		Slots:   append([]uint8(nil), m.Slots...),
 	}
-}
-
-// Validate checks structural integrity: group names present and unique,
-// exactly NumShardSlots slot entries, every owner index in range.
-func (m *ShardMap) Validate() error {
-	if len(m.Groups) == 0 {
-		return fmt.Errorf("kvstore: shard map has no groups")
-	}
-	if len(m.Groups) > 256 {
-		return fmt.Errorf("kvstore: shard map has %d groups, max 256", len(m.Groups))
-	}
-	seen := make(map[string]struct{}, len(m.Groups))
-	for _, g := range m.Groups {
-		if g == "" {
-			return fmt.Errorf("kvstore: shard map has empty group name")
-		}
-		if _, dup := seen[g]; dup {
-			return fmt.Errorf("kvstore: shard map has duplicate group %q", g)
-		}
-		seen[g] = struct{}{}
-	}
-	if len(m.Slots) != NumShardSlots {
-		return fmt.Errorf("kvstore: shard map has %d slots, want %d", len(m.Slots), NumShardSlots)
-	}
-	for s, g := range m.Slots {
-		if int(g) >= len(m.Groups) {
-			return fmt.Errorf("kvstore: slot %d owned by group %d, only %d groups", s, g, len(m.Groups))
-		}
-	}
-	return nil
-}
-
-// EncodeShardMap encodes a map for the wire: uvarint version, uvarint group
-// count, uvarint-length-prefixed group names, then the raw slot bytes.
-func EncodeShardMap(m *ShardMap) []byte {
-	size := 2*binary.MaxVarintLen64 + NumShardSlots
-	for _, g := range m.Groups {
-		size += binary.MaxVarintLen64 + len(g)
-	}
-	buf := make([]byte, 0, size)
-	buf = binary.AppendUvarint(buf, m.Version)
-	buf = binary.AppendUvarint(buf, uint64(len(m.Groups)))
-	for _, g := range m.Groups {
-		buf = binary.AppendUvarint(buf, uint64(len(g)))
-		buf = append(buf, g...)
-	}
-	buf = append(buf, m.Slots...)
-	return buf
-}
-
-// DecodeShardMap decodes a value produced by EncodeShardMap, validating the
-// result so a corrupt map can never be installed.
-func DecodeShardMap(b []byte) (*ShardMap, error) {
-	version, off := binary.Uvarint(b)
-	if off <= 0 {
-		return nil, fmt.Errorf("kvstore: corrupt shard map version")
-	}
-	n, m := binary.Uvarint(b[off:])
-	if m <= 0 {
-		return nil, fmt.Errorf("kvstore: corrupt shard map group count")
-	}
-	off += m
-	if n > uint64(len(b)) { // each group needs at least 1 byte; cheap sanity bound
-		return nil, fmt.Errorf("kvstore: shard map claims %d groups in %d bytes", n, len(b))
-	}
-	groups := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		l, m := binary.Uvarint(b[off:])
-		if m <= 0 {
-			return nil, fmt.Errorf("kvstore: corrupt shard map group %d length", i)
-		}
-		off += m
-		if uint64(len(b)-off) < l {
-			return nil, fmt.Errorf("kvstore: truncated shard map group %d", i)
-		}
-		groups = append(groups, string(b[off:off+int(l)]))
-		off += int(l)
-	}
-	if len(b)-off != NumShardSlots {
-		return nil, fmt.Errorf("kvstore: shard map has %d slot bytes, want %d", len(b)-off, NumShardSlots)
-	}
-	sm := &ShardMap{
-		Version: version,
-		Groups:  groups,
-		Slots:   append([]uint8(nil), b[off:]...),
-	}
-	if err := sm.Validate(); err != nil {
-		return nil, err
-	}
-	return sm, nil
 }

@@ -62,9 +62,6 @@ func (r *Ranker) Reset() { r.entries = r.entries[:0] }
 // Len returns the number of retained entries.
 func (r *Ranker) Len() int { return len(r.entries) }
 
-// Limit returns the configured maximum size.
-func (r *Ranker) Limit() int { return r.limit }
-
 // All returns every entry, best first, as a copy.
 func (r *Ranker) All() []Entry {
 	out := make([]Entry, len(r.entries)) // alloccheck: copy-out is the API contract; callers own the result

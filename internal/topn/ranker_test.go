@@ -44,8 +44,8 @@ func TestRankerResetAndLimits(t *testing.T) {
 	for i, s := range []float64{1, 5, 3, 4, 2} {
 		r.Push(fmt.Sprintf("v%d", i), s)
 	}
-	if r.Len() != 3 || r.Limit() != 3 {
-		t.Fatalf("Len/Limit = %d/%d, want 3/3", r.Len(), r.Limit())
+	if r.Len() != 3 {
+		t.Fatalf("Len = %d, want 3", r.Len())
 	}
 	got := r.All()
 	want := []Entry{{ID: "v1", Score: 5}, {ID: "v3", Score: 4}, {ID: "v2", Score: 3}}
