@@ -55,15 +55,16 @@ lint-baseline:
 test-sim:
 	$(GO) test -race -count=1 ./internal/sim/
 
-# The failover tier: the resilient storage stack's own tests — replication
-# (write-all/read-first-healthy), retry/backoff (exact seeded delays),
-# breaker state machine (every transition on an injected clock), and the
-# client redial regression — under the race detector, -count=1 so timing-
-# sensitive state machines can never hide behind the test cache. The sim
-# tier's replica-failover / breaker-trip-recover / degraded-serving
-# scenarios exercise the same stack end to end.
+# The failover tier: the resilient storage stack's own tests — primary/
+# backup group failover (promotion, missed-delete replay on Rejoin),
+# retry/backoff (exact seeded delays), breaker state machine (every
+# transition on an injected clock), and the client redial regression —
+# under the race detector, -count=1 so timing-sensitive state machines can
+# never hide behind the test cache. The sim tier's replica-failover /
+# shard-loss / breaker-trip-recover / degraded-serving scenarios exercise
+# the same stack end to end.
 test-resilience:
-	$(GO) test -race -count=1 ./internal/kvstore -run 'Resilient|Replicated|Breaker|Backoff|Redial'
+	$(GO) test -race -count=1 ./internal/kvstore -run 'Resilient|ShardGroup|Rejoin|Breaker|Backoff|Redial'
 
 # Fuzz smoke: each target briefly, as a regression gate over the committed
 # seeds plus a short exploration budget. Long exploratory runs are manual

@@ -349,15 +349,12 @@ func BenchmarkRecommendLatency(b *testing.B) {
 
 // BenchmarkRecommend measures end-to-end request serving across the
 // deployment matrix the serving fast path targets: embedded vs networked vs
-// replicated vs sharded store × cold vs warm decoded-value cache. Warm is
-// the production steady state (every read served from the object cache);
-// cold flushes the cache before each request, so every object is fetched and
-// decoded again. The replicated column runs the full resilient stack — one
-// Resilient decorator per backend under write-all/read-first-healthy — and
-// prices what the fault tolerance costs on the healthy path. The sharded
-// column routes every request through the slot table into two primary/backup
-// shard groups under a coordinator, pricing the partitioned tier's routing,
-// dedup stamping, and synchronous replication. The dataset
+// sharded store × cold vs warm decoded-value cache. Warm is the production
+// steady state (every read served from the object cache); cold flushes the
+// cache before each request, so every object is fetched and decoded again.
+// The sharded column routes every request through the slot table into two
+// primary/backup shard groups under a coordinator, pricing the replicated
+// tier's routing, dedup stamping, and synchronous replication. The dataset
 // shape matches BenchmarkRecommendLatency so numbers stay comparable across
 // revisions; run it with `go test -run '^$' -bench '^BenchmarkRecommend$'
 // -benchmem .`. The local store additionally runs the serving fast-path
@@ -463,19 +460,6 @@ func BenchmarkRecommend(b *testing.B) {
 		}
 		defer cli.Close()
 		sys := build(b, cli, recommend.DefaultOptions())
-		b.Run("cache=warm", run(sys, false))
-		b.Run("cache=cold", run(sys, true))
-	})
-	b.Run("store=replicated", func(b *testing.B) {
-		cfg := kvstore.DefaultResilienceConfig()
-		repl, err := kvstore.NewReplicated(
-			kvstore.NewResilient(kvstore.NewLocal(64), cfg, 1),
-			kvstore.NewResilient(kvstore.NewLocal(64), cfg, 2),
-		)
-		if err != nil {
-			b.Fatal(err)
-		}
-		sys := build(b, repl, recommend.DefaultOptions())
 		b.Run("cache=warm", run(sys, false))
 		b.Run("cache=cold", run(sys, true))
 	})

@@ -7,8 +7,9 @@
 //
 // For failover drills, -chaos-fail-rate makes the backing store fail that
 // fraction of operations (seeded, so a drill replays): run two kvservers,
-// one with chaos, point recserve's replicated client stack at both, and
-// watch /stats count the retries, breaker trips, and read fallbacks.
+// one with chaos, point recserve -shards a,b at both (one primary/backup
+// group), and watch /stats count the retries, breaker trips, promotions and
+// sync skips.
 //
 // With -shard-groups N, the served store is the horizontally partitioned
 // tier behind one endpoint: N primary/backup shard groups under a

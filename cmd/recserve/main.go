@@ -15,22 +15,23 @@
 //
 // Usage:
 //
-//	recserve -addr :8080 [-data ./data] [-replay] [-kv addr1,addr2,...] [-shards mem:N|'p1,b1;p2,b2'] [-snapshot state.snap]
+//	recserve -addr :8080 [-data ./data] [-replay] [-kv addr | -shards mem:N|'p1,b1;p2,b2'] [-snapshot state.snap]
 //
-// With -kv, each remote backend is wrapped in the resilient client stack
-// (per-attempt deadline, bounded retries with jittered backoff, per-backend
-// circuit breaker — tune with -kv-timeout/-kv-retries/-breaker-threshold/
-// -breaker-cooldown), and multiple comma-separated addresses compose under
-// write-all/read-first-healthy replication. When every personalized read
-// path is down, /recommend answers from the demographic hot lists with
-// "degraded": true instead of an error.
+// With -kv, the one remote backend is wrapped in the resilient client stack
+// (per-attempt deadline, bounded retries with jittered backoff, a circuit
+// breaker — tune with -kv-timeout/-kv-retries/-breaker-threshold/
+// -breaker-cooldown). When every personalized read path is down, /recommend
+// answers from the demographic hot lists with "degraded": true instead of
+// an error.
 //
-// With -shards, the storage tier is horizontally partitioned instead: the
-// key space splits into 256 hash slots owned by primary/backup shard groups
-// ("mem:N" embeds N in-process pairs; "p1,b1;p2,b2" dials remote kvservers,
-// each behind the resilient client stack). /stats reports the shard map and
-// per-group counters, and POST /rebalance migrates a slot between groups
-// under live traffic with the freeze→transfer→flip handoff.
+// With -shards, the storage tier is replicated and horizontally
+// partitioned: the key space splits into 256 hash slots owned by
+// primary/backup shard groups ("mem:N" embeds N in-process pairs;
+// "p1,b1;p2,b2" dials remote kvservers, each behind the resilient client
+// stack; "-shards a,b" is one replicated group over two kvservers). /stats
+// reports the shard map and per-group counters, and POST /rebalance
+// migrates a slot between groups under live traffic with the
+// freeze→transfer→flip handoff.
 package main
 
 import (
@@ -69,7 +70,7 @@ func main() {
 		addr   = flag.String("addr", ":8080", "HTTP listen address")
 		data   = flag.String("data", "", "TSV data directory from recgen (empty: generate a small workload)")
 		replay = flag.Bool("replay", true, "stream the workload through the topology at startup")
-		kvAddr = flag.String("kv", "", "remote kvstore server address(es), comma-separated for replication (empty: embedded store)")
+		kvAddr = flag.String("kv", "", "remote kvstore server address (empty: embedded store); replicate with -shards a,b instead")
 		shards = flag.String("shards", "", "sharded storage tier: mem:N for N embedded primary/backup groups, or 'p1,b1;p2,b2' remote group addresses (first per group is primary); exclusive with -kv")
 		snap   = flag.String("snapshot", "", "snapshot file for the embedded store: loaded at startup if present, saved on shutdown")
 
@@ -104,8 +105,8 @@ func main() {
 	// Root context for the process: cancelled on the first SIGINT/SIGTERM.
 	ctx, cancel := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer cancel()
-	if *shards != "" && *kvAddr != "" {
-		fmt.Fprintln(os.Stderr, "recserve: -shards and -kv are mutually exclusive")
+	if err := checkStoreFlags(*kvAddr, *shards); err != nil {
+		fmt.Fprintln(os.Stderr, "recserve:", err)
 		os.Exit(2)
 	}
 	if err := run(ctx, *addr, *data, *replay, *kvAddr, *shards, *snap, rcfg, opts); err != nil {
@@ -114,14 +115,25 @@ func main() {
 	}
 }
 
+// checkStoreFlags refuses storage flag combinations before anything is
+// built: -kv names one backend, and a replicated backend set is a shard
+// group, which -shards builds.
+func checkStoreFlags(kvAddr, shards string) error {
+	if shards != "" && kvAddr != "" {
+		return errors.New("-shards and -kv are mutually exclusive")
+	}
+	if strings.Contains(kvAddr, ",") {
+		return fmt.Errorf("-kv takes one address, got %q; for a replicated primary/backup tier use -shards a,b", kvAddr)
+	}
+	return nil
+}
+
 // storeStack is the assembled storage tier plus the layer handles /stats
-// reports from: the resilient decorators (one per remote backend) and the
-// replication counters when more than one backend is configured.
+// reports from: the resilient decorators, one per remote backend.
 type storeStack struct {
 	kv         kvstore.Store
 	local      *kvstore.Local       // non-nil only for the embedded store
 	resilients []*kvstore.Resilient // one per remote backend
-	replicated *kvstore.Replicated  // non-nil only with >1 backend
 	addrs      []string
 
 	// Sharded tier (non-nil only with -shards): the router the pipeline
@@ -132,55 +144,22 @@ type storeStack struct {
 	groups  []*kvstore.ShardGroup
 }
 
-// buildStore assembles the storage tier: the embedded sharded store when no
-// address is given, otherwise one resilient client per comma-separated
-// address, composed under write-all/read-first-healthy replication when
-// there is more than one.
+// buildStore assembles the storage tier: the embedded store when no address
+// is given, otherwise one resilient client to the address.
 func buildStore(ctx context.Context, kvAddr string, rcfg kvstore.ResilienceConfig) (*storeStack, func(), error) {
 	if kvAddr == "" {
 		local := kvstore.NewLocal(64)
 		return &storeStack{kv: local, local: local}, func() {}, nil
 	}
-	addrs := strings.Split(kvAddr, ",")
-	var closers []func()
-	closeAll := func() {
-		for _, c := range closers {
-			c()
-		}
-	}
-	st := &storeStack{}
-	backends := make([]kvstore.Store, 0, len(addrs))
-	for i, a := range addrs {
-		a = strings.TrimSpace(a)
-		if a == "" {
-			closeAll()
-			return nil, nil, fmt.Errorf("empty address in -kv list %q", kvAddr)
-		}
-		dialCtx, dialCancel := context.WithTimeout(ctx, 10*time.Second)
-		cli, err := kvstore.DialContext(dialCtx, a)
-		dialCancel()
-		if err != nil {
-			closeAll()
-			return nil, nil, err
-		}
-		closers = append(closers, func() { _ = cli.Close() }) // process exit: pooled conns die either way
-		r := kvstore.NewResilient(cli, rcfg, uint64(i)+1)
-		st.resilients = append(st.resilients, r)
-		st.addrs = append(st.addrs, a)
-		backends = append(backends, r)
-	}
-	if len(backends) == 1 {
-		st.kv = backends[0]
-		return st, closeAll, nil
-	}
-	repl, err := kvstore.NewReplicated(backends...)
+	dialCtx, dialCancel := context.WithTimeout(ctx, 10*time.Second)
+	cli, err := kvstore.DialContext(dialCtx, kvAddr)
+	dialCancel()
 	if err != nil {
-		closeAll()
 		return nil, nil, err
 	}
-	st.kv = repl
-	st.replicated = repl
-	return st, closeAll, nil
+	r := kvstore.NewResilient(cli, rcfg, 1)
+	st := &storeStack{kv: r, resilients: []*kvstore.Resilient{r}, addrs: []string{kvAddr}}
+	return st, func() { _ = cli.Close() }, nil // process exit: pooled conns die either way
 }
 
 // buildShardedStore assembles the partitioned tier from a -shards spec:
@@ -514,13 +493,7 @@ func newMux(sys *recommend.System, st *storeStack, replayMetrics map[string]stor
 					"breaker_rejected": s.Breaker.Rejections,
 				})
 			}
-			resilience := map[string]any{"backends": backends}
-			if st.replicated != nil {
-				rs := st.replicated.Stats()
-				resilience["read_fallbacks"] = rs.ReadFallbacks
-				resilience["write_skips"] = rs.WriteSkips
-			}
-			stats["resilience"] = resilience
+			stats["resilience"] = map[string]any{"backends": backends}
 		}
 		writeJSON(w, stats)
 	})

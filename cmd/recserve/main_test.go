@@ -319,27 +319,23 @@ func TestRecommendDegradedField(t *testing.T) {
 	}
 }
 
-// TestStatsResilienceSection spins up two real kvservers, points the full
-// replicated client stack at them, and checks /stats reports the per-backend
-// breaker states and the replication counters.
+// TestStatsResilienceSection spins up a real kvserver, points the resilient
+// client stack at it, and checks /stats reports the backend's breaker state
+// in the resilience.backends[] shape the end-to-end benchmark decodes.
 func TestStatsResilienceSection(t *testing.T) {
 	ctx := context.Background()
-	var addrs []string
-	for i := 0; i < 2; i++ {
-		ksrv, err := kvstore.NewServer(ctx, kvstore.NewLocal(4), "127.0.0.1:0")
-		if err != nil {
-			t.Fatal(err)
-		}
-		t.Cleanup(func() { _ = ksrv.Close() })
-		addrs = append(addrs, ksrv.Addr())
+	ksrv, err := kvstore.NewServer(ctx, kvstore.NewLocal(4), "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
 	}
-	st, closeStore, err := buildStore(ctx, strings.Join(addrs, ","), kvstore.DefaultResilienceConfig())
+	t.Cleanup(func() { _ = ksrv.Close() })
+	st, closeStore, err := buildStore(ctx, ksrv.Addr(), kvstore.DefaultResilienceConfig())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Cleanup(closeStore)
-	if st.replicated == nil || len(st.resilients) != 2 {
-		t.Fatalf("buildStore composed %d resilient backends, replicated=%v", len(st.resilients), st.replicated != nil)
+	if len(st.resilients) != 1 {
+		t.Fatalf("buildStore composed %d resilient backends, want 1", len(st.resilients))
 	}
 	params := core.DefaultParams()
 	params.Factors = 8
@@ -359,15 +355,35 @@ func TestStatsResilienceSection(t *testing.T) {
 		t.Fatalf("stats missing resilience section: %v", stats)
 	}
 	backends, ok := res["backends"].([]any)
-	if !ok || len(backends) != 2 {
-		t.Fatalf("resilience backends = %v, want 2 entries", res["backends"])
+	if !ok || len(backends) != 1 {
+		t.Fatalf("resilience backends = %v, want 1 entry", res["backends"])
 	}
 	first, ok := backends[0].(map[string]any)
-	if !ok || first["breaker_state"] != "closed" {
-		t.Errorf("backend 0 breaker_state = %v, want closed", first["breaker_state"])
+	if !ok || first["breaker_state"] != "closed" || first["addr"] != ksrv.Addr() {
+		t.Errorf("backend 0 = %v, want breaker_state closed at %s", first, ksrv.Addr())
 	}
-	if _, ok := res["read_fallbacks"]; !ok {
-		t.Error("resilience section missing read_fallbacks for a replicated store")
+	for _, k := range []string{"retries", "exhausted", "breaker_trips"} {
+		if _, ok := first[k]; !ok {
+			t.Errorf("backend 0 missing %s", k)
+		}
+	}
+}
+
+// TestStoreFlagsRejectReplicaLists: -kv names one backend. A comma list is
+// refused at startup with a pointer to -shards, which builds the replicated
+// primary/backup group, and -kv with -shards is refused too.
+func TestStoreFlagsRejectReplicaLists(t *testing.T) {
+	for _, ok := range [][2]string{{"", ""}, {"127.0.0.1:7717", ""}, {"", "mem:2"}, {"", "a,b"}} {
+		if err := checkStoreFlags(ok[0], ok[1]); err != nil {
+			t.Errorf("checkStoreFlags(-kv %q, -shards %q) = %v, want nil", ok[0], ok[1], err)
+		}
+	}
+	err := checkStoreFlags("127.0.0.1:7717,127.0.0.1:7718", "")
+	if err == nil || !strings.Contains(err.Error(), "-shards a,b") {
+		t.Errorf("-kv with a comma list = %v, want an error naming -shards a,b", err)
+	}
+	if err := checkStoreFlags("127.0.0.1:7717", "mem:2"); err == nil {
+		t.Error("-kv with -shards accepted")
 	}
 }
 

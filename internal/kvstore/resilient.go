@@ -12,8 +12,8 @@ import (
 // fails the attempt instead of wedging the caller), bounded retries with
 // seeded-jitter exponential backoff (a blip costs milliseconds, not a failed
 // request), and a circuit breaker (a dead shard fails fast instead of costing
-// every request its full retry budget). Compose one Resilient per backend and
-// feed them to NewReplicated for the full replicated serving stack.
+// every request its full retry budget). Compose one Resilient per backend,
+// then a ShardGroup over a replica set's Resilients for the replicated tier.
 //
 // Determinism contract (the simulation harness relies on this): the backoff
 // jitter comes from a seeded RNG, the breaker's cooldown timing from an

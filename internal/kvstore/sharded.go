@@ -187,6 +187,23 @@ func NewSharded(coord *Coordinator, cid uint64) (*Sharded, error) {
 	return &Sharded{coord: coord, cid: cid, m: m, groups: groups}, nil
 }
 
+// NewReplicated builds a one-group tier over replicas: a primary/backup
+// ShardGroup owning every slot, with replicas[0] as the initial primary,
+// fronted by its router. It is the sharded tier with one group and no other
+// replication scheme; the end-to-end benchmark's per-layer probe
+// (benchmark/probes.go) links it by this name.
+func NewReplicated(replicas ...Store) (*Sharded, error) {
+	g, err := NewShardGroup("g0", replicas...)
+	if err != nil {
+		return nil, err
+	}
+	coord, err := NewCoordinator(g)
+	if err != nil {
+		return nil, err
+	}
+	return NewSharded(coord, 1)
+}
+
 // MapVersion reports the shard-map version the router currently routes on.
 func (s *Sharded) MapVersion() uint64 {
 	s.mu.RLock()

@@ -139,8 +139,7 @@ const (
 
 // groupWrite is one mutation routed to a group: a Set, a Delete, or an
 // Update whose callback runs exactly once on the primary with the captured
-// result replicated to backups (the same apply-once discipline Replicated
-// documents for its Update).
+// result replicated to backups.
 type groupWrite struct {
 	kind byte
 	key  string

@@ -39,7 +39,6 @@ package objcache
 import (
 	"sync"
 
-	"vidrec/internal/lru"
 	"vidrec/internal/metrics"
 )
 
@@ -61,8 +60,8 @@ type Cache struct {
 
 type cacheShard struct {
 	mu      sync.Mutex
-	entries *lru.Cache[string, cacheEntry] // guarded by mu
-	version uint64                         // guarded by mu; bumped by Invalidate/Flush
+	entries *lru   // guarded by mu
+	version uint64 // guarded by mu; bumped by Invalidate/Flush
 }
 
 // cacheEntry is one cached decode result. present=false is a negative entry:
@@ -115,7 +114,7 @@ func New(capacity int) *Cache {
 	}
 	c := &Cache{}
 	for i := range c.shards {
-		c.shards[i].entries = lru.New[string, cacheEntry](per)
+		c.shards[i].entries = newLRU(per)
 	}
 	return c
 }
@@ -142,7 +141,7 @@ func (c *Cache) shardFor(key string) *cacheShard {
 func (c *Cache) Lookup(key string) (v any, present, ok bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	e, ok := s.entries.Get(key)
+	e, ok := s.entries.get(key)
 	s.mu.Unlock()
 	if !ok || isRaw(e) {
 		c.stats.Misses.Inc()
@@ -173,7 +172,7 @@ func (c *Cache) StoreIfUnchanged(key string, v any, present bool, version uint64
 	s := c.shardFor(key)
 	s.mu.Lock()
 	if s.version == version {
-		s.entries.Put(key, cacheEntry{value: v, present: present})
+		s.entries.put(key, cacheEntry{value: v, present: present})
 		s.mu.Unlock()
 		c.stats.Puts.Inc()
 		return
@@ -187,7 +186,7 @@ func (c *Cache) StoreIfUnchanged(key string, v any, present bool, version uint64
 func (c *Cache) Store(key string, v any, present bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	s.entries.Put(key, cacheEntry{value: v, present: present})
+	s.entries.put(key, cacheEntry{value: v, present: present})
 	s.mu.Unlock()
 	c.stats.Puts.Inc()
 }
@@ -200,7 +199,7 @@ func (c *Cache) Store(key string, v any, present bool) {
 func (c *Cache) Load(key string, load func() (v any, present bool, err error)) (any, bool, error) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	if e, ok := s.entries.Get(key); ok && !isRaw(e) {
+	if e, ok := s.entries.get(key); ok && !isRaw(e) {
 		s.mu.Unlock()
 		c.stats.Hits.Inc()
 		return e.value, e.present, nil
@@ -222,7 +221,7 @@ func (c *Cache) Load(key string, load func() (v any, present bool, err error)) (
 func (c *Cache) Invalidate(key string) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	s.entries.Remove(key)
+	s.entries.remove(key)
 	s.version++
 	s.mu.Unlock()
 	c.stats.Invalidations.Inc()
@@ -246,7 +245,7 @@ func (c *Cache) track(key string, sv *shardVersions) (held bool) {
 	if !sv.known[i] {
 		sv.known[i], sv.v[i] = true, s.version
 	}
-	_, held = s.entries.Get(key)
+	_, held = s.entries.get(key)
 	s.mu.Unlock()
 	return held
 }
@@ -264,9 +263,9 @@ func (c *Cache) refresh(key string, raw []byte, sv *shardVersions) {
 	s.mu.Lock()
 	current := sv.known[i] && s.version == sv.v[i]
 	if raw != nil && current {
-		s.entries.Put(key, cacheEntry{value: rawRecord(raw), present: true})
+		s.entries.put(key, cacheEntry{value: rawRecord(raw), present: true})
 	} else {
-		s.entries.Remove(key)
+		s.entries.remove(key)
 	}
 	s.version++
 	sv.known[i], sv.v[i] = current, s.version
@@ -285,7 +284,7 @@ func (c *Cache) holdsRaw(key string) bool {
 func (c *Cache) raw(key string) ([]byte, bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
-	e, ok := s.entries.Get(key)
+	e, ok := s.entries.get(key)
 	s.mu.Unlock()
 	raw, isRaw := e.value.(rawRecord)
 	return raw, ok && isRaw
@@ -302,7 +301,7 @@ func (c *Cache) Flush() {
 		s := &c.shards[i]
 		s.mu.Lock()
 		// Rebuild rather than iterate-and-remove; capacity is unchanged.
-		s.entries = lru.New[string, cacheEntry](s.entries.Cap())
+		s.entries = newLRU(s.entries.capacity)
 		s.version++
 		s.mu.Unlock()
 	}
@@ -314,7 +313,7 @@ func (c *Cache) Len() int {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		n += s.entries.Len()
+		n += s.entries.order.Len()
 		s.mu.Unlock()
 	}
 	return n
@@ -331,8 +330,8 @@ func (c *Cache) Snapshot() StatsSnapshot {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		snap.Evictions += s.entries.Evictions()
-		snap.Entries += s.entries.Len()
+		snap.Evictions += s.entries.evictions
+		snap.Entries += s.entries.order.Len()
 		s.mu.Unlock()
 	}
 	return snap

@@ -113,12 +113,16 @@ func TestFlushAndLen(t *testing.T) {
 	if c.Len() != 10 {
 		t.Fatalf("Len = %d, want 10", c.Len())
 	}
+	perShard := c.shards[0].entries.capacity
 	c.Flush()
 	if c.Len() != 0 {
 		t.Fatalf("Len = %d after Flush, want 0", c.Len())
 	}
 	if _, _, ok := c.Lookup("k3"); ok {
 		t.Fatal("Lookup hit after Flush")
+	}
+	if got := c.shards[0].entries.capacity; got != perShard || got != DefaultCapacity/shardCount {
+		t.Errorf("shard capacity %d after Flush, want %d", got, DefaultCapacity/shardCount)
 	}
 }
 

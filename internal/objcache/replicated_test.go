@@ -9,7 +9,7 @@ import (
 )
 
 // switchableStore delegates to an inner store but can be flipped to fail
-// every operation — a replica dying and coming back, from the cache's view.
+// every operation — a replica dying and coming back.
 type switchableStore struct {
 	inner kvstore.Store
 
@@ -75,20 +75,20 @@ func (s *switchableStore) Len(ctx context.Context) (int, error) {
 }
 
 // TestWrapStoreCoherentAcrossReplicas pins the composition rule the serving
-// stack relies on: ONE cache wrapped around the Replicated store (not one per
-// replica) stays coherent through replica failover, because every write path
-// still runs through the single WrapStore decorator regardless of which
-// replicas accepted the write.
+// stack relies on: ONE cache wrapped around the whole replicated tier (a
+// primary/backup group behind its router, not one cache per replica) stays
+// coherent through a primary failover, because every write path still runs
+// through the single WrapStore decorator whichever replica applied it.
 func TestWrapStoreCoherentAcrossReplicas(t *testing.T) {
 	ctx := context.Background()
 	primary := &switchableStore{inner: kvstore.NewLocal(4)}
-	secondary := kvstore.NewLocal(4)
-	repl, err := kvstore.NewReplicated(primary, secondary)
+	backup := kvstore.NewLocal(4)
+	tier, err := kvstore.NewReplicated(primary, backup)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cache := New(0)
-	store := WrapStore(repl, cache)
+	store := WrapStore(tier, cache)
 
 	read := func(key string) (string, bool) {
 		v, present, err := Cached(cache, key, func() (string, bool, error) {
@@ -104,7 +104,7 @@ func TestWrapStoreCoherentAcrossReplicas(t *testing.T) {
 		return v, present
 	}
 
-	// Healthy: write replicates everywhere, read caches the decode.
+	// Healthy: the write lands on both replicas, the read caches the decode.
 	if err := store.Set(ctx, "k", []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
@@ -112,29 +112,30 @@ func TestWrapStoreCoherentAcrossReplicas(t *testing.T) {
 		t.Fatalf("read = %q, want v1", v)
 	}
 
-	// Primary dies. A write through the wrapped store lands only on the
-	// surviving replica — but it MUST still invalidate the cached decode of
-	// the old value.
+	// Primary dies. The write promotes the backup and lands there alone —
+	// but it MUST still invalidate the cached decode of the old value.
 	primary.setDead(true)
 	if err := store.Set(ctx, "k", []byte("v2")); err != nil {
-		t.Fatalf("Set with dead primary = %v, want write-all to absorb it", err)
+		t.Fatalf("Set with dead primary = %v, want the backup promoted to take it", err)
 	}
 	if v, _ := read("k"); v != "v2" {
-		t.Fatalf("read after failover write = %q — stale cache survived replica failover", v)
+		t.Fatalf("read after failover write = %q — stale cache survived the failover", v)
 	}
 
-	// Primary comes back holding the pre-outage value (stale replica). The
-	// cache must keep serving what it decoded — the read-first-healthy order
-	// now prefers the stale primary, and the cached v2 papering over that is
-	// exactly the coherence-vs-staleness trade DESIGN.md documents; what must
-	// NOT happen is an error or a cache entry for a value never written.
+	// The old primary comes back holding the pre-outage value. The group
+	// keeps it down until a Rejoin, so neither the cache nor an uncached
+	// read may ever see its stale v1.
 	primary.setDead(false)
-	if v, present := read("k"); !present || (v != "v2" && v != "v1") {
-		t.Fatalf("read after primary recovery = %q,%v — value was never written", v, present)
+	if v, present := read("k"); !present || v != "v2" {
+		t.Fatalf("read after the old primary returned = %q,%v, want v2", v, present)
+	}
+	cache.Flush()
+	if v, _ := read("k"); v != "v2" {
+		t.Fatalf("uncached read after the old primary returned = %q — the stale replica answered", v)
 	}
 
-	// A fresh write replicates everywhere again and invalidates; every
-	// subsequent read — cached or not — agrees.
+	// A fresh write invalidates; every subsequent read — cached or not —
+	// agrees.
 	if err := store.Set(ctx, "k", []byte("v3")); err != nil {
 		t.Fatal(err)
 	}

@@ -8,6 +8,7 @@ import (
 
 	"vidrec/internal/bandit"
 	"vidrec/internal/demographic"
+	"vidrec/internal/intern"
 	"vidrec/internal/topn"
 )
 
@@ -148,6 +149,88 @@ func (scr *serveScratch) admit(arm int, ids []string, slots []int32, limit int) 
 		scr.taken = append(scr.taken, false)
 	}
 	return stamped
+}
+
+// sourceReader makes the two source reads whose need waits on admission:
+// the ANN probe, made only while the batch has room, and the hot list, read
+// only when the slate reserves hot slots and only as far as the exclusions
+// require. System is the serving reader.
+type sourceReader interface {
+	// annProbe returns the ANN hits' intern slots in bucket order; none
+	// without an index or for an unknown user.
+	annProbe(ctx context.Context, user string, dst []int32) ([]int32, error)
+	// hotFor returns the group's hot list, at most k long, into dst.
+	hotFor(ctx context.Context, group string, k int, now time.Time, dst []topn.Entry) ([]topn.Entry, error)
+}
+
+// sources is what gather admits from: the request's exclusions and sim
+// expansion, already read, and the keys of the reads left to r.
+type sources struct {
+	watched []string        // the user's distinct history, most recent first
+	histSet map[string]bool // the whole watched set; wider than watched only under a non-default history limit
+	current []string        // the video being watched, as a one-element list; nil without one
+	sim     []string        // the seeds' similar videos, in seed order
+	user    string          // the ANN probe's user
+	group   string          // the hot list's group
+	now     time.Time       // the hot list's decay instant
+	n       int             // the slate's size
+}
+
+// gather admits a request's sources into the scored batch in serve order —
+// the exclusions, the sim expansion, the ANN probe while the batch has room,
+// then the hot list's videos — reading the ANN and hot sources through r only
+// when admission needs them. It returns how many candidates the sim and ANN
+// sources admitted (batch positions [0, numCand)) and how many slots the hot
+// merge may fill.
+func (scr *serveScratch) gather(ctx context.Context, r sourceReader, in *intern.Table, o Options, src *sources) (numCand, want int, err error) {
+	scr.slots = in.Slots(src.watched, scr.slots[:0])
+	excluded := scr.admit(markExcluded, src.watched, scr.slots, math.MaxInt)
+	if excluded < len(src.histSet) {
+		// The distinct-video view was truncated below the membership set (a
+		// history limit above the serve window); fold the remainder in so
+		// the exclusion still covers everything watched.
+		rest := make([]string, 0, len(src.histSet)) // alloccheck: defensive fold-in for non-default history limits, never taken when the serve window equals the store limit (the default)
+		for id := range src.histSet {
+			rest = append(rest, id)
+		}
+		scr.slots = in.Slots(rest, scr.slots[:0])
+		excluded += scr.admit(markExcluded, rest, scr.slots, math.MaxInt)
+	}
+	if src.current != nil {
+		scr.slots = in.Slots(src.current, scr.slots[:0])
+		excluded += scr.admit(markExcluded, src.current, scr.slots, math.MaxInt)
+	}
+
+	scr.slots = in.Slots(src.sim, scr.slots[:0])
+	scr.admit(int(bandit.ArmSim), src.sim, scr.slots, o.MaxCandidates)
+
+	if len(scr.ids) < o.MaxCandidates {
+		if scr.probe, err = r.annProbe(ctx, src.user, scr.probe); err != nil {
+			return 0, 0, err
+		}
+		if len(scr.probe) > 0 {
+			scr.flat = in.IDs(scr.probe, scr.flat[:0])
+			scr.admit(int(bandit.ArmANN), scr.flat, scr.probe, o.MaxCandidates)
+		}
+	}
+	numCand = len(scr.ids)
+
+	want, fetch := o.hotPlan(src.n, numCand, excluded)
+	if want > 0 {
+		hot, err := r.hotFor(ctx, src.group, fetch, src.now, scr.hot[:0])
+		scr.hot = hot[:0]
+		if err != nil {
+			return 0, 0, err
+		}
+		flat := scr.flat[:0]
+		for _, e := range hot {
+			flat = append(flat, e.ID)
+		}
+		scr.flat = flat
+		scr.slots = in.Slots(flat, scr.slots[:0])
+		scr.admit(int(bandit.ArmHot), flat, scr.slots, math.MaxInt)
+	}
+	return numCand, want, nil
 }
 
 // slateCap bounds a request's N. A slate holds at most every candidate plus
@@ -341,38 +424,29 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 	// fatigue. When a current video is given it is the sole seed and a
 	// history fetch failure only shrinks the exclusion set.
 	watched, histSet, histErr := s.History.Watched(ctx, req.UserID, s.opts.HistoryLimit)
+	src := sources{watched: watched, histSet: histSet, user: req.UserID, group: group, now: now, n: req.N}
 	var seeds []string
 	if req.CurrentVideo != "" {
 		seeds = []string{req.CurrentVideo} // alloccheck: single-element seed slice (warm budget)
+		src.current = seeds
 	} else {
 		if histErr != nil {
 			return nil, histErr
 		}
 		seeds = watched[:min(len(watched), s.opts.SeedCount)]
 	}
-	scr.slots = s.interner.Slots(watched, scr.slots[:0])
-	excluded := scr.admit(markExcluded, watched, scr.slots, math.MaxInt)
-	if excluded < len(histSet) {
-		// The distinct-video view was truncated below the membership set (a
-		// history limit above the serve window — non-default configs); fold
-		// the remainder in so the exclusion still covers everything watched.
-		flat := scr.flat[:0]
-		// alloccheck: defensive fold-in for non-default history limits, never taken when the serve window equals the store limit (the default)
-		for id := range histSet {
-			flat = append(flat, id)
-		}
-		scr.flat = flat
-		scr.slots = s.interner.Slots(flat, scr.slots[:0])
-		excluded += scr.admit(markExcluded, flat, scr.slots, math.MaxInt)
-	}
-	if req.CurrentVideo != "" {
-		scr.slots = s.interner.Slots(seeds, scr.slots[:0])
-		excluded += scr.admit(markExcluded, seeds, scr.slots, math.MaxInt)
-	}
 
 	// 2. Gather. Candidate expansion through the group's similar-video
 	// tables: all seeds' lists arrive in one batched fetch and resolve to
-	// slots in one batched intern pass; the sim pool keeps seed order.
+	// slots in one batched intern pass; the sim pool keeps seed order. ANN
+	// retrieval (Options.ANN) probes the LSH index with the user's global
+	// factor vector and admits whatever the matching buckets hold under the
+	// same candidate cap, in bucket order. Demographic filtering reserves
+	// part of the list for the group's hot videos: the rank's length is
+	// known before scoring — min(N, candidates) — so whether to merge is
+	// too, and the hot list's eligible videos join the scoring batch; hot
+	// videos that are already candidates keep their position, Eq. 2 being
+	// per-item.
 	tables, err := s.Tables.For(group)
 	if err != nil {
 		return nil, err
@@ -381,52 +455,14 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 	if err != nil {
 		return nil, err
 	}
-	scr.flat = flat
-	scr.slots = s.interner.Slots(flat, scr.slots[:0])
-	scr.admit(int(bandit.ArmSim), flat, scr.slots, s.opts.MaxCandidates)
-
-	// ANN retrieval (Options.ANN): probe the LSH index with the user's global
-	// factor vector and admit whatever the matching buckets hold, after the
-	// sim expansion and under the same candidate cap, in bucket order. The
-	// probe returns slots, cross-table duplicates included, and admission
-	// absorbs them like any other dup. Unknown users skip the probe: their
-	// cold-start vector would hash to arbitrary buckets.
-	if s.annIndex != nil && len(scr.ids) < s.opts.MaxCandidates {
-		uvec, _, known, err := s.global.UserVector(ctx, req.UserID)
-		if err != nil {
-			return nil, err
-		}
-		if known {
-			scr.probe = s.annIndex.Probe(uvec, scr.probe)
-			scr.flat = s.interner.IDs(scr.probe, scr.flat[:0])
-			scr.admit(int(bandit.ArmANN), scr.flat, scr.probe, s.opts.MaxCandidates)
-		}
-	}
-	numCand := len(scr.ids)
-
-	// Demographic filtering reserves part of the list for the group's hot
-	// videos. The rank's length is known before scoring — min(N,
-	// candidates) — so whether to merge is too, and the hot list's eligible
-	// videos join the scoring batch. Hot videos that are already candidates
-	// keep their position: Eq. 2 is per-item.
-	model, err := s.Models.For(group)
+	scr.flat, src.sim = flat, flat
+	numCand, want, err := scr.gather(ctx, s, s.interner, s.opts, &src)
 	if err != nil {
 		return nil, err
 	}
-	want, fetch := s.opts.hotPlan(req.N, numCand, excluded)
-	if want > 0 {
-		hot, err := s.hotFor(ctx, group, fetch, now, scr.hot[:0])
-		scr.hot = hot[:0]
-		if err != nil {
-			return nil, err
-		}
-		flat := scr.flat[:0]
-		for _, e := range hot {
-			flat = append(flat, e.ID)
-		}
-		scr.flat = flat
-		scr.slots = s.interner.Slots(flat, scr.slots[:0])
-		scr.admit(int(bandit.ArmHot), flat, scr.slots, math.MaxInt)
+	model, err := s.Models.For(group)
+	if err != nil {
+		return nil, err
 	}
 
 	// 3. Score: preference prediction (Eq. 2) over the batch only —
@@ -513,6 +549,21 @@ func (s *System) degraded(ctx context.Context, req Request, group string, now ti
 	// HotMerged covers the whole list: every slot came from demographic
 	// filtering, none from MF ranking.
 	return &Result{Videos: videos, HotMerged: len(videos), Degraded: true}, nil // alloccheck: degraded path, availability fallback
+}
+
+// annProbe probes the LSH index with the user's global factor vector
+// (Options.ANN). The probe returns slots, cross-table duplicates included,
+// and admission absorbs them like any other dup. Unknown users skip the
+// probe: their cold-start vector would hash to arbitrary buckets.
+func (s *System) annProbe(ctx context.Context, user string, dst []int32) ([]int32, error) {
+	if s.annIndex == nil {
+		return dst[:0], nil
+	}
+	uvec, _, known, err := s.global.UserVector(ctx, user)
+	if err != nil || !known {
+		return dst[:0], err
+	}
+	return s.annIndex.Probe(uvec, dst), nil
 }
 
 // hotFor fetches the group's hot list into dst (pooled scratch on the warm

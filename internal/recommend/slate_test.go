@@ -8,6 +8,7 @@ import (
 	"math/rand/v2"
 	"reflect"
 	"testing"
+	"time"
 
 	"vidrec/internal/bandit"
 	"vidrec/internal/intern"
@@ -127,24 +128,36 @@ func genSlateCase(src *byteSource) slateCase {
 	return c
 }
 
+// caseReader serves a case's ANN and hot sources to gather in place of the
+// store reads: the ANN hits as interned slots, the hot list cut to the
+// length gather asks for.
+type caseReader struct {
+	c  slateCase
+	in *intern.Table
+}
+
+func (r caseReader) annProbe(_ context.Context, _ string, dst []int32) ([]int32, error) {
+	return r.in.Slots(r.c.ann, dst[:0]), nil
+}
+
+func (r caseReader) hotFor(_ context.Context, _ string, k int, _ time.Time, dst []topn.Entry) ([]topn.Entry, error) {
+	for _, id := range r.c.hot[:min(len(r.c.hot), k)] {
+		dst = append(dst, topn.Entry{ID: id})
+	}
+	return dst, nil
+}
+
 // buildSlate serves c through the slate builder the way personalized does,
-// on a pooled scratch and a shared interner: the same N cap, admission order,
-// hot-merge sizing and draw, with the case's lists in place of the store
-// reads. The hot list is as long as its capacity.
+// on a pooled scratch and a shared interner: the same N cap, the same
+// gather, hot-merge sizing and draw, with the case's lists in place of the
+// store reads. The hot list is as long as its capacity.
 func buildSlate(scr *serveScratch, in *intern.Table, c slateCase) slateOutcome {
 	o := Options{MaxCandidates: c.maxCand, HotCapacity: len(c.hot), HotShare: c.hotShare, DemographicFiltering: c.filtering}
 	n := o.slateCap(c.n)
 	scr.reset()
-	excluded := scr.admit(markExcluded, c.excluded, in.Slots(c.excluded, nil), math.MaxInt)
-	scr.admit(int(bandit.ArmSim), c.sim, in.Slots(c.sim, nil), c.maxCand)
-	if c.ann != nil && len(scr.ids) < c.maxCand {
-		scr.admit(int(bandit.ArmANN), c.ann, in.Slots(c.ann, nil), c.maxCand)
-	}
-	numCand := len(scr.ids)
-	want, fetch := o.hotPlan(n, numCand, excluded)
-	if want > 0 {
-		hot := c.hot[:min(len(c.hot), fetch)]
-		scr.admit(int(bandit.ArmHot), hot, in.Slots(hot, nil), math.MaxInt)
+	numCand, want, err := scr.gather(context.Background(), caseReader{c, in}, in, o, &sources{watched: c.excluded, sim: c.sim, n: n})
+	if err != nil {
+		panic(err) // caseReader never fails
 	}
 	scr.scores = scr.scores[:0]
 	for _, id := range scr.ids {

@@ -61,16 +61,15 @@ type Report struct {
 	Exhausted     uint64 // operations failed after the full retry budget
 	BreakerTrips  uint64 // closed→open transitions
 	BreakerResets uint64 // half-open→closed transitions
-	ReadFallbacks uint64 // replicated reads answered by a non-primary backend
-	WriteSkips    uint64 // per-backend write failures absorbed by write-all
 
-	// Sharding accounting (zero unless the scenario sets Shards > 1).
+	// Sharding accounting (zero unless the scenario sets Shards > 0).
 	ShardRedirects  uint64 // client retries after ErrWrongServer
 	ShardPromotes   uint64 // primary failovers across all groups
 	ShardRebalances uint64 // completed slot migrations
 	ShardMovedKeys  uint64 // keys carried by those migrations
 	ShardSyncSkips  uint64 // backup replications skipped (replica down)
 	ShardDedupHits  uint64 // duplicate client writes absorbed by CID/SeqNo dedup
+	ReadFallbacks   uint64 // reads answered by a non-primary replica
 
 	// Serving accounting.
 	Recommends      int // successful Recommend calls
@@ -83,14 +82,14 @@ type Report struct {
 	ExplorePulls float64
 	ExploreWins  float64
 
-	// Digest is the SHA-256 of the canonical encoded model state (replica 0
-	// when the scenario replicates); two runs of the same scenario must
-	// produce the same digest.
+	// Digest is the SHA-256 of the canonical encoded model state (the union
+	// of every group's acting primary when sharded); two runs of the same
+	// scenario must produce the same digest.
 	Digest string
 
-	// ReplicaDigests is each replica's state digest. On a fault-free
-	// replicated run all entries match Digest; a replica that missed writes
-	// during an outage diverges — visibly, here.
+	// ReplicaDigests is each shard replica's own state digest, indexed like
+	// ShardFaults (group*2 + role); nil unless sharded. A replica that died
+	// mid-run diverges from its group's survivor — visibly, here.
 	ReplicaDigests []string
 
 	// ServeDigest is the SHA-256 of every served list (ids, scores,
@@ -132,38 +131,27 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	}
 	vclock := NewVirtualClock(cfg.Start)
 
-	// Storage chain, per replica: Local, optionally behind the real
-	// gob-over-TCP pair (single-replica only), the fault injector, then the
-	// optional Resilient decorator — faults land below the retry layer so
-	// retries genuinely re-roll the injector. With Replicas > 1 the chains
-	// compose under Replicated (write-all / read-first-healthy), mirroring
-	// the production stack recserve assembles.
-	// With Shards > 1 the stack is the sharded tier instead: per-group
-	// primary/backup chains under a Coordinator, fronted by the Sharded
-	// router (shard.go). The replica-chain machinery below is skipped.
+	// Storage chain: Local, optionally behind the real gob-over-TCP pair,
+	// the fault injector, then the optional Resilient decorator — faults
+	// land below the retry layer so retries genuinely re-roll the injector.
+	// This is the single-backend stack recserve -kv deploys; the harness
+	// keeps each layer to schedule faults, read counters and digest state. With Shards > 0
+	// the stack is the sharded tier instead: per-group primary/backup
+	// chains under a Coordinator, fronted by the Sharded router (shard.go).
 	var cluster *shardCluster
-	var chains []replicaChain
-	var repl *kvstore.Replicated
+	var base *kvstore.Local
+	var faulty *kvstore.Faulty
+	var resilient *kvstore.Resilient
 	var store kvstore.Store
-	if sc.Shards > 1 {
+	if sc.Shards > 0 {
 		cluster, err = newShardCluster(sc, vclock)
 		if err != nil {
 			return nil, err
 		}
 		store = cluster.router
-	}
-
-	replicas := sc.Replicas
-	if replicas < 1 {
-		replicas = 1
-	}
-	if cluster == nil {
-		chains = make([]replicaChain, replicas)
-	}
-	backends := make([]kvstore.Store, replicas)
-	for i := 0; cluster == nil && i < replicas; i++ {
-		base := kvstore.NewLocal(32)
-		var store kvstore.Store = base
+	} else {
+		base = kvstore.NewLocal(32)
+		store = base
 		if sc.Transport == TransportTCP {
 			server, err := kvstore.NewServer(ctx, base, "127.0.0.1:0")
 			if err != nil {
@@ -181,32 +169,11 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 			}()
 			store = client
 		}
-		faulty := kvstore.NewFaulty(store, replicaFaultSeed(sc.Seed, i))
-		chains[i] = replicaChain{base: base, faulty: faulty}
-		backends[i] = faulty
+		faulty = kvstore.NewFaulty(store, sc.Seed^0x5EED)
+		store = faulty
 		if sc.Resilience != nil {
-			r := kvstore.NewResilient(faulty, *sc.Resilience, replicaFaultSeed(sc.Seed, i)^0xB0FF)
-			// The breaker's cooldown follows the virtual clock, and retry
-			// waits are no-ops: sleeping on backoff.Delay would either block
-			// real time (slow) or advance the virtual clock (diverging the
-			// clock trajectory between faulted and fault-free runs, breaking
-			// the failover digest comparison). Breaker recovery timing comes
-			// from the action timestamps instead, which dwarf any cooldown.
-			r.SetClock(vclock.Now)
-			r.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
-			chains[i].resilient = r
-			backends[i] = r
-		}
-	}
-	if cluster == nil {
-		store = backends[0]
-		if replicas > 1 {
-			var err error
-			repl, err = kvstore.NewReplicated(backends...)
-			if err != nil {
-				return nil, fmt.Errorf("sim: compose replicated store: %w", err)
-			}
-			store = repl
+			resilient = newSimResilient(faulty, *sc.Resilience, sc.Seed^0x5EED^0xB0FF, vclock)
+			store = resilient
 		}
 	}
 
@@ -244,9 +211,8 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	}
 	if cluster != nil {
 		cluster.arm(sc)
-	}
-	for i := range chains {
-		chains[i].faulty.SetSchedule(replicaSchedule(sc, i))
+	} else {
+		faulty.SetSchedule(sc.KVFaults)
 	}
 
 	// Mid-replay rebalance: the hook fires between two actions (after the
@@ -287,14 +253,12 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	rep.FailedTrees = spout.FailedTrees
 	rep.Unresolved = topo.UnresolvedTrees()
 
-	// Serving-phase outage, if scheduled: SetSchedule resets each injector's
+	// Serving-phase outage, if scheduled: SetSchedule resets the injector's
 	// since-schedule op counter, so bank the replay ops first (Injected() is
 	// cumulative and needs no banking).
 	if len(sc.ServeFaults) > 0 {
-		for i := range chains {
-			rep.KVOps += chains[i].faulty.Ops()
-			chains[i].faulty.SetSchedule(sc.ServeFaults)
-		}
+		rep.KVOps += faulty.Ops()
+		faulty.SetSchedule(sc.ServeFaults)
 	}
 
 	// Serving phase: deterministic request sequence over the universe,
@@ -386,70 +350,24 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 		rep.FailedTrees += fbSpout.FailedTrees
 		rep.Unresolved += fbTopo.UnresolvedTrees()
 	}
-	for i := range chains {
-		rep.KVOps += chains[i].faulty.Ops()
-		rep.InjectedFaults += chains[i].faulty.Injected()
-		if r := chains[i].resilient; r != nil {
-			s := r.Stats()
-			rep.Retries += s.Retries
-			rep.Exhausted += s.Exhausted
-			rep.BreakerTrips += s.Breaker.Trips
-			rep.BreakerResets += s.Breaker.Resets
-		}
-		rep.ReplicaDigests = append(rep.ReplicaDigests, StateDigest(chains[i].base))
-	}
-	if repl != nil {
-		s := repl.Stats()
-		rep.ReadFallbacks = s.ReadFallbacks
-		rep.WriteSkips = s.WriteSkips
-	}
-	if cluster != nil {
-		for gi := range cluster.faulties {
-			for _, f := range cluster.faulties[gi] {
-				rep.KVOps += f.Ops()
-				rep.InjectedFaults += f.Injected()
-			}
-		}
-		for _, r := range cluster.resilient {
-			s := r.Stats()
-			rep.Retries += s.Retries
-			rep.Exhausted += s.Exhausted
-			rep.BreakerTrips += s.Breaker.Trips
-			rep.BreakerResets += s.Breaker.Resets
-		}
-		for _, g := range cluster.groups {
-			gs := g.Stats()
-			rep.ShardPromotes += gs.Promotes
-			rep.ShardSyncSkips += gs.SyncSkips
-			rep.ShardDedupHits += gs.DedupHits
-			rep.ReadFallbacks += gs.ReadFallbacks
-		}
-		rep.ShardRedirects = cluster.router.Stats().Redirects
-		if cluster.stale != nil {
-			rep.ShardRedirects += cluster.stale.Stats().Redirects
-		}
-		cs := cluster.coord.Stats()
-		rep.ShardRebalances = cs.Rebalances
-		rep.ShardMovedKeys = cs.MovedKeys
-		// ReplicaDigests carries each group's acting-primary digest; on a
-		// sharded run the entries are per-shard partitions, not copies.
-		rep.ReplicaDigests = cluster.groupDigests()
-		rep.Violations = append(rep.Violations, cluster.hookViolations()...)
-		rep.Violations = append(rep.Violations, cluster.probeStale(ctx)...)
-	}
-
 	// The authoritative state for digests, checkers, and explore accounting:
-	// replica 0's base unsharded, the merged union of every group's acting
+	// the base store unsharded, the merged union of every group's acting
 	// primary when sharded (disjoint slots make the union exactly the state
-	// an unpartitioned run holds — the digest tests pin this).
+	// an unpartitioned run holds — the tier-equivalence test pins this).
 	var authBase *kvstore.Local
 	if cluster != nil {
+		cluster.report(rep)
+		rep.Violations = append(rep.Violations, cluster.hookViolations()...)
+		rep.Violations = append(rep.Violations, cluster.probeStale(ctx)...)
 		authBase, err = cluster.merged(ctx)
 		if err != nil {
 			return nil, err
 		}
 	} else {
-		authBase = chains[0].base
+		rep.KVOps += faulty.Ops()
+		rep.InjectedFaults += faulty.Injected()
+		rep.addResilience(resilient)
+		authBase = base
 	}
 
 	// Explore accounting: decode the final reward state straight off the
@@ -469,45 +387,36 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	rep.Violations = append(rep.Violations, checkResults(ds, results, sc.TopN)...)
 	rep.Violations = append(rep.Violations, checkLatency(sys, len(results))...)
 
-	if cluster != nil {
-		rep.Digest = StateDigest(authBase)
-	} else {
-		rep.Digest = rep.ReplicaDigests[0]
-	}
+	rep.Digest = StateDigest(authBase)
 	rep.ServeDigest = serveDigest(results)
 	return rep, nil
 }
 
-// replicaChain is one replica's storage stack, kept by layer so the harness
-// can schedule faults (faulty), read resilience counters (resilient), and
-// digest state (base) independently of how the layers compose.
-type replicaChain struct {
-	base      *kvstore.Local
-	faulty    *kvstore.Faulty
-	resilient *kvstore.Resilient // nil unless the scenario sets Resilience
+// newSimResilient wraps a replica's injector in the Resilient decorator.
+// The breaker's cooldown follows the virtual clock, and retry waits are
+// no-ops: sleeping on backoff.Delay would either block real time (slow) or
+// advance the virtual clock (diverging the clock trajectory between faulted
+// and fault-free runs, breaking the failover digest comparison). Breaker
+// recovery timing comes from the action timestamps instead, which dwarf any
+// cooldown.
+func newSimResilient(inner kvstore.Store, cfg kvstore.ResilienceConfig, seed uint64, vclock *VirtualClock) *kvstore.Resilient {
+	r := kvstore.NewResilient(inner, cfg, seed)
+	r.SetClock(vclock.Now)
+	r.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
+	return r
 }
 
-// replicaFaultSeed derives replica i's injector seed. Replica 0 keeps the
-// legacy single-store seed (sc.Seed ^ 0x5EED) so every pre-replication
-// scenario digest is unchanged; later replicas mix in a Weyl increment.
-func replicaFaultSeed(seed uint64, i int) uint64 {
-	return seed ^ 0x5EED ^ (uint64(i) * 0x9E3779B97F4A7C15)
-}
-
-// replicaSchedule picks replica i's replay-phase fault schedule: ReplicaFaults
-// by index when replicated, the legacy KVFaults for the lone replica
-// otherwise. Indices past the end of ReplicaFaults run fault-free.
-func replicaSchedule(sc Scenario, i int) []kvstore.FaultPhase {
-	if len(sc.ReplicaFaults) > 0 {
-		if i < len(sc.ReplicaFaults) {
-			return sc.ReplicaFaults[i]
-		}
-		return nil
+// addResilience folds one Resilient decorator's counters into the report;
+// a nil decorator adds nothing.
+func (rep *Report) addResilience(r *kvstore.Resilient) {
+	if r == nil {
+		return
 	}
-	if i == 0 {
-		return sc.KVFaults
-	}
-	return nil
+	s := r.Stats()
+	rep.Retries += s.Retries
+	rep.Exhausted += s.Exhausted
+	rep.BreakerTrips += s.Breaker.Trips
+	rep.BreakerResets += s.Breaker.Resets
 }
 
 // serveDigest canonically hashes the serving phase's output: every result's

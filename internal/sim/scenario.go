@@ -63,35 +63,26 @@ type Scenario struct {
 	KVFaults   []kvstore.FaultPhase
 	BoltFaults []BoltFault
 
-	// Resilient serving stack. Replicas > 1 composes that many independent
-	// backends under kvstore.Replicated (write-all / read-first-healthy);
-	// each backend carries its own fault injector so replicas can die
-	// independently. Requires TransportLocal and, when set, per-replica
-	// schedules via ReplicaFaults instead of KVFaults.
-	Replicas int
-	// ReplicaFaults is the per-replica fault schedule (index = replica;
-	// missing or nil entries mean fault-free). Only valid with Replicas > 1.
-	ReplicaFaults [][]kvstore.FaultPhase
-	// Resilience, when non-nil, wraps every backend's injector with a
+	// Resilience, when non-nil, wraps every replica's injector with a
 	// kvstore.Resilient decorator (retry/backoff/circuit-breaking) driven by
 	// the virtual clock and a no-op sleep, so retry patterns replay exactly.
 	Resilience *kvstore.ResilienceConfig
-	// ServeFaults, when non-empty, replaces every injector's schedule right
+	// ServeFaults, when non-empty, replaces the injector's schedule right
 	// before the serving phase — an outage that begins after training, the
 	// degraded-serving drill. Phase op counts restart at the first serving
 	// operation.
 	ServeFaults []kvstore.FaultPhase
 
-	// Sharded storage tier. Shards > 1 partitions the key space across that
+	// Sharded storage tier. Shards > 0 partitions the key space across that
 	// many primary/backup shard groups (kvstore.ShardGroup) under a
-	// Coordinator, and routes the pipeline through a kvstore.Sharded client.
-	// Requires TransportLocal; mutually exclusive with Replicas > 1, KVFaults,
-	// ReplicaFaults, and ServeFaults — shard scenarios schedule faults per
-	// shard replica via ShardFaults.
+	// Coordinator, and routes the pipeline through a kvstore.Sharded client;
+	// Shards 1 is the one-group replicated tier. Requires TransportLocal;
+	// mutually exclusive with KVFaults and ServeFaults — shard scenarios
+	// schedule faults per shard replica via ShardFaults.
 	Shards int
 	// ShardFaults is the per-shard-replica fault schedule, indexed by
 	// group*2 + role (role 0 primary, 1 backup); missing or nil entries run
-	// fault-free. Only valid with Shards > 1.
+	// fault-free. Only valid with Shards > 0.
 	ShardFaults [][]kvstore.FaultPhase
 	// RebalanceAfterActions, when > 0, migrates RebalanceSlots slots from
 	// group 0 to group 1 mid-replay, right before that action number feeds
@@ -182,47 +173,31 @@ func (s Scenario) withDefaults() (Scenario, error) {
 	if s.Transport != TransportLocal && s.Transport != TransportTCP {
 		return s, fmt.Errorf("sim: scenario %q has unknown transport %q", s.Name, s.Transport)
 	}
-	if s.Replicas < 0 {
-		return s, fmt.Errorf("sim: scenario %q has negative Replicas %d", s.Name, s.Replicas)
+	if s.Shards < 0 {
+		return s, fmt.Errorf("sim: scenario %q has negative Shards %d", s.Name, s.Shards)
 	}
-	if s.Replicas > 1 && s.Transport == TransportTCP {
-		// One server/client pair per replica would mean real sockets per
-		// backend; the replication drills run on the local transport.
-		return s, fmt.Errorf("sim: scenario %q combines Replicas > 1 with the TCP transport", s.Name)
-	}
-	if s.Replicas > 1 && len(s.KVFaults) > 0 {
-		return s, fmt.Errorf("sim: scenario %q must schedule faults via ReplicaFaults when Replicas > 1", s.Name)
-	}
-	if len(s.ReplicaFaults) > 0 && s.Replicas <= 1 {
-		return s, fmt.Errorf("sim: scenario %q sets ReplicaFaults without Replicas > 1", s.Name)
-	}
-	if len(s.ReplicaFaults) > s.Replicas {
-		return s, fmt.Errorf("sim: scenario %q has %d replica fault schedules for %d replicas", s.Name, len(s.ReplicaFaults), s.Replicas)
-	}
-	if s.Shards < 0 || s.Shards == 1 {
-		return s, fmt.Errorf("sim: scenario %q has Shards %d, want 0 or >= 2", s.Name, s.Shards)
-	}
-	if s.Shards > 1 {
+	if s.Shards > 0 {
 		if s.Transport == TransportTCP {
 			return s, fmt.Errorf("sim: scenario %q combines Shards with the TCP transport", s.Name)
 		}
-		if s.Replicas > 1 {
-			return s, fmt.Errorf("sim: scenario %q combines Shards with Replicas; shard groups replicate internally", s.Name)
-		}
-		if len(s.KVFaults) > 0 || len(s.ReplicaFaults) > 0 || len(s.ServeFaults) > 0 {
-			return s, fmt.Errorf("sim: scenario %q must schedule faults via ShardFaults when Shards > 1", s.Name)
+		if len(s.KVFaults) > 0 || len(s.ServeFaults) > 0 {
+			return s, fmt.Errorf("sim: scenario %q must schedule faults via ShardFaults when Shards > 0", s.Name)
 		}
 		if len(s.ShardFaults) > 2*s.Shards {
 			return s, fmt.Errorf("sim: scenario %q has %d shard fault schedules for %d shard replicas", s.Name, len(s.ShardFaults), 2*s.Shards)
 		}
+	} else if len(s.ShardFaults) > 0 {
+		return s, fmt.Errorf("sim: scenario %q sets ShardFaults without Shards > 0", s.Name)
+	}
+	if s.Shards > 1 {
 		if s.RebalanceSlots == 0 {
 			s.RebalanceSlots = 4
 		}
 		if s.RebalanceSlots < 0 {
 			return s, fmt.Errorf("sim: scenario %q has negative RebalanceSlots %d", s.Name, s.RebalanceSlots)
 		}
-	} else if len(s.ShardFaults) > 0 || s.RebalanceAfterActions > 0 || s.RebalanceDuringServe || s.RebalanceSlots > 0 || s.StaleRouter {
-		return s, fmt.Errorf("sim: scenario %q sets shard knobs without Shards > 1", s.Name)
+	} else if s.RebalanceAfterActions > 0 || s.RebalanceDuringServe || s.RebalanceSlots > 0 || s.StaleRouter {
+		return s, fmt.Errorf("sim: scenario %q sets rebalance knobs without Shards >= 2", s.Name)
 	}
 	if s.RebalanceAfterActions < 0 {
 		return s, fmt.Errorf("sim: scenario %q has negative RebalanceAfterActions %d", s.Name, s.RebalanceAfterActions)

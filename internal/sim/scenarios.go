@@ -152,56 +152,56 @@ func Scenarios() []Scenario {
 			KVFaults:  []kvstore.FaultPhase{{FailRate: 0.03}},
 		},
 		{
-			// Two replicas behind write-all/read-first-healthy; replica 1
-			// dies permanently 1000 ops into the replay. Write-all absorbs
-			// every skip, read-first-healthy keeps answering from replica 0 —
-			// so this run's Digest AND ServeDigest must be byte-identical to
-			// the same scenario with no faults at all (the failover-
-			// transparency test runs both), while ReplicaDigests[1] visibly
-			// diverges. Fully serialized for that comparison to be exact.
+			// The one-group replicated tier (Shards 1: a primary/backup
+			// ShardGroup behind its router, each replica behind its own
+			// Resilient decorator); the backup dies permanently 1000 ops into
+			// the replay. Its first failed replication marks it down and the
+			// primary carries on alone, so this run's Digest AND ServeDigest
+			// must be byte-identical to the same scenario unsharded and
+			// fault-free (the tier-equivalence test runs both), while the dead
+			// backup's own digest visibly diverges. Fully serialized for that
+			// comparison to be exact.
 			Name:        "replica-failover",
 			Seed:        1212,
 			Parallelism: serialParallelism(),
 			MaxPending:  1,
 			Tracked:     true,
 			Synchronous: true,
-			Replicas:    2,
+			Shards:      1,
 			Resilience: &kvstore.ResilienceConfig{
 				MaxRetries: 1,
 				Backoff:    kvstore.BackoffConfig{Base: kvstore.DefaultBackoffBase, Max: kvstore.DefaultBackoffMax},
 				Breaker:    kvstore.BreakerConfig{Threshold: 4, Cooldown: 100 * time.Millisecond},
 			},
-			ReplicaFaults: [][]kvstore.FaultPhase{
+			ShardFaults: [][]kvstore.FaultPhase{
 				nil,
 				{{Ops: 1000}, {FailRate: 1}},
 			},
 		},
 		{
-			// The breaker drill: a 40-op total outage on replica 0 trips its
-			// breaker (failing fast instead of burning the retry budget on a
-			// dead backend), reads fall back to replica 1, write-all absorbs
-			// the skips — then half-open probes burn down the outage window
+			// The breaker drill on the single Resilient chain serve-remote
+			// deploys (recserve -kv): a 40-op total outage trips the breaker
+			// (failing fast instead of burning the retry budget on a dead
+			// backend), then half-open probes burn down the outage window
 			// (the virtual clock jumps minutes per action, dwarfing the
-			// cooldown) until one lands and the breaker closes again. The
-			// expectations demand the full trip AND reset happened, with zero
-			// failed trees and zero serving errors end to end. MaxPending 1
-			// paces the virtual clock with processing: an unbounded spout
-			// drains the whole stream (and the clock) ahead of the bolts,
-			// freezing the clock mid-outage so the cooldown never elapses.
+			// cooldown) until one lands and the breaker closes again. With no
+			// second replica the writes inside the window fail their tuple
+			// trees; the expectations demand the full trip AND reset, every
+			// tree resolved, and a serve phase without a single error.
+			// MaxPending 1 paces the virtual clock with processing: an
+			// unbounded spout drains the whole stream (and the clock) ahead
+			// of the bolts, freezing the clock mid-outage so the cooldown
+			// never elapses.
 			Name:       "breaker-trip-recover",
 			Seed:       1313,
 			Tracked:    true,
 			MaxPending: 1,
-			Replicas:   2,
 			Resilience: &kvstore.ResilienceConfig{
 				MaxRetries: 1,
 				Backoff:    kvstore.BackoffConfig{Base: kvstore.DefaultBackoffBase, Max: kvstore.DefaultBackoffMax},
 				Breaker:    kvstore.BreakerConfig{Threshold: 5, Cooldown: 100 * time.Millisecond},
 			},
-			ReplicaFaults: [][]kvstore.FaultPhase{
-				{{Ops: 1000}, {Ops: 40, FailRate: 1}, {Ops: 0}},
-				nil,
-			},
+			KVFaults: []kvstore.FaultPhase{{Ops: 1000}, {Ops: 40, FailRate: 1}, {Ops: 0}},
 		},
 		{
 			// Total model/simtable outage ("sys/...") that begins only at the
@@ -294,8 +294,8 @@ func Scenarios() []Scenario {
 			// loss internally — the backup (which replicated every prior write
 			// synchronously) promotes, writes and reads continue against it —
 			// so this run's Digest AND ServeDigest must be byte-identical to
-			// the same scenario unsharded and fault-free (the shard-loss
-			// digest test runs both). Fully serialized for that comparison;
+			// the same scenario unsharded and fault-free (the tier-equivalence
+			// test runs both). Fully serialized for that comparison;
 			// cache disabled so faults land at deterministic store ops.
 			Name:         "shard-loss",
 			Seed:         2020,
@@ -318,7 +318,7 @@ func Scenarios() []Scenario {
 			// handoff blocks only writes, so every request must succeed, and
 			// the moved state must be byte-for-byte intact: Digest and
 			// ServeDigest must match the same scenario unsharded with no
-			// rebalance at all (the rebalance digest test runs both).
+			// rebalance at all (the tier-equivalence test runs both).
 			Name:                 "rebalance-mid-serving",
 			Seed:                 2121,
 			Parallelism:          serialParallelism(),

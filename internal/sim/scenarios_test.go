@@ -49,25 +49,22 @@ var expectations = map[string]func(t *testing.T, rep *Report){
 	},
 	"replica-failover": func(t *testing.T, rep *Report) {
 		if rep.InjectedFaults == 0 {
-			t.Error("replica outage injected no faults — scenario is vacuous")
+			t.Error("backup outage injected no faults — scenario is vacuous")
+		}
+		if rep.ShardSyncSkips == 0 {
+			t.Error("dead backup skipped no replication — the group never noticed the loss")
+		}
+		if rep.Retries == 0 {
+			t.Error("the dead backup's decorator never retried — Resilient is not under the group")
 		}
 		if rep.FailedTrees != 0 {
-			t.Errorf("write-all failed %d tuple trees despite a healthy replica 0", rep.FailedTrees)
+			t.Errorf("backup loss failed %d tuple trees despite a healthy primary", rep.FailedTrees)
 		}
 		if rep.RecommendErrors != 0 {
-			t.Errorf("%d recommend errors despite a healthy replica 0", rep.RecommendErrors)
-		}
-		if rep.WriteSkips == 0 {
-			t.Error("dead replica absorbed no write skips — replication never engaged")
-		}
-		if rep.BreakerTrips == 0 {
-			t.Error("dead replica never tripped its breaker")
+			t.Errorf("%d recommend errors despite a healthy primary", rep.RecommendErrors)
 		}
 		if len(rep.ReplicaDigests) != 2 {
 			t.Fatalf("got %d replica digests, want 2", len(rep.ReplicaDigests))
-		}
-		if rep.ReplicaDigests[1] == rep.ReplicaDigests[0] {
-			t.Error("dead replica's digest matches the survivor's — the outage changed nothing")
 		}
 	},
 	"breaker-trip-recover": func(t *testing.T, rep *Report) {
@@ -83,14 +80,12 @@ var expectations = map[string]func(t *testing.T, rep *Report){
 		if rep.Retries == 0 {
 			t.Error("no operation was ever retried — the retry layer never engaged")
 		}
-		if rep.ReadFallbacks == 0 {
-			t.Error("no read fell back to the healthy replica during the outage")
-		}
-		if rep.FailedTrees != 0 {
-			t.Errorf("outage failed %d tuple trees despite fallback + write-all", rep.FailedTrees)
+		if rep.Spouted != rep.Acked+rep.FailedTrees || rep.Unresolved != 0 {
+			t.Errorf("trees unaccounted: spouted %d, acked %d + failed %d, unresolved %d",
+				rep.Spouted, rep.Acked, rep.FailedTrees, rep.Unresolved)
 		}
 		if rep.RecommendErrors != 0 {
-			t.Errorf("%d recommend errors despite a healthy replica", rep.RecommendErrors)
+			t.Errorf("%d recommend errors after the breaker reset", rep.RecommendErrors)
 		}
 	},
 	"reward-starvation": func(t *testing.T, rep *Report) {
@@ -170,8 +165,8 @@ var expectations = map[string]func(t *testing.T, rep *Report){
 		if rep.RecommendErrors != 0 {
 			t.Errorf("%d recommend errors despite a live backup", rep.RecommendErrors)
 		}
-		if len(rep.ReplicaDigests) != 2 {
-			t.Fatalf("got %d group digests, want 2", len(rep.ReplicaDigests))
+		if len(rep.ReplicaDigests) != 4 {
+			t.Fatalf("got %d replica digests, want 4", len(rep.ReplicaDigests))
 		}
 	},
 	"rebalance-mid-serving": func(t *testing.T, rep *Report) {
@@ -338,147 +333,82 @@ func TestCacheTransparency(t *testing.T) {
 	}
 }
 
-// TestReplicaFailoverDigest is the failover-transparency proof: the
-// replica-failover scenario (replica 1 dies mid-replay) must produce
-// byte-identical trained state AND served output to the very same scenario
-// with no faults at all. Write-all keeps replica 0's operation sequence
-// independent of replica 1's health, and read-first-healthy always answers
-// from replica 0 — so a client cannot tell a failover happened. The dead
-// replica's own digest is the negative control: it must diverge in the
-// faulted run and match in the fault-free one.
-func TestReplicaFailoverDigest(t *testing.T) {
-	var sc Scenario
-	for _, s := range Scenarios() {
-		if s.Name == "replica-failover" {
-			sc = s
-		}
+// TestShardedTierMatchesUnpartitioned is the storage tier's equivalence
+// oracle: each sharded scenario — a replica lost, a primary lost, slots moved
+// under serving traffic — must produce byte-identical trained state AND
+// served output to the very same workload on one unpartitioned store with no
+// faults and no moves. Synchronous replication means a surviving replica
+// holds every write the group ever acknowledged, promotion surfaces no error
+// to the pipeline, and the freeze→transfer→flip handoff never fails a read
+// and moves state byte for byte — so neither the partitioning, nor the
+// failover, nor the move may shift a single byte. Each case carries its
+// negative controls: the tier must really have done the work (engaged > 0),
+// and where a replica was killed, faults must have landed and the dead
+// replica's own digest must differ from its group's survivor.
+func TestShardedTierMatchesUnpartitioned(t *testing.T) {
+	cases := []struct {
+		scenario       string
+		dead, survivor int // ReplicaDigests indices; dead < 0 when nothing dies
+		engaged        string
+		work           func(*Report) uint64
+	}{
+		{"replica-failover", 1, 0, "backup replications skipped", func(r *Report) uint64 { return r.ShardSyncSkips }},
+		{"shard-loss", 2, 3, "promotions", func(r *Report) uint64 { return r.ShardPromotes }},
+		{"rebalance-mid-serving", -1, -1, "moved keys", func(r *Report) uint64 { return r.ShardMovedKeys }},
 	}
-	if sc.Name == "" {
-		t.Fatal("replica-failover scenario missing from matrix")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
+	for _, tc := range cases {
+		t.Run(tc.scenario, func(t *testing.T) {
+			var sc Scenario
+			for _, s := range Scenarios() {
+				if s.Name == tc.scenario {
+					sc = s
+				}
+			}
+			if sc.Name == "" {
+				t.Fatalf("%s scenario missing from matrix", tc.scenario)
+			}
+			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
+			defer cancel()
 
-	faulted, err := Run(ctx, sc)
-	if err != nil {
-		t.Fatalf("faulted run: %v", err)
-	}
-	sc.ReplicaFaults = nil
-	clean, err := Run(ctx, sc)
-	if err != nil {
-		t.Fatalf("fault-free run: %v", err)
-	}
-	if faulted.Digest != clean.Digest {
-		t.Errorf("state digests differ with and without the replica outage:\n  faulted: %s\n  clean:   %s", faulted.Digest, clean.Digest)
-	}
-	if faulted.ServeDigest != clean.ServeDigest {
-		t.Errorf("served-output digests differ with and without the replica outage:\n  faulted: %s\n  clean:   %s", faulted.ServeDigest, clean.ServeDigest)
-	}
-	if faulted.Degraded != 0 || clean.Degraded != 0 {
-		t.Errorf("degraded responses on a run with a healthy replica 0: faulted %d, clean %d", faulted.Degraded, clean.Degraded)
-	}
-	// Negative controls: the comparison is only meaningful if the outage
-	// really happened and really cost replica 1 its state.
-	if faulted.InjectedFaults == 0 {
-		t.Error("faulted run injected nothing — transparency comparison is vacuous")
-	}
-	if len(clean.ReplicaDigests) == 2 && clean.ReplicaDigests[0] != clean.ReplicaDigests[1] {
-		t.Error("fault-free replicas disagree — write-all is not replicating")
-	}
-	if len(faulted.ReplicaDigests) == 2 && faulted.ReplicaDigests[0] == faulted.ReplicaDigests[1] {
-		t.Error("faulted replicas agree — the outage never happened")
-	}
-}
-
-// TestShardLossDigest is the sharding-transparency proof, fault edition: the
-// shard-loss scenario (group 1's primary dies mid-replay, backup promotes)
-// must produce byte-identical trained state AND served output to the very
-// same workload running against a single unpartitioned store with no faults
-// at all. Synchronous replication means the backup holds every write the
-// dead primary ever acknowledged, and promotion surfaces no error to the
-// pipeline — so neither the partitioning nor the failover may shift a single
-// byte of state or serving.
-func TestShardLossDigest(t *testing.T) {
-	var sc Scenario
-	for _, s := range Scenarios() {
-		if s.Name == "shard-loss" {
-			sc = s
-		}
-	}
-	if sc.Name == "" {
-		t.Fatal("shard-loss scenario missing from matrix")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	faulted, err := Run(ctx, sc)
-	if err != nil {
-		t.Fatalf("sharded faulted run: %v", err)
-	}
-	sc.Shards = 0
-	sc.ShardFaults = nil
-	clean, err := Run(ctx, sc)
-	if err != nil {
-		t.Fatalf("unpartitioned fault-free run: %v", err)
-	}
-	if faulted.Digest != clean.Digest {
-		t.Errorf("state digests differ between the sharded faulted run and the unpartitioned clean run:\n  sharded: %s\n  local:   %s",
-			faulted.Digest, clean.Digest)
-	}
-	if faulted.ServeDigest != clean.ServeDigest {
-		t.Errorf("served-output digests differ between the sharded faulted run and the unpartitioned clean run:\n  sharded: %s\n  local:   %s",
-			faulted.ServeDigest, clean.ServeDigest)
-	}
-	// Negative controls: the comparison is vacuous unless the outage really
-	// happened and really cost a failover.
-	if faulted.InjectedFaults == 0 {
-		t.Error("faulted run injected nothing — transparency comparison is vacuous")
-	}
-	if faulted.ShardPromotes == 0 {
-		t.Error("no promotion happened — transparency comparison is vacuous")
-	}
-}
-
-// TestRebalanceDigest is the sharding-transparency proof, migration edition:
-// rebalance-mid-serving (slots migrate between groups with Recommend traffic
-// in flight) must produce byte-identical trained state AND served output to
-// the same workload on a single unpartitioned store with no migration. The
-// freeze→transfer→flip handoff never fails a read and moves state
-// byte-for-byte, so serving cannot observe the move.
-func TestRebalanceDigest(t *testing.T) {
-	var sc Scenario
-	for _, s := range Scenarios() {
-		if s.Name == "rebalance-mid-serving" {
-			sc = s
-		}
-	}
-	if sc.Name == "" {
-		t.Fatal("rebalance-mid-serving scenario missing from matrix")
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
-	defer cancel()
-
-	rebalanced, err := Run(ctx, sc)
-	if err != nil {
-		t.Fatalf("sharded rebalancing run: %v", err)
-	}
-	sc.Shards = 0
-	sc.RebalanceDuringServe = false
-	sc.RebalanceSlots = 0
-	still, err := Run(ctx, sc)
-	if err != nil {
-		t.Fatalf("unpartitioned run: %v", err)
-	}
-	if rebalanced.Digest != still.Digest {
-		t.Errorf("state digests differ between the rebalanced sharded run and the unpartitioned run:\n  sharded: %s\n  local:   %s",
-			rebalanced.Digest, still.Digest)
-	}
-	if rebalanced.ServeDigest != still.ServeDigest {
-		t.Errorf("served-output digests differ between the rebalanced sharded run and the unpartitioned run:\n  sharded: %s\n  local:   %s",
-			rebalanced.ServeDigest, still.ServeDigest)
-	}
-	if rebalanced.ShardMovedKeys == 0 {
-		t.Error("rebalanced run moved no keys — transparency comparison is vacuous")
+			tier, err := Run(ctx, sc)
+			if err != nil {
+				t.Fatalf("sharded run: %v", err)
+			}
+			sc.Shards, sc.ShardFaults = 0, nil
+			sc.RebalanceAfterActions, sc.RebalanceDuringServe, sc.RebalanceSlots, sc.StaleRouter = 0, false, 0, false
+			flat, err := Run(ctx, sc)
+			if err != nil {
+				t.Fatalf("unpartitioned fault-free run: %v", err)
+			}
+			if tier.Digest != flat.Digest {
+				t.Errorf("state digests differ between the sharded run and the unpartitioned run:\n  sharded: %s\n  local:   %s",
+					tier.Digest, flat.Digest)
+			}
+			if tier.ServeDigest != flat.ServeDigest {
+				t.Errorf("served-output digests differ between the sharded run and the unpartitioned run:\n  sharded: %s\n  local:   %s",
+					tier.ServeDigest, flat.ServeDigest)
+			}
+			if tier.Degraded != 0 || flat.Degraded != 0 {
+				t.Errorf("degraded responses with a live replica in every group: sharded %d, unpartitioned %d", tier.Degraded, flat.Degraded)
+			}
+			if tier.Violations != nil || flat.Violations != nil {
+				t.Errorf("invariant violations: sharded %v, unpartitioned %v", tier.Violations, flat.Violations)
+			}
+			// Negative controls: the comparison is vacuous unless the tier
+			// really failed over or moved state.
+			if tc.work(tier) == 0 {
+				t.Errorf("sharded run made no %s — the comparison is vacuous", tc.engaged)
+			}
+			if tc.dead < 0 {
+				return
+			}
+			if tier.InjectedFaults == 0 {
+				t.Error("sharded run injected nothing — the comparison is vacuous")
+			}
+			if d := tier.ReplicaDigests; len(d) <= max(tc.dead, tc.survivor) || d[tc.dead] == d[tc.survivor] {
+				t.Errorf("dead replica %d's digest matches its survivor's — the outage changed nothing (%d digests)", tc.dead, len(d))
+			}
+		})
 	}
 }
 
@@ -636,6 +566,12 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := (Scenario{Name: "x", Transport: "carrier-pigeon"}).withDefaults(); err == nil {
 		t.Error("unknown transport accepted")
+	}
+	if _, err := (Scenario{Name: "x", Shards: 1}).withDefaults(); err != nil {
+		t.Errorf("one-group tier rejected: %v", err)
+	}
+	if _, err := (Scenario{Name: "x", Shards: 1, RebalanceDuringServe: true}).withDefaults(); err == nil {
+		t.Error("rebalance accepted on a one-group tier — there is no second group to move slots to")
 	}
 }
 

@@ -5,17 +5,16 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"time"
 
 	"vidrec/internal/kvstore"
 )
 
-// shardCluster is the sharded-tier analogue of the replica chains: Shards
-// primary/backup groups of Locals, each replica behind its own fault
-// injector (and optional Resilient decorator), composed under a Coordinator
-// and fronted by a Sharded router the pipeline uses as its store. The
-// harness keeps every layer by hand so it can schedule faults per replica,
-// drive rebalances mid-run, and digest the merged state afterwards.
+// shardCluster is the sharded storage tier: Shards primary/backup groups of
+// Locals, each replica behind its own fault injector (and optional Resilient
+// decorator), composed under a Coordinator and fronted by a Sharded router
+// the pipeline uses as its store. The harness keeps every layer by hand so
+// it can schedule faults per replica, drive rebalances mid-run, and digest
+// the merged state afterwards.
 type shardCluster struct {
 	groups    []*kvstore.ShardGroup
 	bases     [][]*kvstore.Local // [group][role]; role 0 primary, 1 backup
@@ -31,17 +30,15 @@ type shardCluster struct {
 }
 
 // shardFaultSeed derives the injector seed for one shard replica, mixing
-// the flat replica index (group*2 + role) with a Weyl increment the same
-// way replicaFaultSeed does.
+// the flat replica index (group*2 + role) with a Weyl increment.
 func shardFaultSeed(seed uint64, group, role int) uint64 {
 	return seed ^ 0x5A4D ^ (uint64(group*2+role+1) * 0x9E3779B97F4A7C15)
 }
 
 // newShardCluster assembles the sharded storage stack for a scenario. The
-// per-replica chain mirrors the replicated stack exactly — Local, fault
-// injector, optional Resilient decorator — so the sharded tier composes
-// under the same retry/breaker machinery, just below the group instead of
-// below Replicated.
+// per-replica chain mirrors the unsharded one — Local, fault injector,
+// optional Resilient decorator — so each replica composes under the same
+// retry/breaker machinery, below its group.
 func newShardCluster(sc Scenario, vclock *VirtualClock) (*shardCluster, error) {
 	c := &shardCluster{}
 	for gi := 0; gi < sc.Shards; gi++ {
@@ -55,11 +52,7 @@ func newShardCluster(sc Scenario, vclock *VirtualClock) (*shardCluster, error) {
 			c.faulties[gi][role] = faulty
 			replicas[role] = faulty
 			if sc.Resilience != nil {
-				r := kvstore.NewResilient(faulty, *sc.Resilience, shardFaultSeed(sc.Seed, gi, role)^0xB0FF)
-				// Same clock discipline as the replica chains: breaker
-				// cooldowns follow the virtual clock, retry waits are no-ops.
-				r.SetClock(vclock.Now)
-				r.SetSleep(func(ctx context.Context, _ time.Duration) error { return ctx.Err() })
+				r := newSimResilient(faulty, *sc.Resilience, shardFaultSeed(sc.Seed, gi, role)^0xB0FF, vclock)
 				c.resilient = append(c.resilient, r)
 				replicas[role] = r
 			}
@@ -202,13 +195,32 @@ func (c *shardCluster) merged(ctx context.Context) (*kvstore.Local, error) {
 	return m, nil
 }
 
-// groupDigests returns each group's acting-primary state digest.
-func (c *shardCluster) groupDigests() []string {
-	out := make([]string, len(c.groups))
+// report folds the cluster's counters into rep: every replica's injector
+// and decorator, every group, the routers and the coordinator, plus each
+// replica's own state digest.
+func (c *shardCluster) report(rep *Report) {
 	for gi, g := range c.groups {
-		out[gi] = StateDigest(c.bases[gi][g.PrimaryIndex()])
+		for role, f := range c.faulties[gi] {
+			rep.KVOps += f.Ops()
+			rep.InjectedFaults += f.Injected()
+			rep.ReplicaDigests = append(rep.ReplicaDigests, StateDigest(c.bases[gi][role]))
+		}
+		gs := g.Stats()
+		rep.ShardPromotes += gs.Promotes
+		rep.ShardSyncSkips += gs.SyncSkips
+		rep.ShardDedupHits += gs.DedupHits
+		rep.ReadFallbacks += gs.ReadFallbacks
 	}
-	return out
+	for _, r := range c.resilient {
+		rep.addResilience(r)
+	}
+	rep.ShardRedirects = c.router.Stats().Redirects
+	if c.stale != nil {
+		rep.ShardRedirects += c.stale.Stats().Redirects
+	}
+	cs := c.coord.Stats()
+	rep.ShardRebalances = cs.Rebalances
+	rep.ShardMovedKeys = cs.MovedKeys
 }
 
 // hookViolations drains rebalance-hook failures.
