@@ -82,7 +82,7 @@ fuzz:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeFloats$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzNetRequestFrame$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzApplyOp$$' -fuzztime $(FUZZTIME)
-	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzDecodeQ8Vec$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/vecmath -run '^$$' -fuzz '^FuzzQuantize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/feedback -run '^$$' -fuzz '^FuzzWeight$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardEvent$$' -fuzztime $(FUZZTIME)

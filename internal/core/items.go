@@ -13,8 +13,10 @@ import (
 // The item table: a serving model scores every candidate from one dense
 // in-memory table of item records, indexed by the shared intern slot. A
 // record holds the item in the form the model scores from — its float vector
-// and bias by default, or, once EnableQuantized selects the int8 form, the
-// compact quantized record (scale, bias, int8 vector; kvstore.EncodeQ8Vec).
+// and bias by default, or, once EnableQuantized selects the int8 form, their
+// quantization (scale, bias, int8 vector; vecmath.Quantize). Both forms are
+// built from the float parameters the store holds; the store keeps nothing
+// else for them.
 // The warm scoring loop is one RLock plus array reads and dot products: no
 // per-item string hashing, no per-item cache lookups, no decode. Item
 // parameters therefore never pass through objcache on the serving path —
@@ -119,10 +121,11 @@ func (m *Model) SetInterner(it *intern.Table) {
 	m.items = &itemTable{it: it} // alloccheck: once per model at wiring time, never per request
 }
 
-// EnableQuantized switches the item table to the int8 form: every StoreItem
-// additionally publishes the item's q8 record, and scoring runs integer dot
-// products. Slots are drawn from the shared interner. Wire it before traffic
-// starts (NewSystem does); it is not safe to toggle under load.
+// EnableQuantized switches the item table to the int8 form: records quantize
+// the item's float parameters at publish and on a miss, and scoring runs
+// integer dot products. The store's contents do not change. Slots are drawn
+// from the shared interner. Wire it before traffic starts (NewSystem does);
+// it is not safe to toggle under load.
 func (m *Model) EnableQuantized(it *intern.Table) {
 	if it == nil {
 		return
@@ -205,7 +208,8 @@ func (m *Model) ScoreSlots(ctx context.Context, userID string, items []string, s
 	return m.scoreSlots(ctx, userID, items, slots, dst, scr)
 }
 
-// ScoreCandidatesQ8 is ScoreSlots under its earlier name.
+// ScoreCandidatesQ8 is ScoreSlots under its earlier name, kept only because
+// the benchmark module links it.
 func (m *Model) ScoreCandidatesQ8(ctx context.Context, userID string, items []string, slots []int32, dst []float64) ([]float64, error) {
 	return m.ScoreSlots(ctx, userID, items, slots, dst)
 }
@@ -272,43 +276,14 @@ func (m *Model) scoreSlots(ctx context.Context, userID string, items []string, s
 }
 
 // resolve fills the scratch records listed in scr.miss from the store and
-// installs each under the pre-fetch version guard. The int8 form first
-// fetches the items' q8 records in one MGet; items without one (stored before
-// quantization was enabled, or never stored) fall through to the float
-// parameters, which every other miss resolves from: one MGet over vector and
-// bias keys, with the deterministic cold-start vector for an item the store
-// has never seen.
+// installs each under the pre-fetch version guard. Either form resolves from
+// the float parameters: one MGet over vector and bias keys, with the
+// deterministic cold-start vector for an item the store has never seen, and
+// the record built from them the way a publish builds it (itemTable.record).
 func (m *Model) resolve(ctx context.Context, items []string, slots []int32, scr *scoreScratch) error {
 	t := m.items
 	version := t.snapshotVersion()
 	miss := scr.miss
-	if t.q8 {
-		keys := scr.keys[:0]
-		for _, i := range miss {
-			keys = append(keys, m.itemKeysFor(items[i]).q8)
-		}
-		scr.keys = keys[:0]
-		vals, err := m.store.MGet(ctx, keys)
-		if err != nil {
-			return fmt.Errorf("core: batch load q8 records: %w", err)
-		}
-		rest := miss[:0] // filtered in place: writes never overtake the range
-		for j, i := range miss {
-			if vals[j] == nil {
-				rest = append(rest, i)
-				continue
-			}
-			scale, bias, data, err := kvstore.DecodeQ8VecInto(nil, vals[j]) // alloccheck: miss path; the table retains the data
-			if err != nil {
-				return fmt.Errorf("core: decode q8 record %s: %w", items[i], err)
-			}
-			scr.recs[i] = itemRec{ready: true, bias: bias, scale: scale, data: data}
-			t.installIfUnchanged(slots[i], scr.recs[i], version)
-		}
-		if miss = rest; len(miss) == 0 {
-			return nil
-		}
-	}
 	keys := scr.keys[:0]
 	for _, i := range miss {
 		ik := m.itemKeysFor(items[i])
@@ -322,7 +297,7 @@ func (m *Model) resolve(ctx context.Context, items []string, slots []int32, scr 
 	for j, i := range miss {
 		var vec []float64
 		if b := vals[2*j]; b != nil {
-			if vec, err = kvstore.DecodeFloats(b); err != nil { // alloccheck: miss path; the table retains the vector
+			if vec, err = kvstore.DecodeFloats(b); err != nil { // alloccheck: miss path; the float table retains the vector
 				return fmt.Errorf("core: decode item vector %s: %w", items[i], err)
 			}
 		} else {

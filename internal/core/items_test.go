@@ -153,9 +153,8 @@ func scoreCachedReference(ctx context.Context, m *Model, userID string, items []
 }
 
 // scoreQ8Reference is the int8 scorer's arithmetic as it stood before the
-// item table took both forms: each item's stored q8 record or, without one,
-// its quantized float state, dotted in integers against the quantized user
-// vector.
+// item table took both forms: each item's float state quantized, dotted in
+// integers against the quantized user vector.
 func scoreQ8Reference(ctx context.Context, m *Model, userID string, items []string) ([]float64, error) {
 	uvec, ubias, _, err := m.userState(ctx, userID)
 	if err != nil {
@@ -168,25 +167,12 @@ func scoreQ8Reference(ctx context.Context, m *Model, userID string, items []stri
 	qu := vecmath.Quantize(uvec)
 	scores := make([]float64, len(items))
 	for i, id := range items {
-		raw, ok, err := m.store.Get(ctx, m.itemKeysFor(id).q8)
+		vec, bias, _, err := m.itemState(ctx, id)
 		if err != nil {
 			return nil, err
 		}
-		var scale, bias float64
-		var data []int8
-		if ok {
-			if scale, bias, data, err = kvstore.DecodeQ8Vec(raw); err != nil {
-				return nil, err
-			}
-		} else {
-			vec, b, _, err := m.itemState(ctx, id)
-			if err != nil {
-				return nil, err
-			}
-			q := vecmath.Quantize(vec)
-			scale, bias, data = q.Scale, b, q.Data
-		}
-		scores[i] = mu + ubias + bias + float64(vecmath.DotQ8(qu.Data, data))*qu.Scale*scale
+		q := vecmath.Quantize(vec)
+		scores[i] = mu + ubias + bias + float64(vecmath.DotQ8(qu.Data, q.Data))*qu.Scale*q.Scale
 	}
 	return scores, nil
 }
@@ -238,14 +224,19 @@ func forms(t *testing.T, fn func(t *testing.T, quantized bool)) {
 // TestScoreSlotsMatchesReference pins the item table to the scorer it
 // replaced: cold table, warm table and the string ScoreCandidates all score
 // every user — trained or unknown — against trained and never-seen items
-// bit-identically to the reference.
+// bit-identically to the reference. Both forms resolve a cold table from the
+// same float parameters, so they reach the store equally often.
 func TestScoreSlotsMatchesReference(t *testing.T) {
+	coldOps := make(map[bool]uint64) // per form
 	forms(t, func(t *testing.T, quantized bool) {
 		r := newItemRig(t, quantized)
-		for _, u := range []string{r.users[0], r.users[7], "nobody"} {
+		for _, u := range []string{"nobody", r.users[0], r.users[7]} {
 			want := r.reference(t, u, r.items)
-			cold, _ := r.score(t, u)
+			cold, ops := r.score(t, u)
 			sameBits(t, "cold table", r.items, cold, want)
+			if u == "nobody" {
+				coldOps[quantized] = ops
+			}
 			warm, ops := r.score(t, u)
 			sameBits(t, "warm table", r.items, warm, want)
 			if ops != 0 {
@@ -261,6 +252,9 @@ func TestScoreSlotsMatchesReference(t *testing.T) {
 			t.Error("slots shorter than items accepted")
 		}
 	})
+	if coldOps[false] == 0 || coldOps[true] != coldOps[false] {
+		t.Errorf("a cold table reached the store %d times in the int8 form and %d in the float form, want the same nonzero count", coldOps[true], coldOps[false])
+	}
 }
 
 // TestItemTableWriteThrough checks StoreItem installs the stored record, so
@@ -321,11 +315,16 @@ func TestItemTableFailedSetDropsSlot(t *testing.T) {
 			t.Error("the dropped slot was scored without a store read")
 		}
 		sameBits(t, "after a failed StoreItem", r.items, got, r.reference(t, u, r.items))
-		if !quantized {
-			want := r.m.items.recs[r.slots[2]]
-			if want.vec[0] != 1 || want.bias == 9 {
-				t.Errorf("re-resolved record = (vec[0] %v, bias %v), want the stored vector and the old bias", want.vec[0], want.bias)
+		rec := r.m.items.recs[r.slots[2]]
+		if rec.bias == 9 {
+			t.Errorf("re-resolved bias = %v, want the old bias", rec.bias)
+		}
+		if quantized {
+			if q := vecmath.Quantize(vec); rec.scale != q.Scale || string(int8Bytes(rec.data)) != string(int8Bytes(q.Data)) {
+				t.Error("re-resolved int8 record is not the quantized stored vector")
 			}
+		} else if rec.vec[0] != 1 {
+			t.Errorf("re-resolved vec[0] = %v, want the stored vector's 1", rec.vec[0])
 		}
 	})
 }

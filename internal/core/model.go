@@ -89,7 +89,6 @@ type Model struct {
 
 	nsItemVec  string
 	nsItemBias string
-	nsItemQ8   string
 	keyMean    string
 
 	// items, when non-nil, is the slot-indexed item table every scorer reads
@@ -115,9 +114,8 @@ type Model struct {
 	scorePool sync.Pool
 }
 
-// itemKeys is one item's store keys (vector, bias, and quantized-record
-// namespaces).
-type itemKeys struct{ vec, bias, q8 string }
+// itemKeys is one item's store keys (vector and bias namespaces).
+type itemKeys struct{ vec, bias string }
 
 // itemKeysFor returns the item's memoized store keys, composing and
 // remembering them on first sight.
@@ -131,7 +129,6 @@ func (m *Model) itemKeysFor(id string) itemKeys {
 	k = itemKeys{
 		vec:  kvstore.Key(m.nsItemVec, id),
 		bias: kvstore.Key(m.nsItemBias, id),
-		q8:   kvstore.Key(m.nsItemQ8, id),
 	}
 	m.keyMu.Lock()
 	m.keyMemo[id] = k
@@ -156,7 +153,6 @@ func NewModel(name string, store kvstore.Store, p Params) (*Model, error) {
 		params:     p,
 		nsItemVec:  name + ".iv",                      // alloccheck: once per model
 		nsItemBias: name + ".ib",                      // alloccheck: once per model
-		nsItemQ8:   name + ".q8",                      // alloccheck: once per model
 		keyMean:    kvstore.Key(name+".meta", "mean"), // alloccheck: once per model
 		keyMemo:    make(map[string]itemKeys),         // alloccheck: once per model
 		ukVec:      kvstore.NewKeys(name + ".uv"),     // alloccheck: once per model
@@ -371,16 +367,16 @@ func (m *Model) StoreUser(ctx context.Context, id string, vec []float64, bias fl
 	return nil
 }
 
-// StoreItem persists one item's vector and bias — in the int8 form also the
-// item's compact q8 record — one Set at a time, and writes the new record
-// through to the item table. When a write fails it drops the item's slot
-// instead, so the next read re-resolves whatever the store now holds. The
-// table keeps vec itself (Params.Step returns fresh clones), so callers must
-// not mutate it afterwards. Last, StoreItem notifies the item-vector hook —
-// the ANN index tracks the online model through exactly this call, whether
-// the write came from Ingest or from a topology storage bolt.
+// StoreItem persists one item's vector and bias, one Set at a time, and
+// writes the new record through to the item table. When a write fails it
+// drops the item's slot instead, so the next read re-resolves whatever the
+// store now holds. The table keeps vec itself (Params.Step returns fresh
+// clones), so callers must not mutate it afterwards. Last, StoreItem notifies
+// the item-vector hook — the ANN index tracks the online model through
+// exactly this call, whether the write came from Ingest or from a topology
+// storage bolt.
 func (m *Model) StoreItem(ctx context.Context, id string, vec []float64, bias float64) error {
-	var buf [3]kvstore.Op
+	var buf [2]kvstore.Op
 	ops, rec := m.itemOps(buf[:0], id, vec, bias)
 	var err error
 	for _, op := range ops {
@@ -393,9 +389,9 @@ func (m *Model) StoreItem(ctx context.Context, id string, vec []float64, bias fl
 	return err
 }
 
-// itemOps appends the Sets that persist one item — vector, bias and, in the
-// int8 form, the q8 record — and returns the item-table record they amount
-// to (the zero record for a model without a table).
+// itemOps appends the Sets that persist one item's vector and bias, and
+// returns the item-table record they amount to (the zero record for a model
+// without a table).
 func (m *Model) itemOps(dst []kvstore.Op, id string, vec []float64, bias float64) ([]kvstore.Op, itemRec) {
 	ik := m.itemKeysFor(id)
 	dst = append(dst,
@@ -404,11 +400,7 @@ func (m *Model) itemOps(dst []kvstore.Op, id string, vec []float64, bias float64
 	if m.items == nil {
 		return dst, itemRec{}
 	}
-	rec := m.items.record(vec, bias)
-	if m.items.q8 {
-		dst = append(dst, kvstore.Op{Kind: kvstore.OpSet, Key: ik.q8, Val: kvstore.EncodeQ8Vec(rec.scale, bias, rec.data)})
-	}
-	return dst, rec
+	return dst, m.items.record(vec, bias)
 }
 
 // itemStored follows an item's write: it installs rec in the item table and

@@ -232,63 +232,6 @@ func DecodeStrings(b []byte) ([]string, error) {
 	return out, nil
 }
 
-// q8HeaderLen is the fixed prefix of a quantized-vector record: the
-// quantization scale and the item bias, 8 little-endian bytes each.
-const q8HeaderLen = 16
-
-// EncodeQ8Vec encodes one item's quantized serving record: the per-vector
-// quantization scale, the item's bias term, and the int8 components. Packing
-// scale + bias + vector into one record is deliberate — the quantized scoring
-// path fetches exactly one key per cold item instead of the float path's
-// vector + bias pair.
-func EncodeQ8Vec(scale, bias float64, data []int8) []byte {
-	buf := make([]byte, q8HeaderLen+len(data)) // alloccheck: one record per item publish, sized by the payload
-	binary.LittleEndian.PutUint64(buf, math.Float64bits(scale))
-	binary.LittleEndian.PutUint64(buf[8:], math.Float64bits(bias))
-	for i, q := range data {
-		buf[q8HeaderLen+i] = byte(q)
-	}
-	return buf
-}
-
-// DecodeQ8Vec decodes a value produced by EncodeQ8Vec into a fresh payload
-// slice. Miss-path convenience form of DecodeQ8VecInto.
-func DecodeQ8Vec(b []byte) (scale, bias float64, data []int8, err error) {
-	return DecodeQ8VecInto(nil, b)
-}
-
-// DecodeQ8VecInto decodes like DecodeQ8Vec but reuses dst's backing array
-// when it has the capacity, so a warm decode is allocation-free. The payload
-// is copied out of b on purpose: decoded records are retained by the
-// quantized parameter table and must never alias the store's buffer. A
-// non-finite or negative scale is rejected — it would poison every score the
-// record touches, and Quantize never emits one.
-//
-// hotpath: quantized records decode into pooled buffers on the serving path
-func DecodeQ8VecInto(dst []int8, b []byte) (scale, bias float64, data []int8, err error) {
-	if len(b) < q8HeaderLen {
-		return 0, 0, nil, fmt.Errorf("kvstore: q8 record has %d bytes, want at least %d", len(b), q8HeaderLen)
-	}
-	scale = math.Float64frombits(binary.LittleEndian.Uint64(b))
-	bias = math.Float64frombits(binary.LittleEndian.Uint64(b[8:]))
-	if math.IsNaN(scale) || math.IsInf(scale, 0) || scale < 0 {
-		return 0, 0, nil, fmt.Errorf("kvstore: q8 record has invalid scale %v", scale)
-	}
-	if math.IsNaN(bias) || math.IsInf(bias, 0) {
-		return 0, 0, nil, fmt.Errorf("kvstore: q8 record has non-finite bias %v", bias)
-	}
-	payload := b[q8HeaderLen:]
-	if cap(dst) < len(payload) {
-		dst = make([]int8, len(payload)) // alloccheck: grow on first use; steady state reuses dst
-	} else {
-		dst = dst[:len(payload)]
-	}
-	for i, c := range payload {
-		dst[i] = int8(c)
-	}
-	return scale, bias, dst, nil
-}
-
 // EncodeInt64 encodes a signed 64-bit integer (timestamps, counters).
 func EncodeInt64(v int64) []byte {
 	buf := make([]byte, 8)

@@ -7,12 +7,10 @@ import (
 	"encoding/gob"
 	"math"
 	"reflect"
-	"slices"
 	"testing"
 	"time"
 
 	"vidrec/internal/topn"
-	"vidrec/internal/vecmath"
 )
 
 // The fuzz targets cover the two decode surfaces that face untrusted bytes:
@@ -247,62 +245,4 @@ func noneOrSame[S ~[]E, E any](s S) S {
 		return S{}
 	}
 	return s
-}
-
-// FuzzDecodeQ8Vec drives the quantized-vector record through both directions:
-// arbitrary bytes must decode-or-error without panicking (and re-encode
-// canonically when they decode), and arbitrary float vectors must survive the
-// full quantize → encode → decode → dequantize pipeline — including all-zero,
-// subnormal, and non-finite inputs, which must collapse to the zero record
-// rather than a poisoned scale.
-func FuzzDecodeQ8Vec(f *testing.F) {
-	f.Add([]byte{})
-	f.Add(EncodeQ8Vec(0, 0, nil))
-	q := vecmath.Quantize([]float64{0.5, -1, 0.25})
-	f.Add(EncodeQ8Vec(q.Scale, 0.125, q.Data))
-	f.Add(EncodeFloats([]float64{0, 0, 0, 0}))
-	f.Add(EncodeFloats([]float64{5e-324, -5e-324}))      // subnormal maxAbs underflows the scale
-	f.Add(EncodeFloats([]float64{math.Inf(1), 1, -1}))   // non-finite component
-	f.Add(EncodeFloats([]float64{math.NaN(), 0.5, 0.5})) // NaN component
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Direction 1: untrusted record bytes.
-		if scale, bias, payload, err := DecodeQ8Vec(data); err == nil {
-			if got := EncodeQ8Vec(scale, bias, payload); !bytes.Equal(got, data) {
-				t.Fatalf("q8 codec is not canonical: %x re-encoded as %x", data, got)
-			}
-			scratch := make([]int8, 0, len(payload))
-			s2, b2, p2, err := DecodeQ8VecInto(scratch, data)
-			if err != nil || s2 != scale || math.Float64bits(b2) != math.Float64bits(bias) || !slices.Equal(p2, payload) {
-				t.Fatalf("DecodeQ8VecInto disagrees with DecodeQ8Vec: %v", err)
-			}
-		}
-		// Direction 2: the same bytes as a float vector through the full
-		// quantize → encode → decode → dequantize pipeline.
-		vec, err := DecodeFloats(data)
-		if err != nil {
-			return
-		}
-		qv := vecmath.Quantize(vec)
-		if math.IsNaN(qv.Scale) || math.IsInf(qv.Scale, 0) || qv.Scale < 0 {
-			t.Fatalf("Quantize emitted invalid scale %v for %v", qv.Scale, vec)
-		}
-		scale, bias, payload, err := DecodeQ8Vec(EncodeQ8Vec(qv.Scale, 0.5, qv.Data))
-		if err != nil {
-			t.Fatalf("round trip of quantized %v failed: %v", vec, err)
-		}
-		if scale != qv.Scale || bias != 0.5 || !slices.Equal(payload, qv.Data) {
-			t.Fatalf("round trip mutated the record: scale %v→%v data %v→%v", qv.Scale, scale, qv.Data, payload)
-		}
-		back := vecmath.Dequantize(vecmath.QVec{Scale: scale, Data: payload}, nil)
-		for i, x := range back {
-			if math.IsNaN(x) || math.IsInf(x, 0) {
-				t.Fatalf("dequantized component %d of %v is non-finite: %v", i, vec, x)
-			}
-			if scale > 0 && !math.IsNaN(vec[i]) && !math.IsInf(vec[i], 0) {
-				if diff := math.Abs(x - vec[i]); diff > scale/2+1e-12 {
-					t.Fatalf("component %d: %v -> %v, error %v exceeds scale/2 %v", i, vec[i], x, diff, scale/2)
-				}
-			}
-		}
-	})
 }

@@ -87,12 +87,11 @@ type Options struct {
 	// the golden explored slate and the sim digests pin.
 	ExploreSeed uint64
 	// Quantized serves Eq. 2 scores from int8-quantized item records
-	// (core.Model's item table in its int8 form) instead of float64 vectors: every
-	// item publish additionally writes one compact scale+bias+int8 record,
-	// and scoring runs integer dot products over a slot-indexed in-memory
-	// table. Items trained before the switch fall back to quantizing their
-	// float parameters on first read. The eval tier pins the recall cost of
-	// the quantization at ≤ 2%.
+	// (core.Model's item table in its int8 form) instead of float64 vectors:
+	// the table quantizes each item's stored float parameters on publish and
+	// on a miss, and scoring runs integer dot products over it. It is
+	// serve-only: the store's contents do not change. The eval tier pins the
+	// recall cost of the quantization at ≤ 2%.
 	Quantized bool
 	// ANN adds a third candidate source beside the similar-table expansion
 	// and the hot list: a random-hyperplane LSH index over the global

@@ -1,10 +1,8 @@
 package sim
 
 import (
-	"context"
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 	"strings"
 	"time"
@@ -17,7 +15,6 @@ import (
 	"vidrec/internal/simtable"
 	"vidrec/internal/storm"
 	"vidrec/internal/topn"
-	"vidrec/internal/vecmath"
 )
 
 // maxViolations caps the breaches one checker reports: a systematic bug
@@ -216,45 +213,6 @@ func checkStore(ds *dataset.Dataset, base *kvstore.Local, params core.Params, op
 			}
 			if !videos[id] {
 				v.addf("store: %s: catalog record for unknown video", key)
-			}
-		case "q8":
-			scale, qbias, data, err := kvstore.DecodeQ8Vec(val)
-			if err != nil {
-				v.addf("store: %s: corrupt q8 record: %v", key, err)
-				return true
-			}
-			if len(data) != params.Factors {
-				v.addf("store: %s: q8 record has %d components, want %d", key, len(data), params.Factors)
-			}
-			checkFinite(&v, key, []float64{scale, qbias})
-			if scale < 0 {
-				v.addf("store: %s: negative q8 scale %v", key, scale)
-			}
-			if !videos[id] {
-				v.addf("store: %s: q8 record for unknown video", key)
-			}
-			// The quantized record must mirror the float state it derives
-			// from: re-quantizing the stored item vector reproduces it bit
-			// for bit, and the carried bias matches the stored item bias.
-			// This is the state-level transparency proof for quantized
-			// serving — StoreItem writes vector, bias and q8 record in one
-			// call, so a quiesced serialized run (the only kind that enables
-			// quantization) leaves them exactly consistent.
-			ns := strings.TrimSuffix(key, ".q8:"+id)
-			if raw, ok, _ := base.Get(context.Background(), ns+".iv:"+id); !ok {
-				v.addf("store: %s: q8 record without a float item vector", key)
-			} else if vec, err := kvstore.DecodeFloats(raw); err == nil {
-				q := vecmath.Quantize(vec)
-				if q.Scale != scale || !slices.Equal(q.Data, data) {
-					v.addf("store: %s: q8 record does not re-quantize from the stored item vector", key)
-				}
-			}
-			if raw, ok, _ := base.Get(context.Background(), ns+".ib:"+id); ok {
-				if b, err := kvstore.DecodeFloat(raw); err == nil && b != qbias {
-					v.addf("store: %s: q8 bias %v != stored item bias %v", key, qbias, b)
-				}
-			} else if qbias != 0 {
-				v.addf("store: %s: q8 bias %v without a stored item bias", key, qbias)
 			}
 		case "bandit":
 			// DecodeState runs bandit.State.Validate: finite, non-negative,

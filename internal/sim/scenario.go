@@ -124,10 +124,11 @@ type Scenario struct {
 	DisableCache bool
 
 	// Quantized serves the request phase through the int8-quantized scoring
-	// path (recommend.Options.Quantized): item vectors resolve as q8 records
-	// and Eq. 2 runs on the integer kernel. Rankings may differ from the
-	// float path by at most the quantization error, so quantized scenarios
-	// carry their own digests rather than sharing a float scenario's.
+	// path (recommend.Options.Quantized): the item table quantizes the stored
+	// float item parameters and Eq. 2 runs on the integer kernel. The store's
+	// contents, and so the state digest, do not change; rankings may differ
+	// from the float path by at most the quantization error, so quantized
+	// scenarios carry their own served-output digests.
 	Quantized bool
 	// ANN turns on the LSH candidate source (recommend.Options.ANN): the
 	// user vector probes the hyperplane index and the hits join the

@@ -249,9 +249,9 @@ func Scenarios() []Scenario {
 			// The quantized serving drill: the request phase scores through
 			// the int8 kernel (Eq. 2 on DotQ8) instead of the float path.
 			// Fully serialized so the quantized determinism test can demand
-			// byte-identical digests, and so the training-transparency test
-			// can compare its state digest against a float run — quantization
-			// is serve-only and must leave the trained state untouched.
+			// byte-identical digests, and so TestANNTrainingTransparency can
+			// compare its state digest against a float run — quantization is
+			// serve-only and must leave the trained state untouched.
 			Name:        "quantized-serving",
 			Seed:        1818,
 			Parallelism: serialParallelism(),
@@ -265,7 +265,8 @@ func Scenarios() []Scenario {
 			// serving configuration: the user vector probes the LSH index,
 			// the hits join the similar-table and hot-list candidates, and
 			// the blend is scored on the integer kernel. Serialized for the
-			// same determinism and training-transparency comparisons.
+			// same determinism and training-transparency comparisons: with
+			// either knob off, or both, the state digest must not change.
 			Name:        "ann-retrieval",
 			Seed:        1919,
 			Parallelism: serialParallelism(),
@@ -337,7 +338,11 @@ func Scenarios() []Scenario {
 			// and retry) moves four slots and obsoletes that map. After
 			// quiescence the stale router reads every stored key: each read
 			// into a moved slot draws ErrWrongServer from the old owner,
-			// refreshes, and must answer correctly from the new one.
+			// refreshes, and must answer correctly from the new one. It sets
+			// neither Synchronous nor a serial Parallelism, so it runs the
+			// concurrent scheduler, and its digests vary from run to run at a
+			// fixed tree (three runs, three digests, zero violations): it is
+			// held to its invariants, never to a byte-identical digest.
 			Name:                  "split-brain",
 			Seed:                  2222,
 			Tracked:               true,

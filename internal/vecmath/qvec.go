@@ -15,6 +15,9 @@ import "math"
 // deliberately excludes -128 so negation never overflows.
 const QMax = 127
 
+// minNormal is the smallest positive normal float64.
+const minNormal = 0x1p-1022
+
 // QVec is a quantized vector: v[i] ≈ Scale * float64(Data[i]).
 type QVec struct {
 	Scale float64
@@ -28,9 +31,10 @@ func Quantize(v []float64) QVec {
 
 // QuantizeInto quantizes v reusing dst's backing array when it has capacity —
 // the serving path quantizes the user vector once per request into pooled
-// scratch. An all-zero (or non-finite-free subnormal) input yields Scale 0
-// and zero data: dequantizing gives back the zero vector, and any dot with it
-// is 0, matching the float behaviour of an untrained vector.
+// scratch. An all-zero input, or one whose largest magnitude is under about
+// 2.8e-306, yields Scale 0 and zero data: dequantizing gives back the zero
+// vector, and any dot with it is 0, matching the float behaviour of an
+// untrained vector.
 //
 // hotpath: one user-vector quantization per scored batch, allocation-free warm
 func QuantizeInto(dst QVec, v []float64) QVec {
@@ -51,12 +55,20 @@ func QuantizeInto(dst QVec, v []float64) QVec {
 	}
 	scale := maxAbs / QMax
 	// Degenerate scales produce nothing representable: a zero vector has
-	// scale 0, a subnormal maxAbs can underflow the division, and a NaN/Inf
-	// component poisons it. All collapse to the zero QVec.
-	if scale == 0 || math.IsNaN(scale) || math.IsInf(scale, 0) {
+	// scale 0, a NaN/Inf component poisons it, and a scale below the smallest
+	// normal float (maxAbs under about 2.8e-306) has lost precision — its
+	// reciprocal can even overflow, which would push every component to ±QMax.
+	// All collapse to the zero QVec.
+	if scale < minNormal || math.IsNaN(scale) || math.IsInf(scale, 0) {
 		clear(dst.Data)
 		dst.Scale = 0
 		return dst
+	}
+	// Within rounding of the largest float, maxAbs/QMax can round up far
+	// enough that ±QMax·scale overflows; step the scale down until the top
+	// level dequantizes finite.
+	for math.IsInf(scale*QMax, 0) {
+		scale = math.Nextafter(scale, 0)
 	}
 	inv := 1 / scale
 	for i, x := range v {
