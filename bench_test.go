@@ -354,9 +354,9 @@ func BenchmarkRecommendLatency(b *testing.B) {
 // cache before each request, so every object is fetched and decoded again.
 // The sharded column routes every request through the slot table into two
 // primary/backup shard groups under a coordinator, pricing the replicated
-// tier's routing, dedup stamping, and synchronous replication. The dataset
-// shape matches BenchmarkRecommendLatency so numbers stay comparable across
-// revisions; run it with `go test -run '^$' -bench '^BenchmarkRecommend$'
+// tier's routing and synchronous replication. The dataset shape matches
+// BenchmarkRecommendLatency so numbers stay comparable across revisions;
+// run it with `go test -run '^$' -bench '^BenchmarkRecommend$'
 // -benchmem .`. The local store additionally runs the serving fast-path
 // variants — int8 quantized scoring (score=q8) and LSH candidate retrieval
 // (ann=on) — against the same dataset; the unsuffixed names remain the

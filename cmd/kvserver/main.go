@@ -13,10 +13,10 @@
 //
 // With -shard-groups N, the served store is the horizontally partitioned
 // tier behind one endpoint: N primary/backup shard groups under a
-// coordinator, fronted by a sharded router — every write carries CID/SeqNo
-// dedup and survives a primary failure by backup promotion. Chaos composes:
-// the injector then sits on group 0's primary, so a drill exercises the
-// promotion path instead of the whole store.
+// coordinator, fronted by a sharded router — every write survives a primary
+// failure by backup promotion. Chaos composes: the injector then sits on
+// group 0's primary, so a drill exercises the promotion path instead of the
+// whole store.
 package main
 
 import (
@@ -68,8 +68,8 @@ func main() {
 	if *shardGroups > 0 {
 		// Shard-group mode: `backing` (with its chaos wrapper, if any) becomes
 		// group 0's primary; every other replica is a fresh Local. The served
-		// store is the router, so clients get slot routing, dedup, and
-		// promotion semantics over the same wire protocol.
+		// store is the router, so clients get slot routing and promotion
+		// semantics over the same wire protocol.
 		groups := make([]*kvstore.ShardGroup, *shardGroups)
 		for gi := range groups {
 			primary := store
@@ -88,7 +88,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, "kvserver:", err)
 			os.Exit(1)
 		}
-		router, err := kvstore.NewSharded(coord, uint64(os.Getpid())<<8|1)
+		router, err := kvstore.NewSharded(coord, 1)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "kvserver:", err)
 			os.Exit(1)

@@ -222,9 +222,7 @@ func buildShardedStore(ctx context.Context, spec string, rcfg kvstore.Resilience
 		closeAll()
 		return nil, nil, err
 	}
-	// The client id stamps every write for exactly-once dedup; distinct
-	// recserve processes must not share one, so derive it from the pid.
-	router, err := kvstore.NewSharded(coord, uint64(os.Getpid())<<8|1)
+	router, err := kvstore.NewSharded(coord, 1)
 	if err != nil {
 		closeAll()
 		return nil, nil, err
@@ -466,7 +464,6 @@ func newMux(sys *recommend.System, st *storeStack, replayMetrics map[string]stor
 					"owned_slots": g.OwnedSlots(),
 					"promotes":    gs.Promotes,
 					"sync_skips":  gs.SyncSkips,
-					"dedup_hits":  gs.DedupHits,
 				})
 			}
 			stats["sharding"] = map[string]any{

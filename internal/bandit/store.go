@@ -203,7 +203,7 @@ func (s *Store) Take(ctx context.Context, userID, videoID string) (Arm, bool, er
 }
 
 // Attributions returns the user's currently attributed slate, oldest slot
-// first — a diagnostic read for tests and the stats endpoint.
+// first — a diagnostic read; only tests call it.
 func (s *Store) Attributions(ctx context.Context, userID string) ([]Attribution, error) {
 	raw, ok, err := s.kv.Get(ctx, kvstore.Key(s.attrNS, userID))
 	if err != nil || !ok {

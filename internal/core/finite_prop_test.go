@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"time"
 
@@ -65,9 +66,9 @@ func TestModelStateAlwaysFinite(t *testing.T) {
 	// Full sweep: every parameter of every stored vector and bias.
 	bad := 0
 	store.ForEach(func(key string, val []byte) bool {
-		ns, id, err := kvstore.SplitKey(key)
-		if err != nil {
-			t.Errorf("malformed key %q: %v", key, err)
+		ns, id, ok := strings.Cut(key, ":")
+		if !ok {
+			t.Errorf("malformed key %q: no namespace separator", key)
 			return true
 		}
 		switch ns {

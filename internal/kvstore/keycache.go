@@ -25,9 +25,6 @@ func NewKeys(namespace string) *Keys {
 	return &Keys{ns: namespace, m: make(map[string]string)} // alloccheck: once per component at wiring time, never per request
 }
 
-// Namespace returns the bound namespace.
-func (k *Keys) Namespace() string { return k.ns }
-
 // Key returns the composed key for id, remembering it on first sight. A
 // plain RWMutex-guarded map beats sync.Map here: the read path is a single
 // specialized string-map access instead of an interface-keyed trie walk, and

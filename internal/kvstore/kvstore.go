@@ -26,7 +26,6 @@ package kvstore
 
 import (
 	"context"
-	"fmt"
 	"sync"
 	"sync/atomic"
 )
@@ -277,14 +276,4 @@ func (l *Local) ForEach(fn func(key string, val []byte) bool) {
 // "ub"/"ib" biases, "uh" user history, "sim" similar list, ...).
 func Key(namespace, id string) string {
 	return namespace + ":" + id // alloccheck: one small key header per lookup; hot callers memoize (core keyMemo)
-}
-
-// SplitKey splits a key produced by Key back into namespace and id.
-func SplitKey(key string) (namespace, id string, err error) {
-	for i := 0; i < len(key); i++ {
-		if key[i] == ':' {
-			return key[:i], key[i+1:], nil
-		}
-	}
-	return "", "", fmt.Errorf("kvstore: key %q has no namespace separator", key)
 }

@@ -155,13 +155,10 @@ func TestForEach(t *testing.T) {
 }
 
 func TestKeyNamespace(t *testing.T) {
-	k := Key("uv", "user:42") // ids may themselves contain the separator
-	ns, id, err := SplitKey(k)
-	if err != nil || ns != "uv" || id != "user:42" {
-		t.Errorf("SplitKey(%q) = %q,%q,%v", k, ns, id, err)
-	}
-	if _, _, err := SplitKey("noseparator"); err == nil {
-		t.Error("SplitKey without separator must error")
+	// Ids may themselves contain the separator; the namespace ends at the
+	// first one.
+	if k := Key("uv", "user:42"); k != "uv:user:42" {
+		t.Errorf("Key(uv, user:42) = %q", k)
 	}
 }
 

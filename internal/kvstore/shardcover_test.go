@@ -460,7 +460,7 @@ func TestShardedUnroutable(t *testing.T) {
 	// answers everything with ErrWrongServer. The crafted map's version is
 	// ahead of the coordinator's, so refresh never replaces it.
 	m := &ShardMap{Version: 99, Groups: []string{"ghost"}, Slots: make([]uint8, NumShardSlots)}
-	r := &Sharded{coord: coord, cid: 1, m: m, groups: []*ShardGroup{ghost}}
+	r := &Sharded{coord: coord, m: m, groups: []*ShardGroup{ghost}}
 	if _, _, err := r.Get(ctx, "k"); err == nil || !strings.Contains(err.Error(), "unroutable") {
 		t.Fatalf("Get on a pinned-stale router = %v, want unroutable", err)
 	}

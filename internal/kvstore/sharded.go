@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"sync/atomic"
 
 	"vidrec/internal/metrics"
 )
@@ -72,9 +71,9 @@ func (c *Coordinator) View() (*ShardMap, []*ShardGroup) {
 
 // Rebalance moves one slot to the named group with the freeze→transfer→flip
 // handoff: writes to the slot freeze (reads keep serving from the source),
-// the slot's keys and the dedup table are copied to the destination, then
-// the Version+1 map installs on every group and the source drops the moved
-// data. Returns the number of keys moved.
+// the slot's keys are copied to the destination, then the Version+1 map
+// installs on every group and the source drops the moved data. Returns the
+// number of keys moved.
 func (c *Coordinator) Rebalance(ctx context.Context, slot int, toGroup string) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -152,17 +151,13 @@ func (c *Coordinator) Stats() CoordinatorStats {
 const maxShardRetries = 64
 
 // Sharded is the client-side router: a Store whose key space is
-// partitioned across a Coordinator's shard groups. Every write is stamped
-// with the router's client id and a fresh sequence number, the identity
-// the groups' dedup tables key on. A routing miss (ErrWrongServer from a
-// group that no longer owns the slot, or ErrSlotFrozen from a slot
-// mid-handoff) refreshes the map from the coordinator — blocking out any
-// in-flight rebalance — and retries, so stale-map clients recover without
-// surfacing errors.
+// partitioned across a Coordinator's shard groups. A routing miss
+// (ErrWrongServer from a group that no longer owns the slot, or
+// ErrSlotFrozen from a slot mid-handoff) refreshes the map from the
+// coordinator — blocking out any in-flight rebalance — and retries, so
+// stale-map clients recover without surfacing errors.
 type Sharded struct {
 	coord *Coordinator
-	cid   uint64
-	seq   atomic.Uint64
 
 	mu     sync.RWMutex
 	m      *ShardMap     // guarded by mu
@@ -173,18 +168,15 @@ type Sharded struct {
 	mapRefreshes metrics.Counter // coordinator refreshes
 }
 
-// NewSharded returns a router for the coordinator's cluster. cid is the
-// client identity for write dedup and must be non-zero; distinct writers
-// must use distinct cids.
-func NewSharded(coord *Coordinator, cid uint64) (*Sharded, error) {
+// NewSharded returns a router for the coordinator's cluster. The second
+// parameter is unused; it stays only because the end-to-end benchmark
+// (benchmark/inproc.go, benchmark/probes.go) calls NewSharded(coord, 1).
+func NewSharded(coord *Coordinator, _ uint64) (*Sharded, error) {
 	if coord == nil {
 		return nil, fmt.Errorf("kvstore: sharded router needs a coordinator")
 	}
-	if cid == 0 {
-		return nil, fmt.Errorf("kvstore: sharded router client id must be non-zero")
-	}
 	m, groups := coord.View()
-	return &Sharded{coord: coord, cid: cid, m: m, groups: groups}, nil
+	return &Sharded{coord: coord, m: m, groups: groups}, nil
 }
 
 // NewReplicated builds a one-group tier over replicas: a primary/backup
@@ -264,13 +256,13 @@ func (s *Sharded) readSlot(ctx context.Context, slot int, op func(Store) error) 
 	}
 }
 
-// write stamps and routes one mutation, refreshing and retrying on a stale
-// route or a frozen slot.
+// write routes one mutation, refreshing and retrying on a stale route or a
+// frozen slot. Both refusals come before the group applies anything, so the
+// retry cannot apply the write twice.
 func (s *Sharded) write(ctx context.Context, key string, w groupWrite) (bool, error) {
 	slot := SlotForKey(key)
-	seq := s.seq.Add(1)
 	for attempt := 0; ; attempt++ {
-		existed, err := s.groupFor(slot).apply(ctx, slot, s.cid, seq, w)
+		existed, err := s.groupFor(slot).apply(ctx, slot, w)
 		switch {
 		case err == nil:
 			return existed, nil

@@ -4,8 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // newTestCluster builds n shard groups of two Local replicas each under a
@@ -215,87 +218,9 @@ func TestShardGroupFailoverAndRejoin(t *testing.T) {
 	}
 }
 
-// TestShardGroupDedupReplay proves exactly-once application: replaying a
-// duplicate (CID, SeqNo) write — here an appending Update, where a double
-// application is visible — acknowledges without applying.
-func TestShardGroupDedupReplay(t *testing.T) {
+func TestRebalanceMovesSlot(t *testing.T) {
 	ctx := context.Background()
-	_, _, groups, _ := newTestCluster(t, 1)
-	g := groups[0]
-	key := "ns:counter"
-	slot := SlotForKey(key)
-	appendByte := groupWrite{kind: writeUpdate, key: key, fn: func(cur []byte, exists bool) ([]byte, bool) {
-		return append(cur, 'x'), true
-	}}
-	if _, err := g.apply(ctx, slot, 7, 1, appendByte); err != nil {
-		t.Fatal(err)
-	}
-	// The duplicate delivery: same client, same sequence number.
-	if _, err := g.apply(ctx, slot, 7, 1, appendByte); err != nil {
-		t.Fatal(err)
-	}
-	var got []byte
-	if err := g.read(ctx, slot, func(st Store) error {
-		v, _, err := st.Get(ctx, key)
-		got = v
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "x" {
-		t.Fatalf("after replayed duplicate, value = %q, want %q (applied exactly once)", got, "x")
-	}
-	if hits := g.Stats().DedupHits; hits != 1 {
-		t.Fatalf("dedup hits = %d, want 1", hits)
-	}
-	// A fresh sequence number from the same client applies normally.
-	if _, err := g.apply(ctx, slot, 7, 2, appendByte); err != nil {
-		t.Fatal(err)
-	}
-	if err := g.read(ctx, slot, func(st Store) error {
-		v, _, err := st.Get(ctx, key)
-		got = v
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != "xx" {
-		t.Fatalf("after fresh sequence, value = %q, want %q", got, "xx")
-	}
-}
-
-// TestShardGroupDedupWindow pins the dedup table's bound: it keeps a
-// client's last dedupWindow writes — a recent duplicate is still absorbed —
-// and stops growing with the number of writes ever applied.
-func TestShardGroupDedupWindow(t *testing.T) {
-	ctx := context.Background()
-	_, _, groups, _ := newTestCluster(t, 1)
-	g := groups[0]
-	key := "ns:k"
-	slot := SlotForKey(key)
-	last := uint64(3 * dedupWindow)
-	for seq := uint64(1); seq <= last; seq++ {
-		if _, err := g.apply(ctx, slot, 7, seq, groupWrite{kind: writeSet, key: key, val: []byte("v")}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	g.mu.RLock()
-	size := len(g.applied)
-	g.mu.RUnlock()
-	if size > 2*dedupWindow {
-		t.Fatalf("dedup table holds %d writes after %d, want at most %d", size, last, 2*dedupWindow)
-	}
-	if _, err := g.apply(ctx, slot, 7, last-dedupWindow+1, groupWrite{kind: writeSet, key: key, val: []byte("dup")}); err != nil {
-		t.Fatal(err)
-	}
-	if hits := g.Stats().DedupHits; hits != 1 {
-		t.Fatalf("a duplicate inside the window: dedup hits = %d, want 1", hits)
-	}
-}
-
-func TestRebalanceMovesSlotAndDedup(t *testing.T) {
-	ctx := context.Background()
-	router, coord, groups, locals := newTestCluster(t, 2)
+	router, coord, _, locals := newTestCluster(t, 2)
 	want := fillKeys(t, router, 300)
 
 	// Pick a populated slot owned by group 0.
@@ -346,28 +271,6 @@ func TestRebalanceMovesSlotAndDedup(t *testing.T) {
 	}
 	if _, err := coord.Rebalance(ctx, NumShardSlots, "g1"); err == nil {
 		t.Fatal("out-of-range slot accepted")
-	}
-
-	// The dedup table traveled with the slot: a write the old owner already
-	// applied deduplicates against the new owner. Group-level apply with the
-	// router's cid and an already-used sequence number must hit the table.
-	var k0 string
-	for k := range want {
-		if SlotForKey(k) == slot {
-			k0 = k
-			break
-		}
-	}
-	before, _, _ := router.Get(ctx, k0)
-	if _, err := groups[1].apply(ctx, slot, 1, 1, groupWrite{kind: writeSet, key: k0, val: []byte("clobber")}); err != nil {
-		t.Fatal(err)
-	}
-	after, _, _ := router.Get(ctx, k0)
-	if string(before) != string(after) {
-		t.Fatalf("replayed pre-move write applied again: %q → %q", before, after)
-	}
-	if groups[1].Stats().DedupHits == 0 {
-		t.Fatal("dedup table did not travel with the slot")
 	}
 }
 
@@ -465,12 +368,17 @@ func TestFrozenSlotBlocksWritesNotReads(t *testing.T) {
 	}
 	// Writes exhaust the retry bound — no coordinator move is in flight, so
 	// the freeze never lifts and the router reports it instead of spinning
-	// forever.
-	if err := router.Set(ctx, key, []byte("nope")); !errors.Is(err, ErrSlotFrozen) {
+	// forever. The refused write appends, so an attempt that applied before
+	// its refusal would show in the value.
+	appendByte := func(cur []byte, _ bool) ([]byte, bool) { return append(cur, 'x'), true }
+	if err := router.Update(ctx, key, appendByte); !errors.Is(err, ErrSlotFrozen) {
 		t.Fatalf("frozen write error = %v", err)
 	}
 	if router.Stats().FrozenWaits == 0 {
 		t.Fatal("frozen write drew no FrozenWaits")
+	}
+	if got, _, err := router.Get(ctx, key); err != nil || string(got) != want[key] {
+		t.Fatalf("refused write applied: %s = %q,%v want %q", key, got, err, want[key])
 	}
 	g.unfreeze(slot)
 	if err := router.Set(ctx, key, []byte("yes")); err != nil {
@@ -499,13 +407,6 @@ func TestShardedConstructorValidation(t *testing.T) {
 	if _, err := NewCoordinator(g0, g1); err == nil {
 		t.Error("duplicate group names accepted")
 	}
-	coord, err := NewCoordinator(g0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := NewSharded(coord, 0); err == nil {
-		t.Error("zero client id accepted")
-	}
 	if _, err := NewSharded(nil, 1); err == nil {
 		t.Error("nil coordinator accepted")
 	}
@@ -515,25 +416,46 @@ func TestShardedConstructorValidation(t *testing.T) {
 // goroutines while the coordinator migrates slots back and forth — the
 // race-detector drill for the freeze→transfer→flip handoff. Readers must
 // never see an error or a stale value for an already-written key.
+//
+// Writes carry no identity for a group to deduplicate on, so a retried
+// write is safe only because ErrWrongServer and ErrSlotFrozen come back
+// before anything applies. Each writer therefore also appends one byte to
+// its own counter key through an Update, a write that shows a double apply,
+// with the counter placed in the band of slots that moves every round: at
+// the end each counter must be exactly as long as its writer's acknowledged
+// appends.
 func TestShardedConcurrentRebalance(t *testing.T) {
 	ctx := context.Background()
 	router, coord, _, _ := newTestCluster(t, 3)
 	seed := fillKeys(t, router, 120)
 
-	var wg sync.WaitGroup
+	const writers, movingSlots = 4, 24
+	var (
+		wg      sync.WaitGroup
+		acked   [writers]atomic.Int64
+		routers [writers]*Sharded
+		counter [writers]string
+	)
 	stop := make(chan struct{})
 	errc := make(chan error, 16)
-	for w := 0; w < 4; w++ {
+	appendByte := func(cur []byte, _ bool) ([]byte, bool) { return append(cur, 'x'), true }
+	for w := 0; w < writers; w++ {
+		// Per-goroutine routers model independent clients; distinct key
+		// ranges keep the single-writer-per-key discipline.
+		r, err := NewSharded(coord, 1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		routers[w] = r
+		for j := 0; counter[w] == ""; j++ {
+			if k := fmt.Sprintf("w%d:counter%d", w, j); SlotForKey(k) < movingSlots {
+				counter[w] = k
+			}
+		}
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			// Per-goroutine routers model independent clients; distinct key
-			// ranges keep the single-writer-per-key discipline.
-			r, err := NewSharded(coord, uint64(100+w))
-			if err != nil {
-				errc <- err
-				return
-			}
+			r := routers[w]
 			for i := 0; ; i++ {
 				select {
 				case <-stop:
@@ -545,13 +467,18 @@ func TestShardedConcurrentRebalance(t *testing.T) {
 					errc <- fmt.Errorf("writer %d: %w", w, err)
 					return
 				}
+				if err := r.Update(ctx, counter[w], appendByte); err != nil {
+					errc <- fmt.Errorf("writer %d append: %w", w, err)
+					return
+				}
+				acked[w].Add(1)
 			}
 		}(w)
 	}
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		r, err := NewSharded(coord, 200)
+		r, err := NewSharded(coord, 1)
 		if err != nil {
 			errc <- err
 			return
@@ -575,26 +502,67 @@ func TestShardedConcurrentRebalance(t *testing.T) {
 		}
 	}()
 
+	// finish stops the clients and reports their errors.
+	finish := func() {
+		close(stop)
+		wg.Wait()
+		close(errc)
+		for err := range errc {
+			t.Error(err)
+		}
+	}
+	// waitForAppends parks until every writer has acknowledged an append
+	// since the last call, so each round of moves lands between writes on a
+	// router whose map the round made stale.
+	var seen [writers]int64
+	waitForAppends := func() {
+		deadline := time.Now().Add(10 * time.Second)
+		for w := range acked {
+			for acked[w].Load() == seen[w] {
+				if time.Now().After(deadline) {
+					finish()
+					t.Fatalf("writer %d acknowledged no append for 10s", w)
+				}
+				runtime.Gosched()
+			}
+			seen[w] = acked[w].Load()
+		}
+	}
 	// Drive migrations: every slot in a band ping-pongs between groups.
 	for round := 0; round < 6; round++ {
+		waitForAppends()
 		target := fmt.Sprintf("g%d", round%3)
-		for slot := 0; slot < 24; slot++ {
+		for slot := 0; slot < movingSlots; slot++ {
 			if _, err := coord.Rebalance(ctx, slot, target); err != nil {
 				t.Errorf("rebalance round %d slot %d: %v", round, slot, err)
 			}
 		}
 	}
-	close(stop)
-	wg.Wait()
-	close(errc)
-	for err := range errc {
-		t.Error(err)
-	}
-	// Post-quiescence: all seeded keys intact.
+	waitForAppends()
+	finish()
+	// Post-quiescence: all seeded keys intact, and every acknowledged append
+	// applied exactly once.
 	for k, v := range seed {
 		got, ok, err := router.Get(ctx, k)
 		if err != nil || !ok || string(got) != v {
 			t.Fatalf("after churn, %s = %q,%v,%v want %q", k, got, ok, err, v)
 		}
+	}
+	var retried uint64
+	for w, r := range routers {
+		got, _, err := router.Get(ctx, counter[w])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if int64(len(got)) != acked[w].Load() {
+			t.Errorf("writer %d: counter %s holds %d appends, %d acknowledged", w, counter[w], len(got), acked[w].Load())
+		}
+		st := r.Stats()
+		retried += st.Redirects + st.FrozenWaits
+	}
+	// Negative control: the count is vacuous unless writes were refused and
+	// retried while their slots moved.
+	if retried == 0 {
+		t.Error("no writer drew ErrWrongServer or ErrSlotFrozen — nothing was retried")
 	}
 }

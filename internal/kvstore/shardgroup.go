@@ -26,15 +26,10 @@ var ErrSlotFrozen = fmt.Errorf("kvstore: shard slot frozen for handoff")
 // identical copies of every key in the group's slots. Writes apply to the
 // primary and replicate synchronously to live backups; a primary failure
 // promotes the next live replica mid-write, so a single replica loss never
-// fails a write or loses applied state. Client writes carry a (CID, SeqNo)
-// identity recorded in a dedup table, and a write whose identity the table
-// already holds is acknowledged without applying twice. The table remembers
-// each client's last dedupWindow sequence numbers, not every write ever
-// applied. No caller presents an applied identity twice today: Sharded.write
-// draws a fresh sequence number per call and reuses it only after
-// ErrWrongServer or ErrSlotFrozen, both returned before the write applies.
-// The table starts to fire once a client can resend a stamped write that
-// did apply — stamped op frames, ROADMAP.md item 2(ii).
+// fails a write or loses applied state. Writes carry no client identity:
+// a write reaches apply once per Sharded call, and the only errors the
+// router retries on, ErrWrongServer and ErrSlotFrozen, return before
+// anything applies, so a retried write never applies twice.
 //
 // The group tracks its keys per slot in an in-memory index, which is what
 // makes slot handoff and replica catch-up possible over the plain Store
@@ -49,14 +44,10 @@ type ShardGroup struct {
 	owned    [NumShardSlots]bool                // guarded by mu
 	frozen   [NumShardSlots]bool                // guarded by mu
 	keys     [NumShardSlots]map[string]struct{} // guarded by mu; per-slot key index
-	applied  map[DedupEntry]struct{}            // guarded by mu; client writes already applied (see rememberLocked)
-	latest   map[uint64]uint64                  // guarded by mu; each client's highest applied sequence number
-	sweepAt  int                                // guarded by mu; len(applied) at which rememberLocked next prunes
 	missed   []map[string]struct{}              // guarded by mu; deletes each down replica missed
 
 	promotes      metrics.Counter // primary failovers
 	syncSkips     metrics.Counter // backup replications skipped or failed
-	dedupHits     metrics.Counter // duplicate client writes acknowledged without applying
 	readFallbacks metrics.Counter // reads answered by a non-primary replica
 }
 
@@ -79,9 +70,6 @@ func NewShardGroup(name string, replicas ...Store) (*ShardGroup, error) {
 		name:     name,
 		replicas: append([]Store(nil), replicas...),
 		down:     make([]bool, len(replicas)),
-		applied:  make(map[DedupEntry]struct{}),
-		latest:   make(map[uint64]uint64),
-		sweepAt:  2 * dedupWindow,
 		missed:   make([]map[string]struct{}, len(replicas)),
 	}, nil
 }
@@ -116,7 +104,6 @@ func (g *ShardGroup) OwnedSlots() int {
 type GroupStats struct {
 	Promotes      uint64 // primary failovers
 	SyncSkips     uint64 // backup replications skipped (replica marked down)
-	DedupHits     uint64 // duplicate client writes acknowledged without applying
 	ReadFallbacks uint64 // reads answered by a non-primary replica
 }
 
@@ -125,7 +112,6 @@ func (g *ShardGroup) Stats() GroupStats {
 	return GroupStats{
 		Promotes:      g.promotes.Load(),
 		SyncSkips:     g.syncSkips.Load(),
-		DedupHits:     g.dedupHits.Load(),
 		ReadFallbacks: g.readFallbacks.Load(),
 	}
 }
@@ -150,10 +136,8 @@ type groupWrite struct {
 // apply routes one write to the group. Ownership and freeze are checked
 // under the same lock the write applies under, so a slot handoff can never
 // interleave with a write to the moving slot. The returned existed bit is
-// meaningful for deletes; a deduplicated replay reports existed=false (the
-// outcome already happened — replay results are acknowledgements, not
-// reads).
-func (g *ShardGroup) apply(ctx context.Context, slot int, cid, seq uint64, w groupWrite) (existed bool, err error) {
+// meaningful for deletes.
+func (g *ShardGroup) apply(ctx context.Context, slot int, w groupWrite) (existed bool, err error) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
 	if err := ctx.Err(); err != nil {
@@ -164,13 +148,6 @@ func (g *ShardGroup) apply(ctx context.Context, slot int, cid, seq uint64, w gro
 	}
 	if g.frozen[slot] {
 		return false, ErrSlotFrozen
-	}
-	id := DedupEntry{CID: cid, Seq: seq}
-	if cid != 0 {
-		if _, dup := g.applied[id]; dup {
-			g.dedupHits.Inc()
-			return false, nil
-		}
 	}
 
 	// Apply on the primary, promoting past dead replicas: a failure marks
@@ -212,9 +189,8 @@ func (g *ShardGroup) apply(ctx context.Context, slot int, cid, seq uint64, w gro
 		}
 	}
 
-	// Bookkeeping: the slot's key index, missed deletes for down replicas
-	// (Rejoin replays them — a full-state copy alone cannot un-delete), and
-	// the dedup table.
+	// Bookkeeping: the slot's key index and missed deletes for down replicas
+	// (Rejoin replays them — a full-state copy alone cannot un-delete).
 	if rep.kind == writeDelete {
 		if g.keys[slot] != nil {
 			delete(g.keys[slot], w.key)
@@ -231,9 +207,6 @@ func (g *ShardGroup) apply(ctx context.Context, slot int, cid, seq uint64, w gro
 			}
 		}
 	}
-	if cid != 0 {
-		g.rememberLocked(id)
-	}
 	return existed, nil
 }
 
@@ -248,34 +221,6 @@ func (g *ShardGroup) missLocked(key string) {
 			g.missed[i][key] = struct{}{}
 		}
 	}
-}
-
-// dedupWindow is how many of a client's most recent sequence numbers the
-// dedup table keeps. A duplicate arrives while its original is still among
-// a client's latest writes — the router retries at once — whereas a table
-// of every write ever applied grows with the write rate, without bound.
-const dedupWindow = 1 << 14
-
-// rememberLocked records an applied client write. Once the table has doubled
-// since its last pruning, it drops every write more than dedupWindow
-// sequence numbers behind its client's latest, rebuilding the map so the
-// memory is returned too. The caller holds mu.
-func (g *ShardGroup) rememberLocked(id DedupEntry) {
-	g.applied[id] = struct{}{}
-	if id.Seq > g.latest[id.CID] {
-		g.latest[id.CID] = id.Seq
-	}
-	if len(g.applied) < g.sweepAt {
-		return
-	}
-	kept := make(map[DedupEntry]struct{}, len(g.applied)/2)
-	for d := range g.applied {
-		if d.Seq+dedupWindow > g.latest[d.CID] {
-			kept[d] = struct{}{}
-		}
-	}
-	g.applied = kept
-	g.sweepAt = max(2*len(kept), 2*dedupWindow)
 }
 
 // applyTo runs one write against a store and returns the replication op for
@@ -439,11 +384,9 @@ func (g *ShardGroup) unfreeze(slot int) {
 
 // StateSync is a slot handoff's payload, passed from the source group to
 // the destination inside the coordinator's critical section: the slot's
-// key/value pairs in sorted key order, and the source's dedup table for the
-// destination to merge.
+// key/value pairs in sorted key order.
 type StateSync struct {
 	Entries []SyncEntry
-	Dedup   []DedupEntry
 }
 
 // SyncEntry is one key/value pair in a StateSync.
@@ -452,15 +395,8 @@ type SyncEntry struct {
 	Val []byte
 }
 
-// DedupEntry identifies one applied client write: the client id and the
-// client-assigned sequence number.
-type DedupEntry struct {
-	CID uint64
-	Seq uint64
-}
-
-// buildTransfer snapshots one slot's keys, values and the dedup table for
-// the handoff's transfer step. The slot must be frozen by the caller, so
+// buildTransfer snapshots one slot's keys and values for the handoff's
+// transfer step. The slot must be frozen by the caller, so
 // the snapshot cannot race a write.
 func (g *ShardGroup) buildTransfer(ctx context.Context, slot int) (*StateSync, error) {
 	g.mu.Lock()
@@ -472,18 +408,7 @@ func (g *ShardGroup) buildTransfer(ctx context.Context, slot int) (*StateSync, e
 	if err != nil {
 		return nil, err
 	}
-	// Sorted, so the receiver's merge (and its pruning) is deterministic.
-	s := &StateSync{Entries: entries, Dedup: make([]DedupEntry, 0, len(g.applied))}
-	for d := range g.applied {
-		s.Dedup = append(s.Dedup, d)
-	}
-	sort.Slice(s.Dedup, func(i, j int) bool {
-		if s.Dedup[i].CID != s.Dedup[j].CID {
-			return s.Dedup[i].CID < s.Dedup[j].CID
-		}
-		return s.Dedup[i].Seq < s.Dedup[j].Seq
-	})
-	return s, nil
+	return &StateSync{Entries: entries}, nil
 }
 
 // entriesLocked reads every indexed key of the given slots from the
@@ -511,9 +436,8 @@ func (g *ShardGroup) entriesLocked(ctx context.Context, slots []int) ([]SyncEntr
 }
 
 // applyTransfer installs a StateSync: every entry writes to every live
-// replica, the slot index absorbs the keys, and the dedup table merges, so
-// the destination holds every identity the source had applied. Ownership of
-// the transferred slots arrives separately, via install, at the flip.
+// replica and the slot index absorbs the keys. Ownership of the transferred
+// slots arrives separately, via install, at the flip.
 func (g *ShardGroup) applyTransfer(ctx context.Context, s *StateSync) error {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -535,9 +459,6 @@ func (g *ShardGroup) applyTransfer(ctx context.Context, s *StateSync) error {
 			g.keys[slot] = make(map[string]struct{})
 		}
 		g.keys[slot][e.Key] = struct{}{}
-	}
-	for _, d := range s.Dedup {
-		g.rememberLocked(d)
 	}
 	return nil
 }

@@ -54,6 +54,7 @@ type Report struct {
 	// Storage accounting (summed over every replica's injector).
 	KVOps          uint64 // operations seen by the fault injectors
 	InjectedFaults uint64 // operations they failed
+	NetRequests    uint64 // frames the TCP server answered; zero in-process
 
 	// Resilience accounting (summed over every replica's decorator; zero
 	// when the scenario runs without Resilience).
@@ -68,7 +69,6 @@ type Report struct {
 	ShardRebalances uint64 // completed slot migrations
 	ShardMovedKeys  uint64 // keys carried by those migrations
 	ShardSyncSkips  uint64 // backup replications skipped (replica down)
-	ShardDedupHits  uint64 // duplicate client writes absorbed by CID/SeqNo dedup
 	ReadFallbacks   uint64 // reads answered by a non-primary replica
 
 	// Serving accounting.
@@ -138,7 +138,11 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	// keeps each layer to schedule faults, read counters and digest state. With Shards > 0
 	// the stack is the sharded tier instead: per-group primary/backup
 	// chains under a Coordinator, fronted by the Sharded router (shard.go).
+	// Over TCP the router is what the server serves, the composition
+	// kvserver -shard-groups deploys behind recserve -kv; the injectors
+	// then sit on the replicas, below the server.
 	var cluster *shardCluster
+	var server *kvstore.Server
 	var base *kvstore.Local
 	var faulty *kvstore.Faulty
 	var resilient *kvstore.Resilient
@@ -152,23 +156,25 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	} else {
 		base = kvstore.NewLocal(32)
 		store = base
-		if sc.Transport == TransportTCP {
-			server, err := kvstore.NewServer(ctx, base, "127.0.0.1:0")
-			if err != nil {
-				return nil, fmt.Errorf("sim: start kv server: %w", err)
-			}
-			defer func() {
-				_ = server.Close() // shutdown path; Close errors carry no state
-			}()
-			client, err := kvstore.DialContext(ctx, server.Addr())
-			if err != nil {
-				return nil, fmt.Errorf("sim: dial kv server: %w", err)
-			}
-			defer func() {
-				_ = client.Close() // shutdown path; Close errors carry no state
-			}()
-			store = client
+	}
+	if sc.Transport == TransportTCP {
+		server, err = kvstore.NewServer(ctx, store, "127.0.0.1:0")
+		if err != nil {
+			return nil, fmt.Errorf("sim: start kv server: %w", err)
 		}
+		defer func() {
+			_ = server.Close() // shutdown path; Close errors carry no state
+		}()
+		client, err := kvstore.DialContext(ctx, server.Addr())
+		if err != nil {
+			return nil, fmt.Errorf("sim: dial kv server: %w", err)
+		}
+		defer func() {
+			_ = client.Close() // shutdown path; Close errors carry no state
+		}()
+		store = client
+	}
+	if cluster == nil {
 		faulty = kvstore.NewFaulty(store, sc.Seed^0x5EED)
 		store = faulty
 		if sc.Resilience != nil {
@@ -382,6 +388,9 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 		}
 	}
 
+	if server != nil {
+		rep.NetRequests = server.Requests()
+	}
 	rep.Violations = append(rep.Violations, checkConservation(sc, topo, rep)...)
 	rep.Violations = append(rep.Violations, checkStore(ds, authBase, params, opts, simtable.DefaultConfig())...)
 	rep.Violations = append(rep.Violations, checkResults(ds, results, sc.TopN)...)

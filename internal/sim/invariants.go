@@ -66,7 +66,7 @@ func checkConservation(sc Scenario, topo *storm.Topology, rep *Report) []string 
 
 // splitStateKey parses a store key into its component kind (the suffix after
 // the namespace's last dot: "uv", "sim", "hist", ...) and record id.
-// kvstore.SplitKey cannot do this: demographic group names embed ':'
+// Splitting at the first ':' cannot do this: demographic group names embed ':'
 // ("m:18-24:ba"), so the first ':' of a group-scoped key sits inside the
 // namespace. Ids and group names never contain '.', which makes the last dot
 // an unambiguous anchor.

@@ -17,7 +17,8 @@ const (
 	// TransportTCP puts the real gob-over-TCP server/client pair between
 	// the pipeline and the store, with the fault injector wrapping the
 	// client — dropped connections and network latency then hit the same
-	// code paths a two-process deployment exercises.
+	// code paths a two-process deployment exercises. A sharded scenario
+	// serves its router instead, with the injectors on the replicas.
 	TransportTCP Transport = "tcp"
 )
 
@@ -76,8 +77,9 @@ type Scenario struct {
 	// Sharded storage tier. Shards > 0 partitions the key space across that
 	// many primary/backup shard groups (kvstore.ShardGroup) under a
 	// Coordinator, and routes the pipeline through a kvstore.Sharded client;
-	// Shards 1 is the one-group replicated tier. Requires TransportLocal;
-	// mutually exclusive with KVFaults and ServeFaults — shard scenarios
+	// Shards 1 is the one-group replicated tier. With TransportTCP the
+	// router sits behind the gob-over-TCP server and the pipeline dials it.
+	// Mutually exclusive with KVFaults and ServeFaults — shard scenarios
 	// schedule faults per shard replica via ShardFaults.
 	Shards int
 	// ShardFaults is the per-shard-replica fault schedule, indexed by
@@ -97,7 +99,8 @@ type Scenario struct {
 	// StaleRouter builds a second Sharded client before any rebalance and,
 	// after quiescence, reads every stored key through it: the client must
 	// absorb ErrWrongServer redirects, refresh its map, and answer every
-	// read — the split-brain recovery drill.
+	// read — the split-brain recovery drill. Requires TransportLocal: the
+	// second client is an in-process router.
 	StaleRouter bool
 
 	// Serving phase: Recommends requests of size TopN after the replay.
@@ -178,8 +181,8 @@ func (s Scenario) withDefaults() (Scenario, error) {
 		return s, fmt.Errorf("sim: scenario %q has negative Shards %d", s.Name, s.Shards)
 	}
 	if s.Shards > 0 {
-		if s.Transport == TransportTCP {
-			return s, fmt.Errorf("sim: scenario %q combines Shards with the TCP transport", s.Name)
+		if s.StaleRouter && s.Transport == TransportTCP {
+			return s, fmt.Errorf("sim: scenario %q combines StaleRouter with the TCP transport", s.Name)
 		}
 		if len(s.KVFaults) > 0 || len(s.ServeFaults) > 0 {
 			return s, fmt.Errorf("sim: scenario %q must schedule faults via ShardFaults when Shards > 0", s.Name)

@@ -346,19 +346,29 @@ func TestCacheTransparency(t *testing.T) {
 // negative controls: the tier must really have done the work (engaged > 0),
 // and where a replica was killed, faults must have landed and the dead
 // replica's own digest must differ from its group's survivor.
+//
+// The over-TCP case runs shard-loss with the router behind the gob-over-TCP
+// server and the pipeline dialing it — kvserver -shard-groups behind
+// recserve -kv — and holds it to the same in-process unpartitioned run.
 func TestShardedTierMatchesUnpartitioned(t *testing.T) {
 	cases := []struct {
 		scenario       string
-		dead, survivor int // ReplicaDigests indices; dead < 0 when nothing dies
+		transport      Transport // "" keeps the scenario's own
+		dead, survivor int       // ReplicaDigests indices; dead < 0 when nothing dies
 		engaged        string
 		work           func(*Report) uint64
 	}{
-		{"replica-failover", 1, 0, "backup replications skipped", func(r *Report) uint64 { return r.ShardSyncSkips }},
-		{"shard-loss", 2, 3, "promotions", func(r *Report) uint64 { return r.ShardPromotes }},
-		{"rebalance-mid-serving", -1, -1, "moved keys", func(r *Report) uint64 { return r.ShardMovedKeys }},
+		{"replica-failover", "", 1, 0, "backup replications skipped", func(r *Report) uint64 { return r.ShardSyncSkips }},
+		{"shard-loss", "", 2, 3, "promotions", func(r *Report) uint64 { return r.ShardPromotes }},
+		{"shard-loss", TransportTCP, 2, 3, "promotions", func(r *Report) uint64 { return r.ShardPromotes }},
+		{"rebalance-mid-serving", "", -1, -1, "moved keys", func(r *Report) uint64 { return r.ShardMovedKeys }},
 	}
 	for _, tc := range cases {
-		t.Run(tc.scenario, func(t *testing.T) {
+		name := tc.scenario
+		if tc.transport != "" {
+			name += "-over-" + string(tc.transport)
+		}
+		t.Run(name, func(t *testing.T) {
 			var sc Scenario
 			for _, s := range Scenarios() {
 				if s.Name == tc.scenario {
@@ -371,11 +381,14 @@ func TestShardedTierMatchesUnpartitioned(t *testing.T) {
 			ctx, cancel := context.WithTimeout(context.Background(), 2*time.Minute)
 			defer cancel()
 
+			if tc.transport != "" {
+				sc.Transport = tc.transport
+			}
 			tier, err := Run(ctx, sc)
 			if err != nil {
 				t.Fatalf("sharded run: %v", err)
 			}
-			sc.Shards, sc.ShardFaults = 0, nil
+			sc.Shards, sc.ShardFaults, sc.Transport = 0, nil, TransportLocal
 			sc.RebalanceAfterActions, sc.RebalanceDuringServe, sc.RebalanceSlots, sc.StaleRouter = 0, false, 0, false
 			flat, err := Run(ctx, sc)
 			if err != nil {
@@ -399,6 +412,9 @@ func TestShardedTierMatchesUnpartitioned(t *testing.T) {
 			// really failed over or moved state.
 			if tc.work(tier) == 0 {
 				t.Errorf("sharded run made no %s — the comparison is vacuous", tc.engaged)
+			}
+			if tr := tier.Scenario.Transport; (tier.NetRequests > 0) != (tr == TransportTCP) {
+				t.Errorf("sharded run over %s: the TCP server answered %d frames", tr, tier.NetRequests)
 			}
 			if tc.dead < 0 {
 				return
@@ -587,6 +603,12 @@ func TestScenarioValidation(t *testing.T) {
 	}
 	if _, err := (Scenario{Name: "x", Shards: 1, RebalanceDuringServe: true}).withDefaults(); err == nil {
 		t.Error("rebalance accepted on a one-group tier — there is no second group to move slots to")
+	}
+	if _, err := (Scenario{Name: "x", Shards: 2, Transport: TransportTCP}).withDefaults(); err != nil {
+		t.Errorf("sharded tier over TCP rejected: %v", err)
+	}
+	if _, err := (Scenario{Name: "x", Shards: 2, Transport: TransportTCP, StaleRouter: true}).withDefaults(); err == nil {
+		t.Error("stale router accepted over TCP — the second client is an in-process router")
 	}
 }
 

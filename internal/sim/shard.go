@@ -68,13 +68,13 @@ func newShardCluster(sc Scenario, vclock *VirtualClock) (*shardCluster, error) {
 		return nil, fmt.Errorf("sim: build shard coordinator: %w", err)
 	}
 	c.coord = coord
-	router, err := kvstore.NewSharded(coord, sc.Seed|1)
+	router, err := kvstore.NewSharded(coord, 1)
 	if err != nil {
 		return nil, fmt.Errorf("sim: build shard router: %w", err)
 	}
 	c.router = router
 	if sc.StaleRouter {
-		stale, err := kvstore.NewSharded(coord, (sc.Seed|1)^0x57A1E)
+		stale, err := kvstore.NewSharded(coord, 1)
 		if err != nil {
 			return nil, fmt.Errorf("sim: build stale shard router: %w", err)
 		}
@@ -208,7 +208,6 @@ func (c *shardCluster) report(rep *Report) {
 		gs := g.Stats()
 		rep.ShardPromotes += gs.Promotes
 		rep.ShardSyncSkips += gs.SyncSkips
-		rep.ShardDedupHits += gs.DedupHits
 		rep.ReadFallbacks += gs.ReadFallbacks
 	}
 	for _, r := range c.resilient {
