@@ -1,11 +1,6 @@
 GO ?= go
 
-.PHONY: build test race vet fmt lint lint-baseline lint-stats test-sim test-resilience fuzz cover bench-module check
-
-# Accepted pre-existing findings (pass<TAB>file<TAB>message). Kept empty when
-# the tree is clean; `make lint-baseline` regenerates it after a new pass
-# lands with a backlog.
-LINT_BASELINE ?= .vidlint-baseline
+.PHONY: build test race vet fmt lint lint-stats test-sim test-resilience fuzz cover bench-module check
 
 build:
 	$(GO) build ./...
@@ -29,24 +24,16 @@ fmt:
 # vidlint is the repo's own analyzer (internal/lint): the per-function passes
 # (lockcheck, atomiccheck, errcheck, goroutinecheck, clockcheck), the
 # call-graph dataflow suite (lockorder, numcheck, ctxcheck) and the serving
-# allocation budget (alloccheck). Zero NEW findings is the merge bar: the
-# baseline suppresses only entries recorded in $(LINT_BASELINE), which is
-# empty on a clean tree, and stale entries fail the run until pruned.
+# allocation budget (alloccheck). Zero findings is the merge bar: a finding
+# is fixed or carries an inline escape hatch.
 lint:
-	$(GO) run ./cmd/vidlint -baseline $(LINT_BASELINE) ./...
+	$(GO) run ./cmd/vidlint ./...
 
-# Per-pass discipline dashboard: findings that survived the baseline, entries
-# the baseline suppressed, and inline escape hatches in the tree. Run by
-# `make check` so discipline drift (a creeping hatch count, a baseline that
-# should have shrunk) is visible on every gate.
+# Per-pass discipline dashboard: findings and inline escape hatches in the
+# tree. Run by `make check` so discipline drift (a creeping hatch count) is
+# visible on every gate.
 lint-stats:
-	$(GO) run ./cmd/vidlint -baseline $(LINT_BASELINE) -stats ./...
-
-# Regenerate the suppression file from the current tree. Use only when a new
-# pass lands with a known backlog; shrinking the file back to empty is the
-# follow-up work.
-lint-baseline:
-	$(GO) run ./cmd/vidlint -write-baseline $(LINT_BASELINE) ./...
+	$(GO) run ./cmd/vidlint -stats ./...
 
 # The deterministic end-to-end simulation tier (internal/sim): the full
 # scenario matrix — transports, KV/bolt fault schedules, load shapes — under

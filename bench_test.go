@@ -488,7 +488,9 @@ func BenchmarkRecommend(b *testing.B) {
 }
 
 // BenchmarkTopologyThroughput streams a fixed workload through the Figure 2
-// topology at two parallelism levels and reports actions/second.
+// topology at two parallelism levels and reports actions/second and the heap
+// allocations per action (the MemStats delta around Run, so every goroutine
+// the run starts is counted).
 func BenchmarkTopologyThroughput(b *testing.B) {
 	actions := benchActions(4000)
 	for _, p := range []int{1, 4} {
@@ -508,11 +510,16 @@ func BenchmarkTopologyThroughput(b *testing.B) {
 				if err != nil {
 					b.Fatal(err)
 				}
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
 				start := time.Now()
 				if err := topo.Run(context.Background()); err != nil {
 					b.Fatal(err)
 				}
-				b.ReportMetric(float64(len(actions))/time.Since(start).Seconds(), "actions/s")
+				elapsed := time.Since(start)
+				runtime.ReadMemStats(&after)
+				b.ReportMetric(float64(len(actions))/elapsed.Seconds(), "actions/s")
+				b.ReportMetric(float64(after.Mallocs-before.Mallocs)/float64(len(actions)), "allocs/action")
 			}
 		})
 	}

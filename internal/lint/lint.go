@@ -33,8 +33,7 @@
 //
 // New passes register themselves in an init function via Register; see
 // lockcheck.go (per-unit) or lockorder.go (module-level) for the shape.
-// cmd/vidlint is the command-line driver; baseline.go lets a new pass gate
-// on new findings while a recorded backlog is burned down.
+// cmd/vidlint is the command-line driver.
 package lint
 
 import (
@@ -207,8 +206,7 @@ func runPool(n, workers int, fn func(i int)) {
 }
 
 // finding builds a Finding at pos. The file is reported module-relative so
-// findings (and the baseline entries derived from them) are stable across
-// checkouts.
+// findings are stable across checkouts.
 func (u *Unit) finding(pass string, pos token.Pos, format string, args ...any) Finding {
 	p := u.Posn(pos)
 	file := p.Filename

@@ -2,17 +2,15 @@ package lint
 
 import "strings"
 
-// PassStats summarizes one pass's outcome for a run: how many findings
-// survived the baseline, how many the baseline suppressed, and how many
-// inline escape hatches the scanned source carries for the pass. The hatch
-// count is the honest cost of the pass's discipline — every hatch is a
-// human-reviewed exception, and `make lint-stats` keeps that number visible
-// instead of letting exceptions accrete silently.
+// PassStats summarizes one pass's outcome for a run: how many findings it
+// reported and how many inline escape hatches the scanned source carries
+// for it. The hatch count is the honest cost of the pass's discipline —
+// every hatch is a human-reviewed exception, and `make lint-stats` keeps
+// that number visible instead of letting exceptions accrete silently.
 type PassStats struct {
-	Pass      string `json:"pass"`
-	Findings  int    `json:"findings"`
-	Baselined int    `json:"baselined"`
-	Hatches   int    `json:"hatches"`
+	Pass     string `json:"pass"`
+	Findings int    `json:"findings"`
+	Hatches  int    `json:"hatches"`
 }
 
 // hatchMarker returns the inline comment marker that suppresses a pass.
@@ -25,17 +23,12 @@ func hatchMarker(name string) string {
 	return name + ":"
 }
 
-// CollectStats builds per-pass counters from one run. all is the pre-baseline
-// finding set and kept the post-baseline survivors; hatch comments are
-// counted across every loaded unit's source comments.
-func CollectStats(units []*Unit, passes []*Pass, all, kept []Finding) []PassStats {
-	allN := make(map[string]int)
-	for _, f := range all {
-		allN[f.Pass]++
-	}
-	keptN := make(map[string]int)
-	for _, f := range kept {
-		keptN[f.Pass]++
+// CollectStats builds per-pass counters from one run's findings; hatch
+// comments are counted across every loaded unit's source comments.
+func CollectStats(units []*Unit, passes []*Pass, findings []Finding) []PassStats {
+	found := make(map[string]int)
+	for _, f := range findings {
+		found[f.Pass]++
 	}
 	hatch := make(map[string]int)
 	for _, u := range units {
@@ -58,12 +51,7 @@ func CollectStats(units []*Unit, passes []*Pass, all, kept []Finding) []PassStat
 	}
 	out := make([]PassStats, 0, len(passes))
 	for _, p := range passes {
-		out = append(out, PassStats{
-			Pass:      p.Name,
-			Findings:  keptN[p.Name],
-			Baselined: allN[p.Name] - keptN[p.Name],
-			Hatches:   hatch[p.Name],
-		})
+		out = append(out, PassStats{Pass: p.Name, Findings: found[p.Name], Hatches: hatch[p.Name]})
 	}
 	return out
 }

@@ -510,21 +510,21 @@ func boltWrapper(faults []BoltFault) func(string, storm.Bolt) storm.Bolt {
 
 // faultyBolt decorates one bolt task with a crash window and an optional
 // per-tuple delay. Executions inside the window fail their tuple trees —
-// the spout sees Fail, at-least-once semantics — and the first execution
-// after the window re-prepares the inner bolt, modelling a restarted worker
-// that lost its in-memory caches.
+// counted in FailedTrees and never replayed, so those actions' remaining
+// steps are lost — and the first execution after the window re-prepares the
+// inner bolt, modelling a restarted worker that lost its in-memory caches.
 type faultyBolt struct {
 	inner storm.Bolt
 	cfg   BoltFault
 	n     uint64
 	down  bool
-	cctx  *storm.Context
+	ctx   context.Context
 	out   *storm.BoltCollector
 }
 
-func (b *faultyBolt) Prepare(cctx *storm.Context, out *storm.BoltCollector) error {
-	b.cctx, b.out = cctx, out
-	return b.inner.Prepare(cctx, out)
+func (b *faultyBolt) Prepare(ctx context.Context, out *storm.BoltCollector) error {
+	b.ctx, b.out = ctx, out
+	return b.inner.Prepare(ctx, out)
 }
 
 func (b *faultyBolt) Execute(t *storm.Tuple) error {
@@ -539,15 +539,10 @@ func (b *faultyBolt) Execute(t *storm.Tuple) error {
 	if b.down {
 		// The worker comes back: a restarted task runs Prepare afresh and
 		// starts with cold caches.
-		if err := b.inner.Cleanup(); err != nil {
-			return err
-		}
-		if err := b.inner.Prepare(b.cctx, b.out); err != nil {
+		if err := b.inner.Prepare(b.ctx, b.out); err != nil {
 			return err
 		}
 		b.down = false
 	}
 	return b.inner.Execute(t)
 }
-
-func (b *faultyBolt) Cleanup() error { return b.inner.Cleanup() }

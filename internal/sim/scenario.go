@@ -24,9 +24,10 @@ const (
 
 // BoltFault schedules a failure window for one bolt component, modelling a
 // worker crash + restart: executions in the window fail their tuple trees
-// (the spout's Fail hook fires — at-least-once semantics), and when the
-// window closes the bolt is re-prepared from scratch, losing any in-memory
-// caches exactly like a restarted task.
+// (counted in the spout's FailedTrees; nothing replays them, so the rest of
+// those actions' work is lost), and when the window closes the bolt is
+// re-prepared from scratch, losing any in-memory caches exactly like a
+// restarted task.
 type BoltFault struct {
 	// Bolt is the component name (topology.ComputeMFName, ...).
 	Bolt string

@@ -104,8 +104,8 @@ func Scenarios() []Scenario {
 		},
 		{
 			// A ComputeMF worker crashes after 50 tuples, drops 10 on the
-			// floor (their trees fail — at-least-once), then restarts with
-			// cold caches and keeps training.
+			// floor (their trees fail and are not replayed), then restarts
+			// with cold caches and keeps training.
 			Name:       "bolt-restart",
 			Seed:       707,
 			Tracked:    true,

@@ -42,9 +42,10 @@ type acker struct {
 	done    chan struct{}
 	nextID  atomic.Int64
 	entries map[int64]*ackEntry
-	// resolved remembers roots that already completed or failed, so
-	// straggler acks (possible after a failure fast-path) are dropped
-	// instead of resurrecting the entry.
+	// resolved remembers roots that failed, so straggler acks from the
+	// rest of a failed tree are dropped instead of resurrecting the entry.
+	// A completed tree needs no tombstone: its XOR reached zero because
+	// every delivery in it was acked, so no message for it can follow.
 	resolved map[int64]struct{}
 }
 
@@ -99,7 +100,7 @@ func (a *acker) send(m ackMsg) {
 
 // newRoot allocates a fresh root id for a spout task's tracked emission.
 // Ids start at 1; 0 marks untracked tuples.
-func (a *acker) newRoot(*task) int64 { return a.nextID.Add(1) }
+func (a *acker) newRoot() int64 { return a.nextID.Add(1) }
 
 // initWithOrigin registers a tuple tree. EmitTracked routes first
 // (deliveries may ack before init arrives — XOR is order-independent), then
@@ -149,7 +150,9 @@ func (a *acker) handle(msg ackMsg) {
 
 func (a *acker) finish(root int64, e *ackEntry, failed bool) {
 	delete(a.entries, root)
-	a.resolved[root] = struct{}{}
+	if failed {
+		a.resolved[root] = struct{}{}
+	}
 	if e.origin != nil {
 		e.origin.notices.put(ackNotice{root: root, failed: failed})
 	}
@@ -160,10 +163,9 @@ func (a *acker) finish(root int64, e *ackEntry, failed bool) {
 // the ack channel against backpressured bolts), so spout-task notification
 // buffers here instead of in a bounded channel.
 type notifier struct {
-	mu     sync.Mutex
-	cond   *sync.Cond  // set once at construction, immutable afterwards
-	queue  []ackNotice // guarded by mu
-	closed bool        // guarded by mu
+	mu    sync.Mutex
+	cond  *sync.Cond  // set once at construction, immutable afterwards
+	queue []ackNotice // guarded by mu
 }
 
 func newNotifier() *notifier {
@@ -179,13 +181,13 @@ func (n *notifier) put(v ackNotice) {
 	n.cond.Signal()
 }
 
-// get dequeues one notice. With block set it waits for one (or close);
-// otherwise it returns ok=false immediately when empty.
+// get dequeues one notice. With block set it waits for one; otherwise it
+// returns ok=false immediately when empty.
 func (n *notifier) get(block bool) (ackNotice, bool) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for len(n.queue) == 0 {
-		if !block || n.closed {
+		if !block {
 			return ackNotice{}, false
 		}
 		n.cond.Wait()
@@ -193,11 +195,4 @@ func (n *notifier) get(block bool) (ackNotice, bool) {
 	v := n.queue[0]
 	n.queue = n.queue[1:]
 	return v, true
-}
-
-func (n *notifier) close() {
-	n.mu.Lock()
-	n.closed = true
-	n.mu.Unlock()
-	n.cond.Broadcast()
 }

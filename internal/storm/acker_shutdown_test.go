@@ -10,21 +10,17 @@ import (
 var errSynthetic = errors.New("synthetic failure")
 
 // buildTrackedChain returns a one-spout, one-bolt topology that emits n
-// tracked tuples, plus the channel delivering the spout instance.
-func buildTrackedChain(n int, boltFn func(*Tuple, *BoltCollector) error) (*Topology, chan *sliceSpout) {
-	spouts := make(chan *sliceSpout, 1)
+// tracked tuples.
+func buildTrackedChain(n int, boltFn func(*Tuple, *BoltCollector) error) *Topology {
 	b := NewBuilder("t")
-	b.SetSpout("s", func() Spout {
-		s := &sliceSpout{values: intValues(n), tracked: true}
-		spouts <- s
-		return s
-	}, 1).OutputFields("k", "n")
-	b.SetBolt("sink", func() Bolt { return &funcBolt{fn: boltFn} }, 2).ShuffleGrouping("s")
+	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n), tracked: true} }, 1).
+		OutputFields("k", "n")
+	b.SetBolt("sink", func() Bolt { return &funcBolt{fn: boltFn} }, 2).FieldsGrouping("s", "k")
 	topo, err := b.Build()
 	if err != nil {
 		panic(err)
 	}
-	return topo, spouts
+	return topo
 }
 
 // A tuple failed (or acked) after the topology has shut down must be a
@@ -32,7 +28,7 @@ func buildTrackedChain(n int, boltFn func(*Tuple, *BoltCollector) error) (*Topol
 // bolt — e.g. one blocked in a slow store write that fails after Run
 // returns — would panic the process with "send on closed channel".
 func TestAckerFailAfterShutdownDoesNotPanicOrLeak(t *testing.T) {
-	topo, _ := buildTrackedChain(10, func(*Tuple, *BoltCollector) error { return nil })
+	topo := buildTrackedChain(10, func(*Tuple, *BoltCollector) error { return nil })
 	if got := topo.UnresolvedTrees(); got != -1 {
 		t.Errorf("UnresolvedTrees before Run = %d, want -1", got)
 	}
@@ -64,20 +60,39 @@ func TestAckerFailAfterShutdownDoesNotPanicOrLeak(t *testing.T) {
 // resolves exactly once and the acker retains no entries at shutdown.
 func TestAckerConservationWithFailures(t *testing.T) {
 	const n = 200
-	topo, spouts := buildTrackedChain(n, func(tp *Tuple, _ *BoltCollector) error {
+	topo := buildTrackedChain(n, func(tp *Tuple, _ *BoltCollector) error {
 		if tp.Values[1].(int)%7 == 0 {
 			return errSynthetic
 		}
 		return nil
 	})
-	if err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s := <-spouts
-	if got := len(s.acked) + len(s.failed); got != n {
+	m := spoutMetrics(t, topo)
+	if got := m.Acked + m.FailedTrees; got != n {
 		t.Errorf("acked+failed = %d, want %d (each tree resolves exactly once)", got, n)
 	}
 	if got := topo.UnresolvedTrees(); got != 0 {
 		t.Errorf("UnresolvedTrees = %d, want 0", got)
+	}
+}
+
+// Only a failed tree can still receive messages (acks from its other
+// branches), so only failed roots leave a tombstone: a completed tree's XOR
+// reached zero because every delivery in it was acked.
+func TestAckerTombstonesOnlyFailedTrees(t *testing.T) {
+	const n = 200
+	for _, failEvery := range []int{0, 7} {
+		topo := buildTrackedChain(n, func(tp *Tuple, _ *BoltCollector) error {
+			if failEvery > 0 && tp.Values[1].(int)%failEvery == 0 {
+				return errSynthetic
+			}
+			return nil
+		})
+		m := spoutMetrics(t, topo)
+		// Run has returned, so the acker goroutine has exited and its maps
+		// are safe to read.
+		if got := len(topo.acker.resolved); uint64(got) != m.FailedTrees {
+			t.Errorf("failEvery %d: %d tombstones after %d acked and %d failed trees, want %d",
+				failEvery, got, m.Acked, m.FailedTrees, m.FailedTrees)
+		}
 	}
 }

@@ -15,7 +15,6 @@ import (
 // Builder.Build and run it with Run; a Topology is single-use.
 type Topology struct {
 	name       string
-	queueSize  int
 	maxPending int
 	comps      []*component
 	byName     map[string]*component
@@ -43,9 +42,11 @@ type component struct {
 	pendingProducers atomic.Int64
 }
 
+// consumerLink is one resolved subscription: the consuming component and the
+// positions of its grouping fields in the producer's schema.
 type consumerLink struct {
-	sub  subscription
-	comp *component
+	comp   *component
+	fields []int
 }
 
 type task struct {
@@ -54,8 +55,9 @@ type task struct {
 	in    chan *Tuple
 	spout Spout
 	bolt  Bolt
-	// shuffle counters, one per consumer link, for round-robin routing.
-	rr []atomic.Uint64
+	// collector is a bolt task's collector; both schedulers execute
+	// through it.
+	collector *BoltCollector
 	// notices delivers completed/failed root notifications to spout tasks
 	// without ever blocking the acker (see notifier).
 	notices *notifier
@@ -68,12 +70,10 @@ type task struct {
 	edgeRand *rand.Rand
 	// pendingRoots counts this spout task's unresolved tracked tuples.
 	pendingRoots int64
-	msgIDs       map[int64]any // root -> spout message id
-	// dead marks a task whose lifecycle setup failed in synchronous mode:
-	// deliveries to it fail their trees instead of executing.
+	// dead marks a task whose Open or Prepare failed: a dead spout emits
+	// nothing, and deliveries to a dead bolt fail their trees instead of
+	// executing, so upstream never blocks and tracked trees still resolve.
 	dead bool
-	// syncCollector is the task's persistent collector in synchronous mode.
-	syncCollector *BoltCollector
 }
 
 type ackNotice struct {
@@ -90,7 +90,8 @@ type Metrics struct {
 	Delivered atomic.Uint64
 	// Executed counts bolt Execute calls.
 	Executed atomic.Uint64
-	// Failed counts bolt Execute calls that returned an error.
+	// Failed counts deliveries whose execution failed: Execute returned an
+	// error, or the task was dead.
 	Failed atomic.Uint64
 	// Acked counts spout tuple trees fully processed.
 	Acked atomic.Uint64
@@ -114,7 +115,6 @@ func (b *Builder) Build() (*Topology, error) {
 	}
 	t := &Topology{
 		name:        b.name,
-		queueSize:   b.queueSize,
 		maxPending:  b.maxPending,
 		synchronous: b.synchronous,
 		byName:      make(map[string]*component, len(b.order)),
@@ -129,7 +129,11 @@ func (b *Builder) Build() (*Topology, error) {
 	for _, c := range t.comps {
 		for _, sub := range c.def.inputs {
 			producer := t.byName[sub.producer]
-			producer.consumers = append(producer.consumers, &consumerLink{sub: sub, comp: c})
+			link := &consumerLink{comp: c, fields: make([]int, len(sub.fields))}
+			for i, f := range sub.fields {
+				link.fields[i] = fieldIndex(producer.def.outFields, f)
+			}
+			producer.consumers = append(producer.consumers, link)
 			c.pendingProducers.Add(int64(producer.def.parallelism))
 		}
 	}
@@ -137,14 +141,14 @@ func (b *Builder) Build() (*Topology, error) {
 	for ci, c := range t.comps {
 		c.tasks = make([]*task, c.def.parallelism)
 		for i := range c.tasks {
-			tk := &task{comp: c, index: i, rr: make([]atomic.Uint64, len(c.consumers))}
+			tk := &task{comp: c, index: i}
 			tk.edgeRand = rand.New(rand.NewPCG(b.seed, uint64(ci)<<32|uint64(i)))
 			if c.def.spoutFn != nil {
 				tk.spout = c.def.spoutFn()
 				tk.notices = newNotifier()
-				tk.msgIDs = make(map[int64]any)
 			} else {
 				tk.bolt = c.def.boltFn()
+				tk.collector = &BoltCollector{topo: t, task: tk}
 				tk.in = make(chan *Tuple, b.queueSize)
 			}
 			c.tasks[i] = tk
@@ -163,36 +167,43 @@ func (t *Topology) Run(ctx context.Context) error {
 	if t.ranYet.Swap(true) {
 		return fmt.Errorf("storm: topology %q has already run", t.name)
 	}
-	if t.synchronous {
-		return t.runSync(ctx)
-	}
 	t.acker.start()
-
-	var wg sync.WaitGroup
-	for _, c := range t.comps {
-		for _, tk := range c.tasks {
-			wg.Add(1)
-			go func(tk *task) {
-				defer wg.Done()
-				if tk.spout != nil {
-					t.runSpout(ctx, tk)
-				} else {
-					t.runBolt(ctx, tk)
-				}
-			}(tk)
+	if t.synchronous {
+		t.runSync(ctx)
+	} else {
+		var wg sync.WaitGroup
+		for _, c := range t.comps {
+			for _, tk := range c.tasks {
+				wg.Add(1)
+				go func(tk *task) {
+					defer wg.Done()
+					t.runTask(ctx, tk)
+				}(tk)
+			}
 		}
+		wg.Wait()
 	}
-	wg.Wait()
 	t.acker.stop()
 	t.errMu.Lock()
 	defer t.errMu.Unlock()
 	return errors.Join(t.errs...)
 }
 
-func (t *Topology) recordErr(err error) {
-	t.errMu.Lock()
-	t.errs = append(t.errs, err)
-	t.errMu.Unlock()
+// runTask is one task's goroutine under the concurrent scheduler. A bolt
+// task executes its queue until every producer task has finished; its own
+// finish then closes its consumers' queues in turn.
+func (t *Topology) runTask(ctx context.Context, tk *task) {
+	defer t.taskFinished(tk.comp)
+	t.open(ctx, tk)
+	if tk.spout != nil {
+		if !tk.dead {
+			t.driveSpout(ctx, tk)
+		}
+		return
+	}
+	for tuple := range tk.in {
+		t.execute(tk, tuple)
+	}
 }
 
 // taskFinished implements the drain protocol: when the last producer task of
@@ -208,118 +219,103 @@ func (t *Topology) taskFinished(c *component) {
 	}
 }
 
-func (t *Topology) runSpout(ctx context.Context, tk *task) {
-	defer t.taskFinished(tk.comp)
-	collector := &SpoutCollector{topo: t, task: tk}
-	cctx := &Context{Component: tk.comp.def.name, Task: tk.index, Parallelism: tk.comp.def.parallelism, Ctx: ctx}
-	if err := tk.spout.Open(cctx, collector); err != nil {
-		t.recordErr(fmt.Errorf("storm: spout %s[%d] open: %w", tk.comp.def.name, tk.index, err))
-		return
+// open runs a task's Open (spout) or Prepare (bolt); a task whose call
+// fails is marked dead.
+func (t *Topology) open(ctx context.Context, tk *task) {
+	var err error
+	stage := "prepare"
+	if tk.spout != nil {
+		stage = "open"
+		err = tk.spout.Open(ctx, &SpoutCollector{topo: t, task: tk})
+	} else {
+		err = tk.bolt.Prepare(ctx, tk.collector)
 	}
-	defer func() {
-		if err := tk.spout.Close(); err != nil {
-			t.recordErr(fmt.Errorf("storm: spout %s[%d] close: %w", tk.comp.def.name, tk.index, err))
-		}
-	}()
+	if err != nil {
+		t.taskErr(tk, stage, err)
+		tk.dead = true
+	}
+}
 
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		default:
-		}
+// taskErr records one task's lifecycle error for Run to return.
+func (t *Topology) taskErr(tk *task, stage string, err error) {
+	kind := "bolt"
+	if tk.spout != nil {
+		kind = "spout"
+	}
+	t.errMu.Lock()
+	t.errs = append(t.errs, fmt.Errorf("storm: %s %s[%d] %s: %w", kind, tk.comp.def.name, tk.index, stage, err))
+	t.errMu.Unlock()
+}
+
+// driveSpout calls NextTuple until the spout is exhausted or fails or ctx is
+// cancelled, then lingers until every tracked tree the task emitted
+// resolves. Under the synchronous scheduler each call's deliveries execute
+// to completion before the next call.
+func (t *Topology) driveSpout(ctx context.Context, tk *task) {
+	for ctx.Err() == nil {
 		tk.drainAcks(false)
 		// Max-spout-pending: hold off emitting while too many tracked
-		// trees are unresolved. Resolution is guaranteed because bolts
-		// keep draining, so this wait always terminates.
+		// trees are unresolved. Bolts keep draining (synchronously, they
+		// have already run), so the acker always delivers the notice.
 		for t.maxPending > 0 && tk.pendingRoots >= int64(t.maxPending) {
-			if !tk.drainAcks(true) {
-				break loop
-			}
+			tk.drainAcks(true)
 		}
 		more, err := tk.spout.NextTuple()
+		if t.synchronous {
+			t.drainSyncQueue()
+		}
 		if err != nil {
-			t.recordErr(fmt.Errorf("storm: spout %s[%d] next: %w", tk.comp.def.name, tk.index, err))
+			t.taskErr(tk, "next", err)
 			break
 		}
 		if !more {
 			break
 		}
 	}
-	// Linger until every tracked tuple tree this task emitted resolves.
-	// Downstream components keep draining after spouts stop, so resolution
-	// is guaranteed for finite queues.
 	for tk.pendingRoots > 0 {
-		if !tk.drainAcks(true) {
-			break
-		}
+		tk.drainAcks(true)
 	}
 }
 
-// drainAcks dispatches pending ack notices to the spout's hooks on the
-// spout's own goroutine (Storm's threading contract). When block is true it
-// waits for at least one notice. It reports whether progress is still
-// possible (false only if the notifier has been closed).
-func (tk *task) drainAcks(block bool) bool {
-	ack, _ := tk.spout.(Acknowledger)
+// drainAcks counts the spout task's resolved trees on its own goroutine.
+// With block set it waits for at least one.
+func (tk *task) drainAcks(block bool) {
 	for {
 		n, ok := tk.notices.get(block)
 		if !ok {
-			if block {
-				return false
-			}
-			return true
+			return
 		}
 		block = false
-		msgID := tk.msgIDs[n.root]
-		delete(tk.msgIDs, n.root)
 		tk.pendingRoots--
 		if n.failed {
 			tk.comp.metrics.FailedTrees.Add(1)
-			if ack != nil {
-				ack.Fail(msgID)
-			}
 		} else {
 			tk.comp.metrics.Acked.Add(1)
-			if ack != nil {
-				ack.Ack(msgID)
-			}
 		}
 	}
 }
 
-func (t *Topology) runBolt(ctx context.Context, tk *task) {
-	defer t.taskFinished(tk.comp)
-	collector := &BoltCollector{topo: t, task: tk}
-	cctx := &Context{Component: tk.comp.def.name, Task: tk.index, Parallelism: tk.comp.def.parallelism, Ctx: ctx}
-	if err := tk.bolt.Prepare(cctx, collector); err != nil {
-		t.recordErr(fmt.Errorf("storm: bolt %s[%d] prepare: %w", tk.comp.def.name, tk.index, err))
-		// The task must still drain its queue or upstream would block.
-		for range tk.in {
-		}
-		return
-	}
-	for tuple := range tk.in {
-		collector.current = tuple
-		collector.emittedXor = 0
+// execute runs one delivery on a bolt task for either scheduler: Execute,
+// count, then ack the tuple's tree or fail it. A dead task fails the tree
+// without executing.
+func (t *Topology) execute(tk *task, tuple *Tuple) {
+	if !tk.dead {
+		c := tk.collector
+		c.current, c.emittedXor = tuple, 0
 		err := tk.bolt.Execute(tuple)
-		collector.current = nil
+		c.current = nil
 		tk.comp.metrics.Executed.Add(1)
-		if err != nil {
-			tk.comp.metrics.Failed.Add(1)
+		if err == nil {
 			if tuple.root != 0 {
-				t.acker.fail(tuple.root)
+				// Ack: XOR of the consumed edge and all anchored emissions.
+				t.acker.ack(tuple.root, tuple.edge^c.emittedXor)
 			}
-			continue
-		}
-		if tuple.root != 0 {
-			// Ack: XOR of the consumed edge and all anchored emissions.
-			t.acker.ack(tuple.root, tuple.edge^collector.emittedXor)
+			return
 		}
 	}
-	if err := tk.bolt.Cleanup(); err != nil {
-		t.recordErr(fmt.Errorf("storm: bolt %s[%d] cleanup: %w", tk.comp.def.name, tk.index, err))
+	tk.comp.metrics.Failed.Add(1)
+	if tuple.root != 0 {
+		t.acker.fail(tuple.root)
 	}
 }
 
@@ -329,92 +325,55 @@ func (t *Topology) route(tk *task, values Values, root int64) uint64 {
 	c := tk.comp
 	c.metrics.Emitted.Add(1)
 	var xor uint64
-	for li, link := range c.consumers {
-		targets := link.targets(tk, li, values, c.def.outFields)
-		for _, target := range targets {
-			tuple := &Tuple{
-				Values: values,
-				Source: c.def.name,
-				schema: c.def.outFields,
-				root:   root,
-			}
-			if root != 0 {
-				tuple.edge = tk.edgeRand.Uint64() | 1 // never 0: 0 means untracked
-				xor ^= tuple.edge
-			}
-			if t.synchronous {
-				t.syncQ = append(t.syncQ, syncDelivery{task: target, tuple: tuple})
-			} else {
-				target.in <- tuple
-			}
-			c.metrics.Delivered.Add(1)
+	for _, link := range c.consumers {
+		tuple := &Tuple{
+			Values: values,
+			Source: c.def.name,
+			schema: c.def.outFields,
+			root:   root,
 		}
+		if root != 0 {
+			tuple.edge = tk.edgeRand.Uint64() | 1 // never 0: 0 means untracked
+			xor ^= tuple.edge
+		}
+		target := link.target(values)
+		if t.synchronous {
+			t.syncQ = append(t.syncQ, syncDelivery{task: target, tuple: tuple})
+		} else {
+			target.in <- tuple
+		}
+		c.metrics.Delivered.Add(1)
 	}
 	return xor
 }
 
-// targets selects the destination task(s) for one delivery under the link's
-// grouping.
-func (l *consumerLink) targets(from *task, linkIdx int, values Values, schema []string) []*task {
-	tasks := l.comp.tasks
-	switch l.sub.kind {
-	case groupShuffle:
-		i := from.rr[linkIdx].Add(1)
-		return tasks[int(i)%len(tasks) : int(i)%len(tasks)+1]
-	case groupFields:
-		h := fnv.New64a()
-		for _, f := range l.sub.fields {
-			for i, name := range schema {
-				if name == f {
-					hashValue(h, values[i])
-					break
-				}
-			}
-		}
-		idx := int(h.Sum64() % uint64(len(tasks)))
-		return tasks[idx : idx+1]
-	case groupAll:
-		return tasks
-	case groupGlobal:
-		return tasks[0:1]
-	default:
-		panic(fmt.Sprintf("storm: unknown grouping %v", l.sub.kind))
+// target picks the task that receives a delivery: the FNV-1a hash of the
+// grouping fields' values modulo the task count, so equal keys always reach
+// the same task.
+func (l *consumerLink) target(values Values) *task {
+	h := fnv.New64a()
+	for _, i := range l.fields {
+		hashValue(h, values[i])
 	}
+	return l.comp.tasks[h.Sum64()%uint64(len(l.comp.tasks))]
 }
 
+// hashValue feeds one grouping value to h. string and int64 are the field
+// types the recommendation topology groups on; anything else hashes its
+// %v form.
 func hashValue(h hash.Hash, v any) {
 	switch x := v.(type) {
 	case string:
 		h.Write([]byte(x))
-	case []byte:
-		h.Write(x)
-	case int:
-		writeUint64(h, uint64(x))
 	case int64:
-		writeUint64(h, uint64(x))
-	case uint64:
-		writeUint64(h, x)
-	case float64:
-		writeUint64(h, uint64(int64(x*1e6)))
-	case bool:
-		if x {
-			h.Write([]byte{1})
-		} else {
-			h.Write([]byte{0})
+		var b [8]byte
+		for i := range b {
+			b[i] = byte(x >> (8 * i))
 		}
-	case fmt.Stringer:
-		h.Write([]byte(x.String()))
+		h.Write(b[:])
 	default:
 		fmt.Fprintf(h, "%v", x)
 	}
-}
-
-func writeUint64(h hash.Hash, v uint64) {
-	var b [8]byte
-	for i := 0; i < 8; i++ {
-		b[i] = byte(v >> (8 * i))
-	}
-	h.Write(b[:])
 }
 
 // MetricsFor returns a snapshot of the named component's counters.
@@ -468,18 +427,19 @@ type SpoutCollector struct {
 	task *task
 }
 
-// Emit sends an untracked tuple downstream: no ack tree is built and the
-// spout receives no completion callback. This is the high-throughput mode.
+// Emit sends an untracked tuple downstream: no ack tree is built, so the
+// tuple counts in neither Acked nor FailedTrees. This is the
+// high-throughput mode.
 func (c *SpoutCollector) Emit(values Values) {
 	c.topo.route(c.task, values, 0)
 }
 
-// EmitTracked sends a tuple with reliability tracking. When every descendant
-// tuple has been processed the spout's Ack(msgID) hook fires; if any bolt
-// execution on the tree fails, Fail(msgID) fires instead.
-func (c *SpoutCollector) EmitTracked(msgID any, values Values) {
-	root := c.topo.acker.newRoot(c.task)
-	c.task.msgIDs[root] = msgID
+// EmitTracked sends a tuple with tree tracking: once every descendant tuple
+// has been processed the tree counts in the spout's Acked metric; if any
+// bolt execution on the tree fails it counts in FailedTrees instead. A
+// failed tree is not replayed.
+func (c *SpoutCollector) EmitTracked(values Values) {
+	root := c.topo.acker.newRoot()
 	c.task.pendingRoots++
 	xor := c.topo.route(c.task, values, root)
 	c.topo.acker.initWithOrigin(root, xor, c.task)

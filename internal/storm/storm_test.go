@@ -11,57 +11,64 @@ import (
 )
 
 // sliceSpout emits one tuple per value, optionally tracked, then reports
-// exhaustion. Ack/Fail notifications are counted.
+// exhaustion.
 type sliceSpout struct {
 	values  []Values
 	tracked bool
 	pos     int
 	out     *SpoutCollector
-
-	mu     sync.Mutex
-	acked  []any
-	failed []any
 }
 
-func (s *sliceSpout) Open(_ *Context, out *SpoutCollector) error { s.out = out; return nil }
-func (s *sliceSpout) Close() error                               { return nil }
+func (s *sliceSpout) Open(_ context.Context, out *SpoutCollector) error { s.out = out; return nil }
 func (s *sliceSpout) NextTuple() (bool, error) {
 	if s.pos >= len(s.values) {
 		return false, nil
 	}
 	v := s.values[s.pos]
 	if s.tracked {
-		s.out.EmitTracked(s.pos, v)
+		s.out.EmitTracked(v)
 	} else {
 		s.out.Emit(v)
 	}
 	s.pos++
 	return true, nil
 }
-func (s *sliceSpout) Ack(msgID any) {
-	s.mu.Lock()
-	s.acked = append(s.acked, msgID)
-	s.mu.Unlock()
-}
-func (s *sliceSpout) Fail(msgID any) {
-	s.mu.Lock()
-	s.failed = append(s.failed, msgID)
-	s.mu.Unlock()
-}
 
 // funcBolt adapts a function to the Bolt interface.
 type funcBolt struct {
 	fn  func(t *Tuple, out *BoltCollector) error
 	out *BoltCollector
-	ctx *Context
 }
 
-func (b *funcBolt) Prepare(ctx *Context, out *BoltCollector) error {
-	b.ctx, b.out = ctx, out
+func (b *funcBolt) Prepare(_ context.Context, out *BoltCollector) error {
+	b.out = out
 	return nil
 }
 func (b *funcBolt) Execute(t *Tuple) error { return b.fn(t, b.out) }
-func (b *funcBolt) Cleanup() error         { return nil }
+
+// taskBolts returns a bolt factory whose instances know their task index:
+// Build calls a component's factory once per task, in task order.
+func taskBolts(fn func(task int, t *Tuple) error) func() Bolt {
+	next := 0
+	return func() Bolt {
+		task := next
+		next++
+		return &funcBolt{fn: func(t *Tuple, _ *BoltCollector) error { return fn(task, t) }}
+	}
+}
+
+// spoutMetrics runs topo and returns the spout component's counters.
+func spoutMetrics(t *testing.T, topo *Topology) MetricsSnapshot {
+	t.Helper()
+	if err := topo.Run(context.Background()); err != nil {
+		t.Fatal(err)
+	}
+	m, err := topo.MetricsFor("s")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
 
 func intValues(n int) []Values {
 	out := make([]Values, n)
@@ -82,7 +89,7 @@ func TestBuilderValidation(t *testing.T) {
 	})
 	t.Run("no spout", func(t *testing.T) {
 		b := NewBuilder("t")
-		b.SetBolt("b", mkBolt, 1).ShuffleGrouping("b")
+		b.SetBolt("b", mkBolt, 1).FieldsGrouping("b", "k").OutputFields("k")
 		if _, err := b.Build(); err == nil {
 			t.Error("spoutless topology accepted")
 		}
@@ -97,7 +104,7 @@ func TestBuilderValidation(t *testing.T) {
 	t.Run("unknown producer", func(t *testing.T) {
 		b := NewBuilder("t")
 		b.SetSpout("s", mkSpout, 1).OutputFields("k")
-		b.SetBolt("b", mkBolt, 1).ShuffleGrouping("nope")
+		b.SetBolt("b", mkBolt, 1).FieldsGrouping("nope", "k")
 		if _, err := b.Build(); err == nil {
 			t.Error("subscription to unknown producer accepted")
 		}
@@ -108,6 +115,14 @@ func TestBuilderValidation(t *testing.T) {
 		b.SetBolt("b", mkBolt, 1).FieldsGrouping("s", "missing")
 		if _, err := b.Build(); err == nil {
 			t.Error("grouping on absent field accepted")
+		}
+	})
+	t.Run("grouping names no fields", func(t *testing.T) {
+		b := NewBuilder("t")
+		b.SetSpout("s", mkSpout, 1).OutputFields("k")
+		b.SetBolt("b", mkBolt, 1).FieldsGrouping("s")
+		if _, err := b.Build(); err == nil {
+			t.Error("fields grouping on no fields accepted")
 		}
 	})
 	t.Run("bolt without inputs", func(t *testing.T) {
@@ -121,8 +136,8 @@ func TestBuilderValidation(t *testing.T) {
 	t.Run("cycle", func(t *testing.T) {
 		b := NewBuilder("t")
 		b.SetSpout("s", mkSpout, 1).OutputFields("k")
-		b.SetBolt("b1", mkBolt, 1).ShuffleGrouping("s").ShuffleGrouping("b2").OutputFields("k")
-		b.SetBolt("b2", mkBolt, 1).ShuffleGrouping("b1").OutputFields("k")
+		b.SetBolt("b1", mkBolt, 1).FieldsGrouping("s", "k").FieldsGrouping("b2", "k").OutputFields("k")
+		b.SetBolt("b2", mkBolt, 1).FieldsGrouping("b1", "k").OutputFields("k")
 		if _, err := b.Build(); err == nil {
 			t.Error("cyclic topology accepted")
 		}
@@ -131,7 +146,7 @@ func TestBuilderValidation(t *testing.T) {
 		b := NewBuilder("t")
 		b.SetSpout("s", mkSpout, 2).OutputFields("k", "n")
 		b.SetBolt("b1", mkBolt, 3).FieldsGrouping("s", "k").OutputFields("k", "n")
-		b.SetBolt("b2", mkBolt, 1).ShuffleGrouping("b1")
+		b.SetBolt("b2", mkBolt, 1).FieldsGrouping("b1", "k")
 		if _, err := b.Build(); err != nil {
 			t.Errorf("valid topology rejected: %v", err)
 		}
@@ -149,7 +164,7 @@ func TestTopologyDeliversAllTuples(t *testing.T) {
 			count.Add(1)
 			return nil
 		}}
-	}, 4).ShuffleGrouping("s")
+	}, 4).FieldsGrouping("s", "k")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -175,23 +190,19 @@ func TestFieldsGroupingSingleWriter(t *testing.T) {
 	b := NewBuilder("t")
 	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n)} }, 1).
 		OutputFields("k", "n")
-	b.SetBolt("sink", func() Bolt {
-		fb := &funcBolt{}
-		fb.fn = func(tp *Tuple, _ *BoltCollector) error {
-			k, err := Get[string](tp, "k")
-			if err != nil {
-				return err
-			}
-			mu.Lock()
-			if keyTask[k] == nil {
-				keyTask[k] = map[int]bool{}
-			}
-			keyTask[k][fb.ctx.Task] = true
-			mu.Unlock()
-			return nil
+	b.SetBolt("sink", taskBolts(func(task int, tp *Tuple) error {
+		k, err := Get[string](tp, "k")
+		if err != nil {
+			return err
 		}
-		return fb
-	}, 5).FieldsGrouping("s", "k")
+		mu.Lock()
+		if keyTask[k] == nil {
+			keyTask[k] = map[int]bool{}
+		}
+		keyTask[k][task] = true
+		mu.Unlock()
+		return nil
+	}), 5).FieldsGrouping("s", "k")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -216,71 +227,6 @@ func TestFieldsGroupingSingleWriter(t *testing.T) {
 	}
 }
 
-func TestShuffleGroupingBalances(t *testing.T) {
-	const n = 1000
-	counts := make([]atomic.Int64, 4)
-	b := NewBuilder("t")
-	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n)} }, 1).
-		OutputFields("k", "n")
-	b.SetBolt("sink", func() Bolt {
-		fb := &funcBolt{}
-		fb.fn = func(*Tuple, *BoltCollector) error {
-			counts[fb.ctx.Task].Add(1)
-			return nil
-		}
-		return fb
-	}, 4).ShuffleGrouping("s")
-	topo, _ := b.Build()
-	if err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	for i := range counts {
-		got := counts[i].Load()
-		if got != n/4 {
-			t.Errorf("task %d processed %d, want %d (round-robin)", i, got, n/4)
-		}
-	}
-}
-
-func TestAllGroupingReplicates(t *testing.T) {
-	const n, par = 100, 3
-	var count atomic.Int64
-	b := NewBuilder("t")
-	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n)} }, 1).
-		OutputFields("k", "n")
-	b.SetBolt("sink", func() Bolt {
-		return &funcBolt{fn: func(*Tuple, *BoltCollector) error { count.Add(1); return nil }}
-	}, par).AllGrouping("s")
-	topo, _ := b.Build()
-	if err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if count.Load() != n*par {
-		t.Errorf("executed %d, want %d (every task sees every tuple)", count.Load(), n*par)
-	}
-}
-
-func TestGlobalGroupingRoutesToTaskZero(t *testing.T) {
-	const n = 100
-	counts := make([]atomic.Int64, 3)
-	b := NewBuilder("t")
-	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n)} }, 1).
-		OutputFields("k", "n")
-	b.SetBolt("sink", func() Bolt {
-		fb := &funcBolt{}
-		fb.fn = func(*Tuple, *BoltCollector) error { counts[fb.ctx.Task].Add(1); return nil }
-		return fb
-	}, 3).GlobalGrouping("s")
-	topo, _ := b.Build()
-	if err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if counts[0].Load() != n || counts[1].Load() != 0 || counts[2].Load() != 0 {
-		t.Errorf("counts = [%d %d %d], want [%d 0 0]",
-			counts[0].Load(), counts[1].Load(), counts[2].Load(), n)
-	}
-}
-
 func TestMultiStagePipeline(t *testing.T) {
 	// spout -> double (emits 2 per input) -> sink; checks fan-out counting
 	// and that downstream receives transformed values.
@@ -295,7 +241,7 @@ func TestMultiStagePipeline(t *testing.T) {
 			out.Emit(Values{tp.Values[0], 1})
 			return nil
 		}}
-	}, 3).ShuffleGrouping("s").OutputFields("k", "one")
+	}, 3).FieldsGrouping("s", "k").OutputFields("k", "one")
 	b.SetBolt("sink", func() Bolt {
 		return &funcBolt{fn: func(tp *Tuple, _ *BoltCollector) error {
 			sum.Add(int64(tp.Values[1].(int)))
@@ -315,13 +261,9 @@ func TestMultiStagePipeline(t *testing.T) {
 
 func TestAckingCompleteTrees(t *testing.T) {
 	const n = 300
-	spouts := make(chan *sliceSpout, 1)
 	b := NewBuilder("t")
-	b.SetSpout("s", func() Spout {
-		s := &sliceSpout{values: intValues(n), tracked: true}
-		spouts <- s
-		return s
-	}, 1).OutputFields("k", "n")
+	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n), tracked: true} }, 1).
+		OutputFields("k", "n")
 	b.SetBolt("mid", func() Bolt {
 		return &funcBolt{fn: func(tp *Tuple, out *BoltCollector) error {
 			out.Emit(Values{tp.Values[0], tp.Values[1]})
@@ -330,33 +272,22 @@ func TestAckingCompleteTrees(t *testing.T) {
 	}, 3).FieldsGrouping("s", "k").OutputFields("k", "n")
 	b.SetBolt("sink", func() Bolt {
 		return &funcBolt{fn: func(*Tuple, *BoltCollector) error { return nil }}
-	}, 2).ShuffleGrouping("mid")
+	}, 2).FieldsGrouping("mid", "k")
 	topo, _ := b.Build()
-	if err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	s := <-spouts
-	if len(s.acked) != n {
-		t.Errorf("acked %d trees, want %d", len(s.acked), n)
-	}
-	if len(s.failed) != 0 {
-		t.Errorf("failed %d trees, want 0", len(s.failed))
-	}
-	m, _ := topo.MetricsFor("s")
+	m := spoutMetrics(t, topo)
 	if m.Acked != n {
-		t.Errorf("metrics acked = %d, want %d", m.Acked, n)
+		t.Errorf("acked %d trees, want %d", m.Acked, n)
+	}
+	if m.FailedTrees != 0 {
+		t.Errorf("failed %d trees, want 0", m.FailedTrees)
 	}
 }
 
 func TestAckingFailedTrees(t *testing.T) {
 	const n = 50
-	spouts := make(chan *sliceSpout, 1)
 	b := NewBuilder("t")
-	b.SetSpout("s", func() Spout {
-		s := &sliceSpout{values: intValues(n), tracked: true}
-		spouts <- s
-		return s
-	}, 1).OutputFields("k", "n")
+	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n), tracked: true} }, 1).
+		OutputFields("k", "n")
 	b.SetBolt("flaky", func() Bolt {
 		return &funcBolt{fn: func(tp *Tuple, _ *BoltCollector) error {
 			if tp.Values[1].(int)%5 == 0 {
@@ -364,18 +295,15 @@ func TestAckingFailedTrees(t *testing.T) {
 			}
 			return nil
 		}}
-	}, 2).ShuffleGrouping("s")
+	}, 2).FieldsGrouping("s", "k")
 	topo, _ := b.Build()
-	if err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	m := spoutMetrics(t, topo)
+	const wantFailed = n / 5
+	if m.FailedTrees != wantFailed {
+		t.Errorf("failed %d trees, want %d", m.FailedTrees, wantFailed)
 	}
-	s := <-spouts
-	wantFailed := n / 5
-	if len(s.failed) != wantFailed {
-		t.Errorf("failed %d trees, want %d", len(s.failed), wantFailed)
-	}
-	if len(s.acked) != n-wantFailed {
-		t.Errorf("acked %d trees, want %d", len(s.acked), n-wantFailed)
+	if m.Acked != n-wantFailed {
+		t.Errorf("acked %d trees, want %d", m.Acked, n-wantFailed)
 	}
 }
 
@@ -393,7 +321,7 @@ func TestBackpressureSmallQueues(t *testing.T) {
 			count.Add(1)
 			return nil
 		}}
-	}, 1).ShuffleGrouping("s")
+	}, 1).FieldsGrouping("s", "k")
 	topo, _ := b.Build()
 	if err := topo.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -406,8 +334,7 @@ func TestBackpressureSmallQueues(t *testing.T) {
 // infiniteSpout emits forever until its context is cancelled by the runtime.
 type infiniteSpout struct{ out *SpoutCollector }
 
-func (s *infiniteSpout) Open(_ *Context, out *SpoutCollector) error { s.out = out; return nil }
-func (s *infiniteSpout) Close() error                               { return nil }
+func (s *infiniteSpout) Open(_ context.Context, out *SpoutCollector) error { s.out = out; return nil }
 func (s *infiniteSpout) NextTuple() (bool, error) {
 	s.out.Emit(Values{"k", 1})
 	return true, nil
@@ -419,7 +346,7 @@ func TestContextCancellationStopsInfiniteStream(t *testing.T) {
 	b.SetSpout("s", func() Spout { return &infiniteSpout{} }, 1).OutputFields("k", "n")
 	b.SetBolt("sink", func() Bolt {
 		return &funcBolt{fn: func(*Tuple, *BoltCollector) error { count.Add(1); return nil }}
-	}, 2).ShuffleGrouping("s")
+	}, 2).FieldsGrouping("s", "k")
 	topo, _ := b.Build()
 	ctx, cancel := context.WithCancel(context.Background())
 	done := make(chan error, 1)
@@ -445,7 +372,7 @@ func TestTopologyIsSingleUse(t *testing.T) {
 		OutputFields("k", "n")
 	b.SetBolt("sink", func() Bolt {
 		return &funcBolt{fn: func(*Tuple, *BoltCollector) error { return nil }}
-	}, 1).ShuffleGrouping("s")
+	}, 1).FieldsGrouping("s", "k")
 	topo, _ := b.Build()
 	if err := topo.Run(context.Background()); err != nil {
 		t.Fatal(err)
@@ -492,66 +419,47 @@ func TestMetricsForUnknownComponent(t *testing.T) {
 	}
 }
 
-// trackingSpout records the maximum pending tracked-tuple count it ever
-// observed between emissions.
-type trackingSpout struct {
+// pendingSpout is a tracked sliceSpout that records the most trees it ever
+// had in flight at an emission, counted independently of the engine: spout
+// emissions minus the executions the bolt has finished.
+type pendingSpout struct {
 	sliceSpout
-	pending    int
-	maxPending int
+	done       *atomic.Int64
+	maxPending int64
 }
 
-func (s *trackingSpout) NextTuple() (bool, error) {
-	if s.pending > s.maxPending {
-		s.maxPending = s.pending
-	}
-	if s.pos >= len(s.values) {
-		return false, nil
-	}
-	s.out.EmitTracked(s.pos, s.values[s.pos])
-	s.pos++
-	s.pending++
-	return true, nil
-}
-
-func (s *trackingSpout) Ack(msgID any) {
-	s.pending--
-	s.sliceSpout.Ack(msgID)
-}
-
-func (s *trackingSpout) Fail(msgID any) {
-	s.pending--
-	s.sliceSpout.Fail(msgID)
+func (s *pendingSpout) NextTuple() (bool, error) {
+	s.maxPending = max(s.maxPending, int64(s.pos)-s.done.Load())
+	return s.sliceSpout.NextTuple()
 }
 
 func TestMaxSpoutPendingBoundsInFlightWork(t *testing.T) {
 	const n, capPending = 300, 8
-	spouts := make(chan *trackingSpout, 1)
+	var done atomic.Int64
+	spouts := make(chan *pendingSpout, 1)
 	b := NewBuilder("t").SetMaxSpoutPending(capPending)
 	b.SetSpout("s", func() Spout {
-		s := &trackingSpout{sliceSpout: sliceSpout{values: intValues(n)}}
+		s := &pendingSpout{sliceSpout: sliceSpout{values: intValues(n), tracked: true}, done: &done}
 		spouts <- s
 		return s
 	}, 1).OutputFields("k", "n")
 	b.SetBolt("slow", func() Bolt {
 		return &funcBolt{fn: func(*Tuple, *BoltCollector) error {
 			time.Sleep(100 * time.Microsecond)
+			done.Add(1)
 			return nil
 		}}
-	}, 1).ShuffleGrouping("s")
+	}, 1).FieldsGrouping("s", "k")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := topo.Run(context.Background()); err != nil {
-		t.Fatal(err)
+	if m := spoutMetrics(t, topo); m.Acked != n {
+		t.Errorf("acked %d, want %d", m.Acked, n)
 	}
-	s := <-spouts
-	if len(s.acked) != n {
-		t.Errorf("acked %d, want %d", len(s.acked), n)
-	}
-	// Pending may reach the cap but not exceed it (the check happens
-	// before each emission; pending increments after).
-	if s.maxPending > capPending {
+	// An unfinished execution is an unresolved tree, so the count may
+	// reach the cap but not exceed it.
+	if s := <-spouts; s.maxPending > capPending {
 		t.Errorf("observed %d pending trees, cap %d", s.maxPending, capPending)
 	}
 }
@@ -562,30 +470,31 @@ func TestSpoutErrorRecorded(t *testing.T) {
 		return &errorSpout{}
 	}, 1).OutputFields("k")
 	topo, _ := b.Build()
-	if err := topo.Run(context.Background()); err == nil {
-		t.Error("spout error not surfaced by Run")
+	err := topo.Run(context.Background())
+	if err == nil || err.Error() != "storm: spout s[0] next: boom" {
+		t.Errorf("Run = %v, want the spout's next error", err)
 	}
 }
 
 type errorSpout struct{}
 
-func (s *errorSpout) Open(*Context, *SpoutCollector) error { return nil }
-func (s *errorSpout) Close() error                         { return nil }
-func (s *errorSpout) NextTuple() (bool, error)             { return false, fmt.Errorf("boom") }
+func (s *errorSpout) Open(context.Context, *SpoutCollector) error { return nil }
+func (s *errorSpout) NextTuple() (bool, error)                    { return false, fmt.Errorf("boom") }
 
 // prepareFailBolt fails Prepare; its queue must still drain so upstream
 // never blocks.
 type prepareFailBolt struct{}
 
-func (b *prepareFailBolt) Prepare(*Context, *BoltCollector) error { return fmt.Errorf("prepare boom") }
-func (b *prepareFailBolt) Execute(*Tuple) error                   { return nil }
-func (b *prepareFailBolt) Cleanup() error                         { return nil }
+func (b *prepareFailBolt) Prepare(context.Context, *BoltCollector) error {
+	return fmt.Errorf("prepare boom")
+}
+func (b *prepareFailBolt) Execute(*Tuple) error { return nil }
 
 func TestBoltPrepareFailureDrainsQueue(t *testing.T) {
 	b := NewBuilder("t").SetQueueSize(2) // small queue: upstream must not deadlock
 	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(500)} }, 1).
 		OutputFields("k", "n")
-	b.SetBolt("broken", func() Bolt { return &prepareFailBolt{} }, 1).ShuffleGrouping("s")
+	b.SetBolt("broken", func() Bolt { return &prepareFailBolt{} }, 1).FieldsGrouping("s", "k")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -603,33 +512,30 @@ func TestBoltPrepareFailureDrainsQueue(t *testing.T) {
 }
 
 func TestFieldsGroupingOnIntField(t *testing.T) {
-	// Grouping by a non-string field must route deterministically too.
+	// Grouping by an int64 field (the bandit arm) must route
+	// deterministically too.
 	const n = 400
 	var mu sync.Mutex
-	keyTask := map[int]map[int]bool{}
+	keyTask := map[int64]map[int]bool{}
 	b := NewBuilder("t")
 	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n)} }, 1).
 		OutputFields("k", "n")
 	b.SetBolt("mod", func() Bolt {
 		return &funcBolt{fn: func(tp *Tuple, out *BoltCollector) error {
-			out.Emit(Values{tp.Values[1].(int) % 5})
+			out.Emit(Values{int64(tp.Values[1].(int) % 5)})
 			return nil
 		}}
-	}, 2).ShuffleGrouping("s").OutputFields("bucket")
-	b.SetBolt("sink", func() Bolt {
-		fb := &funcBolt{}
-		fb.fn = func(tp *Tuple, _ *BoltCollector) error {
-			v := tp.Values[0].(int)
-			mu.Lock()
-			if keyTask[v] == nil {
-				keyTask[v] = map[int]bool{}
-			}
-			keyTask[v][fb.ctx.Task] = true
-			mu.Unlock()
-			return nil
+	}, 2).FieldsGrouping("s", "k").OutputFields("bucket")
+	b.SetBolt("sink", taskBolts(func(task int, tp *Tuple) error {
+		v := tp.Values[0].(int64)
+		mu.Lock()
+		if keyTask[v] == nil {
+			keyTask[v] = map[int]bool{}
 		}
-		return fb
-	}, 4).FieldsGrouping("mod", "bucket")
+		keyTask[v][task] = true
+		mu.Unlock()
+		return nil
+	}), 4).FieldsGrouping("mod", "bucket")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -657,7 +563,7 @@ func TestMultipleConsumersOfOneProducer(t *testing.T) {
 		OutputFields("k", "n")
 	b.SetBolt("left", func() Bolt {
 		return &funcBolt{fn: func(*Tuple, *BoltCollector) error { a.Add(1); return nil }}
-	}, 2).ShuffleGrouping("s")
+	}, 2).FieldsGrouping("s", "k")
 	b.SetBolt("right", func() Bolt {
 		return &funcBolt{fn: func(*Tuple, *BoltCollector) error { b2.Add(1); return nil }}
 	}, 3).FieldsGrouping("s", "k")
@@ -671,5 +577,76 @@ func TestMultipleConsumersOfOneProducer(t *testing.T) {
 	m, _ := topo.MetricsFor("s")
 	if m.Delivered != 2*n {
 		t.Errorf("delivered = %d, want %d", m.Delivered, 2*n)
+	}
+}
+
+// TestFieldsGroupingRoutesAsBefore pins the task a grouped value reaches.
+// The expected indices were produced by the engine before its other
+// groupings were removed; string and int64 are the field types the
+// recommendation topology groups on, and the two-field case is ItemPairSim's
+// (video1, video2) grouping.
+func TestFieldsGroupingRoutesAsBefore(t *testing.T) {
+	strs := []string{"u00001", "u00042", "g1|u|u00007", "g1|i|v00017", "", "v00300"}
+	ints := []int64{0, 1, 2, 3, -1, 1 << 40}
+	pairs := [][2]string{{"v00001", "v00002"}, {"v00002", "v00001"}, {"v00017", "v00300"}, {"a", "bc"}, {"ab", "c"}}
+	want := map[int][3][]int{
+		2: {{1, 0, 0, 0, 1, 0}, {1, 0, 1, 0, 1, 0}, {0, 0, 0, 1, 1}},
+		3: {{0, 1, 1, 2, 2, 2}, {1, 0, 0, 2, 1, 1}, {2, 2, 0, 0, 0}},
+		4: {{3, 2, 2, 0, 1, 2}, {1, 0, 3, 2, 1, 2}, {0, 0, 0, 3, 3}},
+	}
+	for n, w := range want {
+		c := &component{tasks: make([]*task, n)}
+		for i := range c.tasks {
+			c.tasks[i] = &task{index: i}
+		}
+		one := &consumerLink{comp: c, fields: []int{0}}
+		two := &consumerLink{comp: c, fields: []int{0, 1}}
+		var got [3][]int
+		for _, v := range strs {
+			got[0] = append(got[0], one.target(Values{v}).index)
+		}
+		for _, v := range ints {
+			got[1] = append(got[1], one.target(Values{v}).index)
+		}
+		for _, p := range pairs {
+			got[2] = append(got[2], two.target(Values{p[0], p[1]}).index)
+		}
+		if fmt.Sprint(got) != fmt.Sprint(w) {
+			t.Errorf("%d tasks: routed to %v, want %v", n, got, w)
+		}
+	}
+}
+
+// A bolt whose Prepare failed fails every tree delivered to it, under either
+// scheduler, so a tracked spout's trees all resolve and Run returns the
+// Prepare error instead of waiting forever.
+func TestTrackedPrepareFailureFailsTrees(t *testing.T) {
+	const n = 100
+	for _, synchronous := range []bool{false, true} {
+		b := NewBuilder("t").SetSynchronous(synchronous).SetQueueSize(2)
+		b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(n), tracked: true} }, 1).
+			OutputFields("k", "n")
+		b.SetBolt("broken", func() Bolt { return &prepareFailBolt{} }, 1).FieldsGrouping("s", "k")
+		topo, err := b.Build()
+		if err != nil {
+			t.Fatal(err)
+		}
+		done := make(chan error, 1)
+		go func() { done <- topo.Run(context.Background()) }()
+		select {
+		case err := <-done:
+			if err == nil || err.Error() != "storm: bolt broken[0] prepare: prepare boom" {
+				t.Errorf("synchronous=%v: Run = %v, want the prepare error", synchronous, err)
+			}
+		case <-time.After(10 * time.Second):
+			t.Fatalf("synchronous=%v: tracked run hung after a prepare failure", synchronous)
+		}
+		m, _ := topo.MetricsFor("s")
+		if m.FailedTrees != n || m.Acked != 0 {
+			t.Errorf("synchronous=%v: acked %d, failed %d trees; want 0, %d", synchronous, m.Acked, m.FailedTrees, n)
+		}
+		if bm, _ := topo.MetricsFor("broken"); bm.Executed != 0 || bm.Failed != n {
+			t.Errorf("synchronous=%v: broken bolt executed %d, failed %d; want 0, %d", synchronous, bm.Executed, bm.Failed, n)
+		}
 	}
 }

@@ -1,21 +1,17 @@
 package storm
 
-import (
-	"context"
-	"errors"
-	"fmt"
-)
+import "context"
 
 // Synchronous execution mode: the whole topology runs on the caller's
 // goroutine, processing deliveries from a FIFO work queue instead of
-// per-task channels. Routing, groupings, metrics, and acker accounting are
-// identical to the concurrent engine — only the scheduler changes: every
-// tuple's execution order is a pure function of the spout stream, which is
-// what the simulation harness's replay-determinism oracle (same seed ⇒
-// byte-identical state) requires. The concurrent engine cannot promise
-// this: even with one task per component, sibling bolts subscribed to the
-// same stream race on shared store keys (e.g. the history append one bolt
-// performs against the history read its sibling performs for the same
+// per-task channels. Routing, metrics, acker accounting and the per-tuple
+// body (execute) are shared with the concurrent engine — only the scheduler
+// changes: every tuple's execution order is a pure function of the spout
+// stream, which is what the simulation harness's replay-determinism oracle
+// (same seed ⇒ byte-identical state) requires. The concurrent engine cannot
+// promise this: even with one task per component, sibling bolts subscribed
+// to the same stream race on shared store keys (e.g. the history append one
+// bolt performs against the history read its sibling performs for the same
 // action).
 
 // syncDelivery is one queued tuple delivery in synchronous mode.
@@ -28,99 +24,21 @@ type syncDelivery struct {
 // acker still runs on its own goroutine, but it only observes the XOR
 // stream — it never influences execution order, so determinism is
 // unaffected.
-func (t *Topology) runSync(ctx context.Context) error {
-	t.acker.start()
-
-	// Prepare every task in declaration order. A bolt whose Prepare fails is
-	// marked dead: deliveries to it fail their tuple trees, mirroring the
-	// concurrent engine's drain-without-executing behaviour.
+func (t *Topology) runSync(ctx context.Context) {
+	// Open every task in declaration order before any spout emits.
 	for _, c := range t.comps {
 		for _, tk := range c.tasks {
-			cctx := &Context{Component: c.def.name, Task: tk.index, Parallelism: c.def.parallelism, Ctx: ctx}
-			if tk.spout != nil {
-				collector := &SpoutCollector{topo: t, task: tk}
-				if err := tk.spout.Open(cctx, collector); err != nil {
-					t.recordErr(fmt.Errorf("storm: spout %s[%d] open: %w", c.def.name, tk.index, err))
-					tk.dead = true
-				}
-				continue
-			}
-			tk.syncCollector = &BoltCollector{topo: t, task: tk}
-			if err := tk.bolt.Prepare(cctx, tk.syncCollector); err != nil {
-				t.recordErr(fmt.Errorf("storm: bolt %s[%d] prepare: %w", c.def.name, tk.index, err))
-				tk.dead = true
-			}
+			t.open(ctx, tk)
 		}
 	}
-
-	// Drive the spouts sequentially, fully draining the work queue after
-	// every emission so each spout tuple's entire tree executes before the
-	// next NextTuple call.
+	// Drive the spouts one after another; driveSpout drains the work queue
+	// after every emission, so each spout tuple's entire tree executes
+	// before the next NextTuple call.
 	for _, c := range t.comps {
 		for _, tk := range c.tasks {
-			if tk.spout == nil || tk.dead {
-				continue
+			if tk.spout != nil && !tk.dead {
+				t.driveSpout(ctx, tk)
 			}
-			t.driveSpoutSync(ctx, tk)
-		}
-	}
-
-	// Teardown in declaration order.
-	for _, c := range t.comps {
-		for _, tk := range c.tasks {
-			if tk.spout != nil {
-				if tk.dead {
-					continue
-				}
-				if err := tk.spout.Close(); err != nil {
-					t.recordErr(fmt.Errorf("storm: spout %s[%d] close: %w", c.def.name, tk.index, err))
-				}
-				continue
-			}
-			if tk.dead {
-				continue
-			}
-			if err := tk.bolt.Cleanup(); err != nil {
-				t.recordErr(fmt.Errorf("storm: bolt %s[%d] cleanup: %w", c.def.name, tk.index, err))
-			}
-		}
-	}
-	t.acker.stop()
-	t.errMu.Lock()
-	defer t.errMu.Unlock()
-	return errors.Join(t.errs...)
-}
-
-func (t *Topology) driveSpoutSync(ctx context.Context, tk *task) {
-loop:
-	for {
-		select {
-		case <-ctx.Done():
-			break loop
-		default:
-		}
-		tk.drainAcks(false)
-		// Max-spout-pending applies here too; with the queue drained after
-		// every emission the only wait is for the acker to deliver the
-		// completion notice, which it always does.
-		for t.maxPending > 0 && tk.pendingRoots >= int64(t.maxPending) {
-			if !tk.drainAcks(true) {
-				break loop
-			}
-		}
-		more, err := tk.spout.NextTuple()
-		t.drainSyncQueue()
-		if err != nil {
-			t.recordErr(fmt.Errorf("storm: spout %s[%d] next: %w", tk.comp.def.name, tk.index, err))
-			break
-		}
-		if !more {
-			break
-		}
-	}
-	for tk.pendingRoots > 0 {
-		if !tk.drainAcks(true) {
-			break
 		}
 	}
 }
@@ -131,33 +49,6 @@ func (t *Topology) drainSyncQueue() {
 	for len(t.syncQ) > 0 {
 		d := t.syncQ[0]
 		t.syncQ = t.syncQ[1:]
-		t.executeSync(d.task, d.tuple)
-	}
-}
-
-// executeSync is the synchronous twin of runBolt's per-tuple body.
-func (t *Topology) executeSync(tk *task, tuple *Tuple) {
-	if tk.dead {
-		tk.comp.metrics.Failed.Add(1)
-		if tuple.root != 0 {
-			t.acker.fail(tuple.root)
-		}
-		return
-	}
-	collector := tk.syncCollector
-	collector.current = tuple
-	collector.emittedXor = 0
-	err := tk.bolt.Execute(tuple)
-	collector.current = nil
-	tk.comp.metrics.Executed.Add(1)
-	if err != nil {
-		tk.comp.metrics.Failed.Add(1)
-		if tuple.root != 0 {
-			t.acker.fail(tuple.root)
-		}
-		return
-	}
-	if tuple.root != 0 {
-		t.acker.ack(tuple.root, tuple.edge^collector.emittedXor)
+		t.execute(d.task, d.tuple)
 	}
 }

@@ -37,7 +37,7 @@ func buildSyncDiamond(t *testing.T, n int, tracked bool) (*Topology, *[]string) 
 			mu.Unlock()
 			return nil
 		}}
-	}, 1).ShuffleGrouping("left").ShuffleGrouping("right")
+	}, 1).FieldsGrouping("left", "i").FieldsGrouping("right", "i")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatalf("build: %v", err)
@@ -130,7 +130,7 @@ func TestSynchronousMatchesConcurrentTotals(t *testing.T) {
 		}, 2).FieldsGrouping("s", "k").OutputFields("k", "i")
 		b.SetBolt("sink", func() Bolt {
 			return &funcBolt{fn: func(*Tuple, *BoltCollector) error { return nil }}
-		}, 2).ShuffleGrouping("fan")
+		}, 2).FieldsGrouping("fan", "k")
 		topo, err := b.Build()
 		if err != nil {
 			t.Fatalf("build: %v", err)

@@ -8,61 +8,37 @@ import (
 // Spout produces the input streams of a topology. One Spout instance is
 // created per task by the factory passed to SetSpout.
 type Spout interface {
-	// Open is called once before the first NextTuple, with the task's
-	// context and the collector to emit through.
-	Open(ctx *Context, out *SpoutCollector) error
+	// Open is called once before the first NextTuple, with the run context
+	// passed to Topology.Run and the collector to emit through.
+	Open(ctx context.Context, out *SpoutCollector) error
 	// NextTuple emits zero or more tuples through the collector and
 	// reports whether more input may follow. Returning false ends the
 	// task; the runtime then drains downstream components. NextTuple is
 	// called from a single goroutine.
 	NextTuple() (more bool, err error)
-	// Close is called when the task ends.
-	Close() error
-}
-
-// Acknowledger is optionally implemented by Spouts that emit tracked tuples
-// (EmitTracked). Ack fires when every tuple in the tree rooted at the
-// message has been processed; Fail fires as soon as any execution in the
-// tree returns an error.
-type Acknowledger interface {
-	Ack(msgID any)
-	Fail(msgID any)
 }
 
 // Bolt consumes input streams and optionally emits new ones. One Bolt
 // instance is created per task by the factory passed to SetBolt.
 type Bolt interface {
-	// Prepare is called once before the first Execute.
-	Prepare(ctx *Context, out *BoltCollector) error
+	// Prepare is called once before the first Execute, with the run
+	// context passed to Topology.Run. Bolts must thread it into every
+	// blocking call (store reads/writes, network round trips) so that
+	// cancelling the run cannot leave a task wedged on a dead storage tier
+	// — the ctxcheck lint pass enforces this in the serving packages.
+	Prepare(ctx context.Context, out *BoltCollector) error
 	// Execute processes one input tuple. Emitting through the collector
 	// anchors new tuples to the input's ack tree. Returning an error
-	// fails the input's tuple tree (the spout's Fail hook fires) but does
-	// not stop the topology. Execute is called from a single goroutine.
+	// fails the input's tuple tree (it counts in the spout's FailedTrees
+	// and is not replayed) but does not stop the topology. Execute is
+	// called from a single goroutine.
 	Execute(t *Tuple) error
-	// Cleanup is called when the task's input stream is exhausted.
-	Cleanup() error
 }
 
-// Context carries per-task information into Open/Prepare.
-type Context struct {
-	// Component is the name the component was registered under.
-	Component string
-	// Task is this instance's index in [0, Parallelism).
-	Task int
-	// Parallelism is the component's task count.
-	Parallelism int
-	// Ctx is the run context passed to Topology.Run. Components must thread
-	// it into every blocking call (store reads/writes, network round trips)
-	// so that cancelling the run cannot leave a task wedged on a dead
-	// storage tier — the ctxcheck lint pass enforces this in the serving
-	// packages.
-	Ctx context.Context
-}
-
-// subscription connects a consumer component to one producer stream.
+// subscription connects a consumer component to one producer stream,
+// fields-grouped on the named producer fields.
 type subscription struct {
 	producer string
-	kind     groupingKind
 	fields   []string
 }
 
@@ -76,7 +52,7 @@ type componentDef struct {
 }
 
 // Builder accumulates a topology definition: components, parallelism,
-// output schemas and groupings. It mirrors Storm's TopologyBuilder.
+// output schemas and fields groupings. It mirrors Storm's TopologyBuilder.
 type Builder struct {
 	name        string
 	components  map[string]*componentDef
@@ -107,12 +83,12 @@ func (b *Builder) SetSeed(seed uint64) *Builder {
 
 // SetSynchronous selects the single-goroutine deterministic scheduler: Run
 // executes the whole topology on the caller's goroutine, draining each spout
-// tuple's full tree (FIFO) before the next emission. Routing, groupings,
-// metrics, and acker accounting are unchanged — only concurrency is removed,
-// making execution order (and therefore every store write) a pure function
-// of the spout stream. The simulation harness's replay-determinism scenario
-// runs in this mode; the concurrent scheduler cannot make that guarantee
-// because sibling bolts race on shared state even at parallelism one.
+// tuple's full tree (FIFO) before the next emission. Routing, metrics, and
+// acker accounting are unchanged — only concurrency is removed, making
+// execution order (and therefore every store write) a pure function of the
+// spout stream. The simulation harness's replay-determinism scenario runs in
+// this mode; the concurrent scheduler cannot make that guarantee because
+// sibling bolts race on shared state even at parallelism one.
 func (b *Builder) SetSynchronous(sync bool) *Builder {
 	b.synchronous = sync
 	return b
@@ -184,31 +160,11 @@ func (d *BoltDecl) OutputFields(fields ...string) *BoltDecl {
 	return d
 }
 
-// ShuffleGrouping subscribes the bolt to producer with round-robin routing.
-func (d *BoltDecl) ShuffleGrouping(producer string) *BoltDecl {
-	d.def.inputs = append(d.def.inputs, subscription{producer: producer, kind: groupShuffle})
-	return d
-}
-
 // FieldsGrouping subscribes the bolt to producer, routing tuples with equal
 // values of the named fields to the same task — the single-writer guarantee
 // of §5.1.
 func (d *BoltDecl) FieldsGrouping(producer string, fields ...string) *BoltDecl {
-	d.def.inputs = append(d.def.inputs, subscription{producer: producer, kind: groupFields, fields: fields})
-	return d
-}
-
-// AllGrouping subscribes the bolt to producer, replicating every tuple to
-// every task.
-func (d *BoltDecl) AllGrouping(producer string) *BoltDecl {
-	d.def.inputs = append(d.def.inputs, subscription{producer: producer, kind: groupAll})
-	return d
-}
-
-// GlobalGrouping subscribes the bolt to producer, routing every tuple to
-// task 0.
-func (d *BoltDecl) GlobalGrouping(producer string) *BoltDecl {
-	d.def.inputs = append(d.def.inputs, subscription{producer: producer, kind: groupGlobal})
+	d.def.inputs = append(d.def.inputs, subscription{producer: producer, fields: fields})
 	return d
 }
 
@@ -235,15 +191,13 @@ func (b *Builder) validate() error {
 			if !ok {
 				return fmt.Errorf("storm: %q subscribes to unknown component %q", name, sub.producer)
 			}
-			if sub.kind == groupFields {
-				if len(sub.fields) == 0 {
-					return fmt.Errorf("storm: %q fields-grouping on %q names no fields", name, sub.producer)
-				}
-				for _, f := range sub.fields {
-					if !contains(producer.outFields, f) {
-						return fmt.Errorf("storm: %q groups on field %q absent from %q's schema %v",
-							name, f, sub.producer, producer.outFields)
-					}
+			if len(sub.fields) == 0 {
+				return fmt.Errorf("storm: %q fields-grouping on %q names no fields", name, sub.producer)
+			}
+			for _, f := range sub.fields {
+				if fieldIndex(producer.outFields, f) < 0 {
+					return fmt.Errorf("storm: %q groups on field %q absent from %q's schema %v",
+						name, f, sub.producer, producer.outFields)
 				}
 			}
 		}
@@ -299,11 +253,12 @@ func (b *Builder) checkAcyclic() error {
 	return nil
 }
 
-func contains(ss []string, s string) bool {
-	for _, v := range ss {
-		if v == s {
-			return true
+// fieldIndex returns the position of field in schema, or -1.
+func fieldIndex(schema []string, field string) int {
+	for i, f := range schema {
+		if f == field {
+			return i
 		}
 	}
-	return false
+	return -1
 }

@@ -1,8 +1,8 @@
 // Package storm is a from-scratch, single-process reimplementation of the
 // programming model of Apache Storm, the distributed real-time computation
 // system the paper deploys on (§5.1): topologies of spouts and bolts
-// connected by streams of tuples, with configurable parallelism and stream
-// groupings.
+// connected by streams of tuples, with configurable parallelism and fields
+// grouping, the one stream grouping the paper's topology uses.
 //
 // The semantics the recommendation topology depends on are reproduced
 // faithfully:
@@ -14,10 +14,11 @@
 //     fields to the same task. This is the property §5.1's correctness
 //     argument rests on: grouping vector updates by their storage key makes
 //     each key single-writer, so "no write conflict would happen".
-//   - An acker tracks each tuple tree with the XOR trick Storm uses, giving
-//     at-least-once semantics: when every descendant of a spout tuple is
-//     acked the spout's Ack hook fires; a failed bolt execution fails the
-//     whole tree immediately.
+//   - An acker tracks each tracked tuple tree with the XOR trick Storm
+//     uses: when every descendant of a spout tuple is acked the tree counts
+//     in the spout's Acked metric; a failed bolt execution fails the whole
+//     tree at once and it counts in FailedTrees. Nothing replays a failed
+//     tree, so the rest of its work is lost.
 //
 // Distribution across machines is out of scope (parallelism is real,
 // placement is simulated); see DESIGN.md §3.
@@ -45,10 +46,8 @@ type Tuple struct {
 
 // Field returns the value of the named field.
 func (t *Tuple) Field(name string) (any, error) {
-	for i, f := range t.schema {
-		if f == name {
-			return t.Values[i], nil
-		}
+	if i := fieldIndex(t.schema, name); i >= 0 {
+		return t.Values[i], nil
 	}
 	return nil, fmt.Errorf("storm: tuple from %q has no field %q (schema %v)", t.Source, name, t.schema)
 }
@@ -67,36 +66,4 @@ func Get[T any](t *Tuple, name string) (T, error) {
 		return zero, fmt.Errorf("storm: field %q is %T, not %T", name, v, zero)
 	}
 	return x, nil
-}
-
-// Schema returns the field names of the tuple.
-func (t *Tuple) Schema() []string { return t.schema }
-
-// groupingKind enumerates how a subscription routes tuples to tasks.
-type groupingKind uint8
-
-const (
-	// groupShuffle distributes tuples round-robin across tasks.
-	groupShuffle groupingKind = iota
-	// groupFields routes by hash of the named fields: equal keys, same task.
-	groupFields
-	// groupAll replicates every tuple to every task.
-	groupAll
-	// groupGlobal routes every tuple to task 0.
-	groupGlobal
-)
-
-func (g groupingKind) String() string {
-	switch g {
-	case groupShuffle:
-		return "shuffle"
-	case groupFields:
-		return "fields"
-	case groupAll:
-		return "all"
-	case groupGlobal:
-		return "global"
-	default:
-		return fmt.Sprintf("grouping(%d)", uint8(g))
-	}
 }

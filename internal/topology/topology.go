@@ -211,14 +211,12 @@ type actionSpout struct {
 	src     Source
 	out     *storm.SpoutCollector
 	tracked bool
-	seq     int // message ids for tracked emissions
 }
 
-func (s *actionSpout) Open(_ *storm.Context, out *storm.SpoutCollector) error {
+func (s *actionSpout) Open(_ context.Context, out *storm.SpoutCollector) error {
 	s.out = out
 	return nil
 }
-func (s *actionSpout) Close() error { return nil }
 
 func (s *actionSpout) NextTuple() (bool, error) {
 	a, ok := s.src.Next()
@@ -229,34 +227,26 @@ func (s *actionSpout) NextTuple() (bool, error) {
 		return true, nil // unqualified tuple: filter, keep streaming
 	}
 	if s.tracked {
-		s.seq++
-		s.out.EmitTracked(s.seq, storm.Values{a.UserID, a.VideoID, a})
+		s.out.EmitTracked(storm.Values{a.UserID, a.VideoID, a})
 	} else {
 		s.out.Emit(storm.Values{a.UserID, a.VideoID, a})
 	}
 	return true, nil
 }
 
-// Ack and Fail satisfy storm.Acknowledger for tracked runs; resolution
-// accounting lives in the topology metrics (Acked/FailedTrees), so the hooks
-// have nothing further to record.
-func (s *actionSpout) Ack(any)  {}
-func (s *actionSpout) Fail(any) {}
-
 // base is the state every Figure 2 bolt holds: the system whose write-path
-// steps it runs, the task's context and its collector.
+// steps it runs, the run's context and the task's collector.
 type base struct {
 	sys *recommend.System
 	ctx context.Context
 	out *storm.BoltCollector
 }
 
-func (b *base) Prepare(cctx *storm.Context, out *storm.BoltCollector) error {
-	b.ctx = cctx.Ctx
+func (b *base) Prepare(ctx context.Context, out *storm.BoltCollector) error {
+	b.ctx = ctx
 	b.out = out
 	return nil
 }
-func (b *base) Cleanup() error { return nil }
 
 // computeMFBolt runs Algorithm 1's arithmetic for every group the action
 // trains and emits the new vectors, regrouped by storage key, to MFStorage —
@@ -458,8 +448,9 @@ func (b *banditRewardBolt) Execute(t *storm.Tuple) error {
 }
 
 // banditStateBolt folds reward tuples into the shared posterior state. A
-// failed write fails the tuple tree, so tracked runs replay the action —
-// at-least-once, same as every storage bolt.
+// failed write fails the tuple tree, which a tracked run counts in
+// FailedTrees; nothing replays the action, so the reward is lost, as any
+// storage bolt's failed write is.
 type banditStateBolt struct{ base }
 
 func (b *banditStateBolt) Execute(t *storm.Tuple) error {
