@@ -71,6 +71,7 @@ fuzz:
 	$(GO) test ./internal/kvstore -run '^$$' -fuzz '^FuzzApplyOp$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/vecmath -run '^$$' -fuzz '^FuzzQuantize$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/feedback -run '^$$' -fuzz '^FuzzWeight$$' -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/dataset -run '^$$' -fuzz '^FuzzParseAction$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardCodec$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/bandit -run '^$$' -fuzz '^FuzzRewardEvent$$' -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/recommend -run '^$$' -fuzz '^FuzzSlateMatchesReference$$' -fuzztime 30s$(FUZZTIME)

@@ -1,6 +1,6 @@
 // Command recserve runs the full real-time recommendation pipeline as an
-// HTTP service: it generates (or loads) an action stream, feeds it through
-// the Figure 2 topology in the background, and serves recommendation
+// HTTP service: it generates (or reads) an action stream, streams it
+// through the Figure 2 topology at startup, and serves recommendation
 // requests against the live state — the deployment shape of §5, collapsed
 // onto one machine.
 //
@@ -261,30 +261,9 @@ func run(ctx context.Context, addr, dataDir string, replay bool, kvAddr, shards,
 		return err
 	}
 
-	actions, err := loadWorkload(ctx, sys, dataDir)
+	replayMetrics, err := startup(ctx, sys, dataDir, replay)
 	if err != nil {
 		return err
-	}
-
-	var replayMetrics map[string]storm.MetricsSnapshot
-	if replay && len(actions) > 0 {
-		log.Printf("replaying %d actions through the topology...", len(actions))
-		start := time.Now()
-		topo, err := topology.Build(sys,
-			func(int) topology.Source { return topology.SliceSource(actions) },
-			topology.DefaultParallelism())
-		if err != nil {
-			return err
-		}
-		if err := topo.Run(ctx); err != nil {
-			return err
-		}
-		log.Printf("replay done in %v", time.Since(start).Round(time.Millisecond))
-		replayMetrics = make(map[string]storm.MetricsSnapshot)
-		for _, name := range topo.Components() {
-			m, _ := topo.MetricsFor(name) // name comes from Components, always known
-			replayMetrics[name] = m
-		}
 	}
 
 	mux := newMux(sys, st, replayMetrics)
@@ -497,10 +476,27 @@ func newMux(sys *recommend.System, st *storeStack, replayMetrics map[string]stor
 	return mux
 }
 
-// loadWorkload reads TSV data from recgen, or generates a small workload
-// when no directory is given. Catalog and profiles are loaded into the
-// system either way.
-func loadWorkload(ctx context.Context, sys *recommend.System, dir string) ([]feedback.Action, error) {
+// startup loads the workload into sys and, when replay is set, streams its
+// actions through the topology. It returns the replay's per-component
+// metrics, nil when no replay ran.
+func startup(ctx context.Context, sys *recommend.System, dir string, replay bool) (map[string]storm.MetricsSnapshot, error) {
+	src, closeSrc, err := loadWorkload(ctx, sys, dir, replay)
+	if err != nil || src == nil {
+		return nil, err
+	}
+	defer closeSrc()
+	return replayActions(ctx, sys, src)
+}
+
+// loadWorkload loads the catalog and profiles into sys, from recgen's TSV
+// files in dir or from a small generated workload when dir is empty. When
+// replay is set it also returns the action stream and a func that releases
+// it; otherwise the actions are not read at all.
+//
+// A file's actions are a reader over actions.tsv, not a loaded slice: at
+// GOGC 100 the replay's heap peaks near twice its live heap, so a log held
+// whole for the replay's length would count twice in the process's peak.
+func loadWorkload(ctx context.Context, sys *recommend.System, dir string, replay bool) (topology.Source, func(), error) {
 	if dir == "" {
 		cfg := dataset.DefaultConfig()
 		cfg.Users = 500
@@ -509,38 +505,75 @@ func loadWorkload(ctx context.Context, sys *recommend.System, dir string) ([]fee
 		cfg.EventsPerDay = 5000
 		d, err := dataset.Generate(cfg)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := d.FillCatalog(ctx, sys.Catalog); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if err := d.FillProfiles(ctx, sys.Profiles); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		return d.AllActions(), nil
+		if !replay {
+			return nil, nil, nil
+		}
+		return topology.SliceSource(d.AllActions()), func() {}, nil
 	}
 
 	videos, err := readTSV(filepath.Join(dir, "catalog.tsv"), dataset.ReadCatalog)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, v := range videos {
 		if err := sys.Catalog.Put(ctx, v); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
 	profiles, err := readTSV(filepath.Join(dir, "profiles.tsv"), dataset.ReadProfiles)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	for _, p := range profiles {
 		if err := sys.Profiles.Put(ctx, p); err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
 
-	return readTSV(filepath.Join(dir, "actions.tsv"), dataset.ReadActions)
+	if !replay {
+		return nil, nil, nil
+	}
+	f, err := os.Open(filepath.Join(dir, "actions.tsv"))
+	if err != nil {
+		return nil, nil, err
+	}
+	return dataset.NewActionReader(f), func() { _ = f.Close() }, nil // read-only descriptor
+}
+
+// replayActions streams src through the Figure 2 topology and returns each
+// component's metrics. A source that stops on an error (a malformed line in
+// actions.tsv) fails the startup with that error as the source worded it,
+// after the actions before it have trained.
+func replayActions(ctx context.Context, sys *recommend.System, src topology.Source) (map[string]storm.MetricsSnapshot, error) {
+	log.Print("replaying the workload through the topology...")
+	start := time.Now()
+	topo, err := topology.Build(sys, func(int) topology.Source { return src }, topology.DefaultParallelism())
+	if err != nil {
+		return nil, err
+	}
+	err = topo.Run(ctx)
+	if f, ok := src.(interface{ Err() error }); ok && f.Err() != nil {
+		return nil, f.Err()
+	}
+	if err != nil {
+		return nil, err
+	}
+	metrics := make(map[string]storm.MetricsSnapshot)
+	for _, name := range topo.Components() {
+		m, _ := topo.MetricsFor(name) // name comes from Components, always known
+		metrics[name] = m
+	}
+	log.Printf("replayed %d actions in %v", metrics[topology.SpoutName].Emitted, time.Since(start).Round(time.Millisecond))
+	return metrics, nil
 }
 
 // readTSV opens path and parses it with parse. The file is opened read-only,

@@ -36,59 +36,99 @@ func WriteActions(w io.Writer, actions []feedback.Action) error {
 // ReadActions parses a TSV action stream written by WriteActions.
 func ReadActions(r io.Reader) ([]feedback.Action, error) {
 	var out []feedback.Action
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
-	line := 0
-	for sc.Scan() {
-		line++
-		a, ok, err := ParseAction(sc.Text())
-		if err != nil {
-			return nil, fmt.Errorf("dataset: line %d: %w", line, err)
-		}
-		if ok {
-			out = append(out, a)
-		}
+	ar := NewActionReader(r)
+	for a, ok := ar.Next(); ok; a, ok = ar.Next() {
+		out = append(out, a)
 	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("dataset: read actions: %w", err)
+	if err := ar.Err(); err != nil {
+		return nil, err
 	}
 	return out, nil
 }
 
+// ActionReader streams a TSV action log one line at a time, so a consumer
+// holds only the action it is on, never the whole log. Next reports false
+// at the end of the stream or at the first malformed line; Err then says
+// which. It satisfies topology.Source.
+type ActionReader struct {
+	sc   *bufio.Scanner
+	line int
+	err  error
+}
+
+// NewActionReader returns a reader over a TSV action stream written by
+// WriteActions. Lines may be up to 1 MiB long.
+func NewActionReader(r io.Reader) *ActionReader {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 64*1024), 1<<20)
+	return &ActionReader{sc: sc}
+}
+
+// Next returns the next action, skipping blank lines and #-comments.
+func (r *ActionReader) Next() (feedback.Action, bool) {
+	for r.err == nil && r.sc.Scan() {
+		r.line++
+		a, ok, err := ParseAction(r.sc.Text())
+		if err != nil {
+			r.err = fmt.Errorf("dataset: line %d: %w", r.line, err)
+			break
+		}
+		if ok {
+			return a, true
+		}
+	}
+	if err := r.sc.Err(); err != nil && r.err == nil {
+		r.err = fmt.Errorf("dataset: read actions: %w", err)
+	}
+	return feedback.Action{}, false
+}
+
+// Err returns the error that ended the stream: a malformed line, numbered
+// from 1, or a read failure. It is nil while the stream is good and after a
+// clean end.
+func (r *ActionReader) Err() error { return r.err }
+
 // ParseAction parses one line of the TSV action format. Blank lines and
 // #-comments are not actions: ok is false. Errors say what is wrong with the
-// line; which line it was is the caller's to add.
+// line; which line it was is the caller's to add. A valid line allocates
+// nothing: the action's ids are substrings of line.
+//
+// hotpath: the startup replay and every POST /action line parse here
 func ParseAction(line string) (a feedback.Action, ok bool, err error) {
 	text := strings.TrimSpace(line)
 	if text == "" || strings.HasPrefix(text, "#") {
 		return a, false, nil
 	}
-	fields := strings.Split(text, "\t")
-	if len(fields) != 6 {
-		return a, false, fmt.Errorf("%d fields, want 6", len(fields))
+	if n := strings.Count(text, "\t") + 1; n != 6 {
+		return a, false, fmt.Errorf("%d fields, want 6", n)
 	}
-	if fields[1] == "" || fields[2] == "" {
+	tsField, rest, _ := strings.Cut(text, "\t")
+	user, rest, _ := strings.Cut(rest, "\t")
+	video, rest, _ := strings.Cut(rest, "\t")
+	typeField, rest, _ := strings.Cut(rest, "\t")
+	viewField, lengthField, _ := strings.Cut(rest, "\t")
+	if user == "" || video == "" {
 		return a, false, fmt.Errorf("empty user or video id")
 	}
-	ts, err := strconv.ParseInt(fields[0], 10, 64)
+	ts, err := strconv.ParseInt(tsField, 10, 64)
 	if err != nil {
 		return a, false, fmt.Errorf("bad timestamp: %w", err)
 	}
-	typ, err := feedback.ParseActionType(fields[3])
+	typ, err := feedback.ParseActionType(typeField)
 	if err != nil {
 		return a, false, err
 	}
-	view, err := strconv.ParseInt(fields[4], 10, 64)
+	view, err := strconv.ParseInt(viewField, 10, 64)
 	if err != nil {
 		return a, false, fmt.Errorf("bad view time: %w", err)
 	}
-	length, err := strconv.ParseInt(fields[5], 10, 64)
+	length, err := strconv.ParseInt(lengthField, 10, 64)
 	if err != nil {
 		return a, false, fmt.Errorf("bad video length: %w", err)
 	}
 	return feedback.Action{
-		UserID:      fields[1],
-		VideoID:     fields[2],
+		UserID:      user,
+		VideoID:     video,
 		Type:        typ,
 		ViewTime:    time.Duration(view) * time.Millisecond,
 		VideoLength: time.Duration(length) * time.Millisecond,

@@ -73,8 +73,18 @@ func DefaultParallelism() Parallelism {
 
 // Source supplies actions to one spout task. Next reports false when the
 // stream is exhausted.
+//
+// A source that can stop on an error mid-stream (a log reader meeting a
+// malformed line) also has an Err() error method. The spout calls it when
+// Next reports false; a non-nil error ends the task as a spout error, which
+// Run returns.
 type Source interface {
 	Next() (feedback.Action, bool)
+}
+
+// failingSource is the optional error side of a Source.
+type failingSource interface {
+	Err() error
 }
 
 // SourceFunc adapts a function to Source.
@@ -221,6 +231,9 @@ func (s *actionSpout) Open(_ context.Context, out *storm.SpoutCollector) error {
 func (s *actionSpout) NextTuple() (bool, error) {
 	a, ok := s.src.Next()
 	if !ok {
+		if f, isFailing := s.src.(failingSource); isFailing {
+			return false, f.Err()
+		}
 		return false, nil
 	}
 	if a.UserID == "" || a.VideoID == "" {

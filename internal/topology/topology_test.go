@@ -2,6 +2,7 @@ package topology
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -351,5 +352,50 @@ func TestSpoutFiltersUnqualifiedTuples(t *testing.T) {
 	m, _ := topo.MetricsFor(SpoutName)
 	if m.Emitted != 1 {
 		t.Errorf("spout emitted %d tuples, want 1 (two filtered)", m.Emitted)
+	}
+}
+
+// erringSource yields its actions, then stops with err.
+type erringSource struct {
+	actions []feedback.Action
+	err     error
+}
+
+func (s *erringSource) Next() (feedback.Action, bool) {
+	if len(s.actions) == 0 {
+		return feedback.Action{}, false
+	}
+	a := s.actions[0]
+	s.actions = s.actions[1:]
+	return a, true
+}
+
+func (s *erringSource) Err() error { return s.err }
+
+// TestSourceErrorFailsRun: a source that stops on an error ends the run with
+// that error, after the actions before it have been processed; one that
+// stops with a nil Err is a clean end.
+func TestSourceErrorFailsRun(t *testing.T) {
+	stop := errors.New("log: line 3: malformed")
+	for _, want := range []error{stop, nil} {
+		sys := newSystem(t)
+		src := &erringSource{
+			actions: []feedback.Action{
+				{UserID: "u1", VideoID: "v1", Type: feedback.Click, Timestamp: time.Unix(1, 0)},
+				{UserID: "u2", VideoID: "v2", Type: feedback.Click, Timestamp: time.Unix(2, 0)},
+			},
+			err: want,
+		}
+		topo, err := Build(sys, func(int) Source { return src }, DefaultParallelism())
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = topo.Run(context.Background())
+		if !errors.Is(err, want) {
+			t.Errorf("Run with source error %v = %v", want, err)
+		}
+		if m, _ := topo.MetricsFor(SpoutName); m.Emitted != 2 {
+			t.Errorf("source error %v: spout emitted %d, want the 2 actions before it", want, m.Emitted)
+		}
 	}
 }
