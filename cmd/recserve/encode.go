@@ -59,8 +59,6 @@ func writeBody(w http.ResponseWriter, body []byte) {
 }
 
 // appendRecommend appends the /recommend body for res.
-//
-// hotpath: every /recommend response is encoded here
 func appendRecommend(b []byte, res *recommend.Result) ([]byte, error) {
 	b = append(b, '{')
 	if res.Arms != nil {
@@ -111,8 +109,6 @@ func appendIngested(b []byte, n int) ([]byte, error) {
 
 // appendEntries appends a ranked list as encoding/json renders a
 // []topn.Entry: null when nil, otherwise {"ID":…,"Score":…} objects.
-//
-// hotpath: every /recommend and /similar response encodes its list here
 func appendEntries(b []byte, entries []topn.Entry) ([]byte, error) {
 	if entries == nil {
 		return append(b, "null"...), nil
@@ -138,8 +134,6 @@ func appendEntries(b []byte, entries []topn.Entry) ([]byte, error) {
 // representation, in e-notation below 1e-6 and from 1e21 up with a
 // two-digit negative exponent shortened (e-07 → e-7). NaN and ±Inf are not
 // JSON; they are refused with encoding/json's error text.
-//
-// hotpath: one call per served score
 func appendFloat(b []byte, f float64) ([]byte, error) {
 	if math.IsInf(f, 0) || math.IsNaN(f) {
 		return nil, fmt.Errorf("json: unsupported value: %s", strconv.FormatFloat(f, 'g', -1, 64))
@@ -164,8 +158,6 @@ const hexDigits = "0123456789abcdef"
 // Encoder default): quotes, backslashes and control bytes escaped, <, > and
 // & as \u003c-style escapes, invalid UTF-8 as \ufffd, and U+2028 / U+2029
 // escaped.
-//
-// hotpath: one call per served id
 func appendString(b []byte, s string) []byte {
 	b = append(b, '"')
 	start := 0
@@ -223,8 +215,6 @@ type recQuery struct{ user, video, n string }
 // split on '&', a pair holding ';' or a malformed %-escape is dropped, '+'
 // decodes to a space, and the first surviving value of a key wins. Plain
 // values are substrings of raw; only escaped ones allocate.
-//
-// hotpath: every /recommend request parses its query here
 func parseRecQuery(raw string) recQuery {
 	var q recQuery
 	var seen [3]bool

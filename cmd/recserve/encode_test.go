@@ -200,14 +200,19 @@ func (discardWriter) WriteHeader(int)             {}
 
 // TestRecommendEdgeAllocs pins the /recommend handler's own work — parsing
 // the query and encoding a full slate into the pooled buffer — at zero
-// allocations once the pool is warm.
+// allocations once the pool is warm, with plain ids and ids that escape.
 func TestRecommendEdgeAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation empties sync.Pool at random")
 	}
 	res := &recommend.Result{Seeds: 5, Candidates: 180, HotMerged: 2, Latency: 21 * time.Microsecond}
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 5; i++ {
 		res.Videos = append(res.Videos, topn.Entry{ID: "v0004" + string(rune('0'+i)), Score: 0.8731 - float64(i)*1e-3})
+	}
+	// Ids that need JSON escaping run appendString's escape branch: a quote,
+	// a backslash, two HTML escapes and a control byte.
+	for i, id := range []string{`v"5`, `v\6`, "v<7", "v&8", "v\x019"} {
+		res.Videos = append(res.Videos, topn.Entry{ID: id, Score: 0.8681 - float64(i)*1e-3})
 	}
 	w := discardWriter{h: http.Header{}}
 	raw := "user=u00042&n=10&video=v00017"

@@ -79,10 +79,8 @@ func main() {
 		brkThresh  = flag.Int("breaker-threshold", kvstore.DefaultResilienceConfig().Breaker.Threshold, "consecutive failures that trip a backend's circuit breaker (0 disables)")
 		brkCooldwn = flag.Duration("breaker-cooldown", kvstore.DefaultResilienceConfig().Breaker.Cooldown, "open-breaker cooldown before a half-open probe")
 
-		explore    = flag.Bool("explore", false, "serve with bandit exploration: re-rank slates across the blended candidate sources and learn from click feedback")
-		explorePol = flag.String("explore-policy", bandit.PolicyThompson, "exploration policy: thompson or epsilon-greedy")
-		exploreEps = flag.Float64("explore-epsilon", recommend.DefaultOptions().ExploreEpsilon, "exploration rate for the epsilon-greedy policy")
-		exploreSd  = flag.Uint64("explore-seed", 1, "seed for the exploration policy's RNG (replayable slates)")
+		explore   = flag.Bool("explore", false, "serve with bandit exploration: re-rank slates across the blended candidate sources and learn from click feedback")
+		exploreSd = flag.Uint64("explore-seed", 1, "seed for the exploration policy's RNG (replayable slates)")
 
 		quantized = flag.Bool("quantized", false, "rank with int8-quantized item vectors (the sub-10µs serving fast path)")
 		ann       = flag.Bool("ann", false, "add LSH approximate-nearest-neighbour candidate retrieval as a third candidate source")
@@ -91,8 +89,6 @@ func main() {
 	flag.Parse()
 	opts := recommend.DefaultOptions()
 	opts.Explore = *explore
-	opts.ExplorePolicy = *explorePol
-	opts.ExploreEpsilon = *exploreEps
 	opts.ExploreSeed = *exploreSd
 	opts.Quantized = *quantized
 	opts.ANN = *ann

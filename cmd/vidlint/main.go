@@ -1,9 +1,9 @@
 // Command vidlint is vidrec's in-tree static analyzer: it loads and
 // type-checks every package in the module using only the standard library
-// and runs the nine discipline passes registered in internal/lint — the
+// and runs the seven discipline passes registered in internal/lint — the
 // per-function concurrency/error checks (lockcheck, atomiccheck, errcheck,
-// goroutinecheck, clockcheck), the call-graph dataflow suite (lockorder,
-// numcheck, ctxcheck) and the serving allocation budget (alloccheck).
+// goroutinecheck) and the call-graph dataflow suite (lockorder, numcheck,
+// ctxcheck).
 //
 // Usage:
 //

@@ -163,7 +163,7 @@ func (x *Index) Upsert(id string, vec []float64) {
 	defer x.mu.Unlock()
 	x.growLocked(slot)
 	if cap(x.vecs[slot]) < len(vec) {
-		x.vecs[slot] = make([]float64, len(vec)) // alloccheck: first index of an item; updates reuse the clone
+		x.vecs[slot] = make([]float64, len(vec))
 	} else {
 		x.vecs[slot] = x.vecs[slot][:len(vec)]
 	}
@@ -191,17 +191,17 @@ func (x *Index) Upsert(id string, vec []float64) {
 			copy(b, b[1:])
 			b = b[:len(b)-1]
 		}
-		x.buckets[t][sig] = append(b, slot) // alloccheck: bucket growth amortizes over publishes, capped by BucketCap
+		x.buckets[t][sig] = append(b, slot)
 	}
 }
 
 func (x *Index) growLocked(slot int32) {
 	for int(slot) >= len(x.present) {
-		x.present = append(x.present, false) // alloccheck: catalog-bounded index growth, amortized
-		x.norms = append(x.norms, 0)         // alloccheck: catalog-bounded index growth, amortized
-		x.vecs = append(x.vecs, nil)         // alloccheck: catalog-bounded index growth, amortized
+		x.present = append(x.present, false)
+		x.norms = append(x.norms, 0)
+		x.vecs = append(x.vecs, nil)
 		for t := 0; t < x.cfg.Tables; t++ {
-			x.sigs = append(x.sigs, 0) // alloccheck: catalog-bounded index growth, amortized
+			x.sigs = append(x.sigs, 0)
 		}
 	}
 }
@@ -225,8 +225,6 @@ func (x *Index) removeLocked(t int, sig uint32, slot int32) {
 // serving path deduplicates candidates anyway and skipping the extra pass
 // here keeps the probe at pure hash-and-append cost. No candidate dot
 // products happen here; the downstream scorer ranks.
-//
-// hotpath: one probe per request on the ANN serving path; allocation-free warm
 func (x *Index) Probe(vec []float64, dst []int32) []int32 {
 	dst = dst[:0]
 	if len(vec) != x.cfg.Dims {
@@ -235,7 +233,7 @@ func (x *Index) Probe(vec []float64, dst []int32) []int32 {
 	x.mu.RLock()
 	for t := 0; t < x.cfg.Tables; t++ {
 		for _, slot := range x.buckets[t][x.signature(t, vec)] {
-			dst = append(dst, slot) // alloccheck: grow-once; callers pass pooled scratch sized to prior probes
+			dst = append(dst, slot)
 		}
 	}
 	x.mu.RUnlock()

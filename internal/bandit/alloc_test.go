@@ -2,9 +2,9 @@ package bandit
 
 import "testing"
 
-// TestPickZeroAlloc pins the per-slot sampling cost: both policies must pick
-// without heap allocation, since the explore path calls Pick once per served
-// slot inside the warm-path alloc budget.
+// TestPickZeroAlloc pins the per-slot sampling cost: Thompson sampling must
+// pick without heap allocation, since the explore path calls Pick once per
+// served slot inside the warm-path alloc budget.
 func TestPickZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation inflates alloc counts")
@@ -13,12 +13,11 @@ func TestPickZeroAlloc(t *testing.T) {
 		Pulls: [NumArms]float64{ArmMF: 50, ArmSim: 30, ArmHot: 20},
 		Wins:  [NumArms]float64{ArmMF: 10, ArmSim: 15, ArmHot: 2},
 	}
-	for _, p := range []Policy{NewThompson(1), NewEpsilonGreedy(1, 0.1)} {
-		allocs := testing.AllocsPerRun(1000, func() {
-			_ = p.Pick(&st)
-		})
-		if allocs != 0 {
-			t.Errorf("%s: Pick allocates %.1f per call, want 0", p.Name(), allocs)
-		}
+	p := NewThompson(1)
+	allocs := testing.AllocsPerRun(1000, func() {
+		_ = p.Pick(&st)
+	})
+	if allocs != 0 {
+		t.Errorf("Pick allocates %.1f per call, want 0", allocs)
 	}
 }

@@ -1,5 +1,5 @@
 // Package bandit implements the exploration layer the paper's title
-// promises: multi-armed bandit policies over the serving pipeline's blended
+// promises: a Thompson-sampling bandit over the serving pipeline's blended
 // candidate sources. Each slot of a recommendation list is treated as one
 // pull of a four-armed bandit — the MF-ranked candidates (Eq. 2), the
 // similar-table expansion, the demographic hot list, and the ANN retrieval
@@ -8,7 +8,7 @@
 // composition shifts toward whichever source is earning clicks *right now*
 // (the online-matching formulation of PAPERS.md's real-time bandit system).
 //
-// Determinism is a design constraint, not an afterthought: policies draw
+// Determinism is a design constraint, not an afterthought: the policy draws
 // from an injected seeded RNG (rand.NewPCG), state lives in plain float
 // counters with an explicit codec, and no code path consults the wall clock
 // or global randomness — the same seed and reward history replay the exact
@@ -52,7 +52,7 @@ func (a Arm) String() string {
 	if int(a) < NumArms {
 		return armNames[a]
 	}
-	return fmt.Sprintf("arm(%d)", uint8(a)) // alloccheck: out-of-range arm only; every served slot's arm is below NumArms
+	return fmt.Sprintf("arm(%d)", uint8(a))
 }
 
 // Valid reports whether a names a real arm.
@@ -105,20 +105,11 @@ func (s *State) Validate() error {
 	return nil
 }
 
-// Policy names and policy selection strings (recommend.Options.ExplorePolicy,
-// recserve's -explore-policy flag).
-const (
-	PolicyThompson      = "thompson"
-	PolicyEpsilonGreedy = "epsilon-greedy"
-)
-
 // Policy picks the arm for one slate slot given the current reward state.
 // Implementations own a seeded RNG and are deterministic: the pick sequence
 // is a pure function of (seed, state sequence). They are NOT safe for
 // concurrent use — the serving path serializes picks per system.
 type Policy interface {
-	// Name returns the policy's selection string (PolicyThompson, ...).
-	Name() string
 	// Pick samples one arm from the state's posteriors.
 	Pick(st *State) Arm
 }
@@ -136,14 +127,9 @@ func NewThompson(seed uint64) *Thompson {
 	return &Thompson{rng: rand.New(rand.NewPCG(seed, seed^0x9E3779B97F4A7C15))}
 }
 
-// Name implements Policy.
-func (t *Thompson) Name() string { return PolicyThompson }
-
 // Pick implements Policy: sample every arm's posterior, play the argmax.
 // Ties break toward the lowest arm index, which keeps the pick a pure
 // function of the drawn samples.
-//
-// hotpath: slate re-ranking samples once per served slot
 func (t *Thompson) Pick(st *State) Arm {
 	best := ArmMF
 	bestSample := math.Inf(-1)
@@ -195,50 +181,4 @@ func (t *Thompson) gammaSample(shape float64) float64 {
 			return d * v
 		}
 	}
-}
-
-// EpsilonGreedy explores a fixed fraction of slots: with probability epsilon
-// the slot's arm is uniform over all arms, otherwise it is the arm with the
-// highest posterior mean (ties toward the lowest index).
-type EpsilonGreedy struct {
-	rng     *rand.Rand
-	epsilon float64
-}
-
-// NewEpsilonGreedy returns an epsilon-greedy policy with a seeded PCG
-// source. Epsilon is clamped to [0, 1]; NaN explores nothing.
-func NewEpsilonGreedy(seed uint64, epsilon float64) *EpsilonGreedy {
-	switch {
-	case !(epsilon >= 0): // also catches NaN
-		epsilon = 0
-	case epsilon > 1:
-		epsilon = 1
-	}
-	return &EpsilonGreedy{
-		rng:     rand.New(rand.NewPCG(seed, seed^0xD1B54A32D192ED03)),
-		epsilon: epsilon,
-	}
-}
-
-// Name implements Policy.
-func (e *EpsilonGreedy) Name() string { return PolicyEpsilonGreedy }
-
-// Epsilon returns the exploration fraction in force.
-func (e *EpsilonGreedy) Epsilon() float64 { return e.epsilon }
-
-// Pick implements Policy.
-//
-// hotpath: slate re-ranking samples once per served slot
-func (e *EpsilonGreedy) Pick(st *State) Arm {
-	if e.rng.Float64() < e.epsilon {
-		return Arm(e.rng.IntN(NumArms))
-	}
-	best := ArmMF
-	bestMean := st.Posterior(ArmMF).Mean()
-	for a := 1; a < NumArms; a++ {
-		if m := st.Posterior(Arm(a)).Mean(); m > bestMean {
-			best, bestMean = Arm(a), m
-		}
-	}
-	return best
 }

@@ -62,75 +62,11 @@ func TestThompsonConvergence(t *testing.T) {
 	}
 }
 
-// TestEpsilonGreedySplit pins the epsilon split with a chi-square-style
-// tolerance: against a frozen state whose best arm is unambiguous, the
-// exploit picks are deterministic, so non-best picks happen exactly when
-// the policy explores AND the uniform draw lands elsewhere —
-// p = ε·(k-1)/k. The observed split must sit within the χ²(1) 1% critical
-// value of that expectation.
-func TestEpsilonGreedySplit(t *testing.T) {
-	const (
-		epsilon = 0.3
-		n       = 20000
-	)
-	st := State{
-		Pulls: [NumArms]float64{ArmMF: 100, ArmSim: 100, ArmHot: 100},
-		Wins:  [NumArms]float64{ArmMF: 10, ArmSim: 95, ArmHot: 10},
-	}
-	e := NewEpsilonGreedy(5, epsilon)
-	nonBest := 0
-	for i := 0; i < n; i++ {
-		if e.Pick(&st) != ArmSim {
-			nonBest++
-		}
-	}
-	p := epsilon * float64(NumArms-1) / float64(NumArms)
-	expected := p * n
-	chi2 := sq(float64(nonBest)-expected)/expected + sq(float64(n-nonBest)-(1-p)*n)/((1-p)*n)
-	if chi2 > 6.635 { // χ²(1) at the 1% level
-		t.Errorf("epsilon split off: %d/%d non-best picks, expected %.0f (chi2 %.2f > 6.635)", nonBest, n, expected, chi2)
-	}
-}
-
-func sq(x float64) float64 { return x * x }
-
-// TestEpsilonGreedyExact pins the exact-value corners: ε=0 always exploits
-// (and breaks fresh-state ties toward the lowest arm index), ε=1 never
-// consults the means at all.
-func TestEpsilonGreedyExact(t *testing.T) {
-	var st State
-	greedy := NewEpsilonGreedy(7, 0)
-	for i := 0; i < 100; i++ {
-		if got := greedy.Pick(&st); got != ArmMF {
-			t.Fatalf("pick %d: fresh-state tie broke to %v, want %v (lowest index)", i, got, ArmMF)
-		}
-	}
-	st.Pulls[ArmHot], st.Wins[ArmHot] = 10, 10
-	for i := 0; i < 100; i++ {
-		if got := greedy.Pick(&st); got != ArmHot {
-			t.Fatalf("pick %d: ε=0 chose %v, want the dominant %v", i, got, ArmHot)
-		}
-	}
-
-	// ε=1: every arm must be visited, and the split stays near uniform.
-	explorer := NewEpsilonGreedy(7, 1)
-	var counts [NumArms]int
-	const n = 9000
-	for i := 0; i < n; i++ {
-		counts[explorer.Pick(&st)]++
-	}
-	for a, c := range counts {
-		if math.Abs(float64(c)-float64(n/NumArms)) > 0.1*n {
-			t.Errorf("ε=1 arm %v drew %d of %d, want near %d", Arm(a), c, n, n/NumArms)
-		}
-	}
-}
-
-// TestPickDeterminism replays both policies under the same seed and state
+// TestPickDeterminism replays Thompson sampling under the same seed and state
 // trajectory and demands identical pick sequences — the property the golden
 // explored slate and the sim serve-digest stand on.
 func TestPickDeterminism(t *testing.T) {
-	run := func(p Policy) []Arm {
+	run := func(p *Thompson) []Arm {
 		env := rand.New(rand.NewPCG(3, 4))
 		var st State
 		out := make([]Arm, 0, 1000)
@@ -144,16 +80,10 @@ func TestPickDeterminism(t *testing.T) {
 		}
 		return out
 	}
-	for _, mk := range []func() Policy{
-		func() Policy { return NewThompson(11) },
-		func() Policy { return NewEpsilonGreedy(11, 0.2) },
-	} {
-		a, b := run(mk()), run(mk())
-		name := mk().Name()
-		for i := range a {
-			if a[i] != b[i] {
-				t.Fatalf("%s: pick %d differs across same-seed runs: %v vs %v", name, i, a[i], b[i])
-			}
+	a, b := run(NewThompson(11)), run(NewThompson(11))
+	for i := range a {
+		if a[i] != b[i] {
+			t.Fatalf("pick %d differs across same-seed runs: %v vs %v", i, a[i], b[i])
 		}
 	}
 }
@@ -261,19 +191,6 @@ func TestArmString(t *testing.T) {
 	}
 	if Arm(7).String() != "arm(7)" {
 		t.Errorf("out-of-range arm renders %q", Arm(7).String())
-	}
-}
-
-// TestEpsilonGreedyClamps pins the constructor's epsilon clamping.
-func TestEpsilonGreedyClamps(t *testing.T) {
-	if e := NewEpsilonGreedy(1, math.NaN()); e.Epsilon() != 0 {
-		t.Errorf("NaN epsilon clamped to %v, want 0", e.Epsilon())
-	}
-	if e := NewEpsilonGreedy(1, -0.5); e.Epsilon() != 0 {
-		t.Errorf("negative epsilon clamped to %v, want 0", e.Epsilon())
-	}
-	if e := NewEpsilonGreedy(1, 2); e.Epsilon() != 1 {
-		t.Errorf("oversized epsilon clamped to %v, want 1", e.Epsilon())
 	}
 }
 

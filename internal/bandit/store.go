@@ -57,7 +57,6 @@ func (s *Store) SetCache(c *objcache.Cache) { s.cache = c }
 // a corrupt or invalid record is an error — sampling never sees it.
 func (s *Store) State(ctx context.Context) (State, error) {
 	key := kvstore.Key(s.stateNS, stateID)
-	// alloccheck: one loader closure per read-through is inside the explore budget
 	st, _, err := objcache.Cached(s.cache, key, func() (State, bool, error) {
 		raw, ok, err := s.kv.Get(ctx, key)
 		if err != nil {
@@ -91,7 +90,6 @@ func (s *Store) RecordPulls(ctx context.Context, pulls *[NumArms]int, ts time.Ti
 		return nil
 	}
 	key := kvstore.Key(s.stateNS, stateID)
-	// alloccheck: one update closure per explored request (explore budget)
 	return s.kv.Update(ctx, key, func(cur []byte, ok bool) ([]byte, bool) {
 		var st State
 		stamp := ts.UnixMilli()
@@ -148,7 +146,7 @@ func (s *Store) Attribute(ctx context.Context, userID string, slate []topn.Entry
 	if len(slate) == 0 {
 		return nil
 	}
-	entries := make([]topn.Entry, len(slate)) // alloccheck: attribution record build, one per explored request (explore budget)
+	entries := make([]topn.Entry, len(slate))
 	for i, e := range slate {
 		if !arms[i].Valid() {
 			return fmt.Errorf("bandit: slot %d has unknown arm %d", i, uint8(arms[i]))

@@ -64,8 +64,6 @@ func (c *Catalog) Put(ctx context.Context, v Video) error {
 
 // Get fetches a video record, reporting whether it exists. A cache hit
 // returns without building the loader closure.
-//
-// hotpath: pair scoring reads both videos' types through here
 func (c *Catalog) Get(ctx context.Context, id string) (Video, bool, error) {
 	key := c.keys.Key(id)
 	if c.cache != nil {
@@ -76,7 +74,6 @@ func (c *Catalog) Get(ctx context.Context, id string) (Video, bool, error) {
 			return tv.(Video), true, nil
 		}
 	}
-	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	return objcache.Cached(c.cache, key, func() (Video, bool, error) {
 		raw, ok, err := c.kv.Get(ctx, key)
 		if err != nil {

@@ -61,7 +61,7 @@ func (t *itemTable) record(vec []float64, bias float64) itemRec {
 	if !t.q8 {
 		return itemRec{ready: true, bias: bias, vec: vec}
 	}
-	q := vecmath.Quantize(vec) // alloccheck: miss path and publish path; the record retains the data
+	q := vecmath.Quantize(vec)
 	return itemRec{ready: true, bias: bias, scale: q.Scale, data: q.Data}
 }
 
@@ -98,7 +98,7 @@ func (t *itemTable) installIfUnchanged(slot int32, rec itemRec, version uint64) 
 // growLocked extends the record table to cover slot. The caller holds mu.
 func (t *itemTable) growLocked(slot int32) {
 	for int(slot) >= len(t.recs) {
-		t.recs = append(t.recs, itemRec{}) // alloccheck: table growth is catalog-bounded, amortized over installs
+		t.recs = append(t.recs, itemRec{})
 	}
 }
 
@@ -118,7 +118,7 @@ func (m *Model) SetInterner(it *intern.Table) {
 	if it == nil || m.items != nil {
 		return
 	}
-	m.items = &itemTable{it: it} // alloccheck: once per model at wiring time, never per request
+	m.items = &itemTable{it: it}
 }
 
 // EnableQuantized switches the item table to the int8 form: records quantize
@@ -130,7 +130,7 @@ func (m *Model) EnableQuantized(it *intern.Table) {
 	if it == nil {
 		return
 	}
-	m.items = &itemTable{it: it, q8: true} // alloccheck: once per model at wiring time, never per request
+	m.items = &itemTable{it: it, q8: true}
 }
 
 // FlushItems empties the item table (no-op without one), so the next scored
@@ -163,7 +163,7 @@ type scoreScratch struct {
 func (m *Model) scratch() *scoreScratch {
 	scr, _ := m.scorePool.Get().(*scoreScratch)
 	if scr == nil {
-		scr = &scoreScratch{} // alloccheck: pool miss, cold start only
+		scr = &scoreScratch{}
 	}
 	return scr
 }
@@ -172,7 +172,7 @@ func (m *Model) scratch() *scoreScratch {
 // scorer writes every entry it reads.
 func (s *scoreScratch) sizedRecs(n int) []itemRec {
 	if cap(s.recs) < n {
-		s.recs = make([]itemRec, n) // alloccheck: grow-once; the pooled scratch is reused
+		s.recs = make([]itemRec, n)
 	} else {
 		s.recs = s.recs[:n]
 	}
@@ -182,7 +182,7 @@ func (s *scoreScratch) sizedRecs(n int) []itemRec {
 // sized returns dst resized to n, reusing its backing array when it can.
 func sized(dst []float64, n int) []float64 {
 	if cap(dst) < n {
-		return make([]float64, n) // alloccheck: grow-once; callers pass pooled scratch
+		return make([]float64, n)
 	}
 	return dst[:n]
 }
@@ -197,8 +197,6 @@ func sized(dst []float64, n int) []float64 {
 // request; an item the store has never seen scores, and is installed, with
 // its deterministic cold-start vector. A model without an item table (no
 // interner) scores straight from the store, ignoring slots.
-//
-// hotpath: every scored request runs here; warm, it is one RLock pass plus the dot products
 func (m *Model) ScoreSlots(ctx context.Context, userID string, items []string, slots []int32, dst []float64) ([]float64, error) {
 	if m.items == nil {
 		return m.scoreFromStore(ctx, userID, items, sized(dst, len(items)))
@@ -297,7 +295,7 @@ func (m *Model) resolve(ctx context.Context, items []string, slots []int32, scr 
 	for j, i := range miss {
 		var vec []float64
 		if b := vals[2*j]; b != nil {
-			if vec, err = kvstore.DecodeFloats(b); err != nil { // alloccheck: miss path; the float table retains the vector
+			if vec, err = kvstore.DecodeFloats(b); err != nil { // a fresh slice: the float table retains it
 				return fmt.Errorf("core: decode item vector %s: %w", items[i], err)
 			}
 		} else {

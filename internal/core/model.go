@@ -147,16 +147,16 @@ func NewModel(name string, store kvstore.Store, p Params) (*Model, error) {
 	if err := p.Validate(); err != nil {
 		return nil, err
 	}
-	return &Model{ // alloccheck: once per model; ModelSet memoizes constructed models
+	return &Model{
 		name:       name,
 		store:      store,
 		params:     p,
-		nsItemVec:  name + ".iv",                      // alloccheck: once per model
-		nsItemBias: name + ".ib",                      // alloccheck: once per model
-		keyMean:    kvstore.Key(name+".meta", "mean"), // alloccheck: once per model
-		keyMemo:    make(map[string]itemKeys),         // alloccheck: once per model
-		ukVec:      kvstore.NewKeys(name + ".uv"),     // alloccheck: once per model
-		ukBias:     kvstore.NewKeys(name + ".ub"),     // alloccheck: once per model
+		nsItemVec:  name + ".iv",
+		nsItemBias: name + ".ib",
+		keyMean:    kvstore.Key(name+".meta", "mean"),
+		keyMemo:    make(map[string]itemKeys),
+		ukVec:      kvstore.NewKeys(name + ".uv"),
+		ukBias:     kvstore.NewKeys(name + ".ub"),
 	}, nil
 }
 
@@ -187,12 +187,12 @@ func (p Params) initVector(kind, id string) []float64 {
 		// would panic in make. An empty vector is the only sane answer.
 		return nil
 	}
-	v := make([]float64, p.Factors) // alloccheck: cold-start init of an unseen vector, not the warm path
+	v := make([]float64, p.Factors)
 	scale := p.InitScale / math.Sqrt(float64(p.Factors))
 	h := fnv.New64a()
-	h.Write([]byte(kind)) // alloccheck: cold-start hash seeding only
-	h.Write([]byte{0})    // alloccheck: cold-start hash seeding only
-	h.Write([]byte(id))   // alloccheck: cold-start hash seeding only
+	h.Write([]byte(kind))
+	h.Write([]byte{0})
+	h.Write([]byte(id))
 	base := h.Sum64()
 	x := base
 	for i := range v {
@@ -214,8 +214,6 @@ func (p Params) initVector(kind, id string) []float64 {
 // through the cache (read-through; a nil cache goes straight to the store).
 // The returned slice may be cache-shared: treat it as read-only. A cache hit
 // returns without building the loader closure.
-//
-// hotpath: every scored request loads the user vector through here
 func (m *Model) loadVector(ctx context.Context, kind, key, id string) ([]float64, bool, error) {
 	if m.cache != nil {
 		if tv, present, ok := m.cache.Lookup(key); ok {
@@ -225,7 +223,6 @@ func (m *Model) loadVector(ctx context.Context, kind, key, id string) ([]float64
 			return tv.([]float64), true, nil
 		}
 	}
-	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	return objcache.Cached(m.cache, key, func() ([]float64, bool, error) {
 		b, ok, err := m.store.Get(ctx, key)
 		if err != nil {
@@ -285,8 +282,6 @@ func (m *Model) itemState(ctx context.Context, id string) ([]float64, float64, b
 
 // loadBias fetches the bias stored under the precomposed key. A cache hit
 // returns without building the loader closure.
-//
-// hotpath: every scored request loads the user bias through here
 func (m *Model) loadBias(ctx context.Context, key string) (float64, error) {
 	if m.cache != nil {
 		if tv, present, ok := m.cache.Lookup(key); ok {
@@ -296,7 +291,6 @@ func (m *Model) loadBias(ctx context.Context, key string) (float64, error) {
 			return tv.(float64), nil
 		}
 	}
-	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	v, ok, err := objcache.Cached(m.cache, key, func() (float64, bool, error) {
 		b, ok, err := m.store.Get(ctx, key)
 		if err != nil {
@@ -433,7 +427,6 @@ func (m *Model) globalMean(ctx context.Context) (float64, error) {
 			return tv.(float64), nil
 		}
 	}
-	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	mu, ok, err := objcache.Cached(m.cache, m.keyMean, func() (float64, bool, error) {
 		b, ok, err := m.store.Get(ctx, m.keyMean)
 		if err != nil {
@@ -609,7 +602,7 @@ func (m *Model) ItemVector(ctx context.Context, id string) (vec []float64, bias 
 // vector and bias in one combined MGet and decodes into a reused scratch
 // buffer.
 func (m *Model) ScoreCandidates(ctx context.Context, userID string, items []string) ([]float64, error) {
-	scores := make([]float64, len(items)) // alloccheck: the returned scores slice is the API contract, one per batch
+	scores := make([]float64, len(items))
 	if m.items == nil {
 		return m.scoreFromStore(ctx, userID, items, scores)
 	}
@@ -630,7 +623,7 @@ func (m *Model) scoreFromStore(ctx context.Context, userID string, items []strin
 	if err != nil {
 		return nil, err
 	}
-	keys := make([]string, 2*len(items)) // alloccheck: bare-model path; serving models score from the item table
+	keys := make([]string, 2*len(items))
 	for i, id := range items {
 		ik := m.itemKeysFor(id)
 		keys[i] = ik.vec

@@ -92,8 +92,6 @@ func (r *ActionReader) Err() error { return r.err }
 // #-comments are not actions: ok is false. Errors say what is wrong with the
 // line; which line it was is the caller's to add. A valid line allocates
 // nothing: the action's ids are substrings of line.
-//
-// hotpath: the startup replay and every POST /action line parse here
 func ParseAction(line string) (a feedback.Action, ok bool, err error) {
 	text := strings.TrimSpace(line)
 	if text == "" || strings.HasPrefix(text, "#") {

@@ -140,7 +140,7 @@ func (p Profile) Group() string {
 	if p.Gender == GenderUnknown && p.Age == AgeUnknown && p.Education == EduUnknown {
 		return GlobalGroup
 	}
-	return p.Gender.String() + ":" + p.Age.String() + ":" + p.Education.String() // alloccheck: one small group key per request (warm budget)
+	return p.Gender.String() + ":" + p.Age.String() + ":" + p.Education.String()
 }
 
 // Profiles is a kvstore-backed user profile table.
@@ -191,8 +191,6 @@ func (p *Profiles) Put(ctx context.Context, prof Profile) error {
 // Get fetches a profile, reporting whether one exists. Profiles are small
 // value structs, so the cached copy is returned by value — no aliasing. A
 // cache hit returns without building the loader closure.
-//
-// hotpath: every request resolves the user's group through here
 func (p *Profiles) Get(ctx context.Context, userID string) (Profile, bool, error) {
 	key := p.keys.Key(userID)
 	if p.cache != nil {
@@ -203,7 +201,6 @@ func (p *Profiles) Get(ctx context.Context, userID string) (Profile, bool, error
 			return tv.(Profile), true, nil
 		}
 	}
-	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	return objcache.Cached(p.cache, key, func() (Profile, bool, error) {
 		raw, ok, err := p.kv.Get(ctx, key)
 		if err != nil {

@@ -100,8 +100,6 @@ func (h *HotTracker) Hot(ctx context.Context, group string, k int, now time.Time
 // serving path passes pooled scratch so a warm request's hot-list read
 // allocates nothing. A cache hit never builds a loader closure; only misses
 // take the read-through path.
-//
-// hotpath: the demographic merge reads the group's hot list through here
 func (h *HotTracker) HotInto(ctx context.Context, group string, k int, now time.Time, dst []topn.Entry) ([]topn.Entry, error) {
 	key := h.keys.Key(group)
 	var rec hotRecord
@@ -114,7 +112,6 @@ func (h *HotTracker) HotInto(ctx context.Context, group string, k int, now time.
 			return h.appendDamped(rec, k, now, dst[:0]), nil
 		}
 	}
-	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	rec, ok, err := objcache.Cached(h.cache, key, func() (hotRecord, bool, error) {
 		raw, ok, err := h.kv.Get(ctx, key)
 		if err != nil {
@@ -142,8 +139,6 @@ func (h *HotTracker) HotInto(ctx context.Context, group string, k int, now time.
 // appendDamped appends up to k of rec's entries onto dst with the residual
 // decay applied, stopping at the floor. The cached record stays immutable;
 // the damped copies land in the caller's slice.
-//
-// hotpath: the hot list's damped copy-out, allocation-free on pooled dst
 func (h *HotTracker) appendDamped(rec hotRecord, k int, now time.Time, dst []topn.Entry) []topn.Entry {
 	factor := h.damp(now.Sub(rec.updatedAt))
 	if factor > 1 {
@@ -155,7 +150,7 @@ func (h *HotTracker) appendDamped(rec hotRecord, k int, now time.Time, dst []top
 			break
 		}
 		if v := e.Score * factor; v >= h.floor {
-			dst = append(dst, topn.Entry{ID: e.ID, Score: v}) // alloccheck: grow-once; dst extends the caller's pooled scratch
+			dst = append(dst, topn.Entry{ID: e.ID, Score: v})
 			taken++
 		}
 	}

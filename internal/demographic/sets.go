@@ -95,7 +95,7 @@ func (s *ModelSet) For(group string) (*core.Model, error) {
 	if m := s.models[group]; m != nil {
 		return m, nil
 	}
-	m, err := core.NewModel(s.name+"/"+group, s.kv, s.params) // alloccheck: once per group; the set memoizes
+	m, err := core.NewModel(s.name+"/"+group, s.kv, s.params)
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func (s *TableSet) For(group string) (*simtable.Tables, error) {
 	if t := s.tables[group]; t != nil {
 		return t, nil
 	}
-	t, err := simtable.New(s.name+"/"+group, s.kv, s.cfg) // alloccheck: once per group; the set memoizes
+	t, err := simtable.New(s.name+"/"+group, s.kv, s.cfg)
 	if err != nil {
 		return nil, err
 	}

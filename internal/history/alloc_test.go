@@ -9,11 +9,11 @@ import (
 )
 
 // TestWatchedWarmAllocs pins the warm (cache-hit) allocation count of the
-// serving path's history read, cross-checking alloccheck's static claims for
-// Store.Watched: the decode allocations (events/videos/set in newRecord) are
-// hatched as "miss-path decode", so a cache hit must see none of them. The
-// single remaining allocation is the hatched kvstore.Key concat; the
-// read-through closures stay on the stack (they do not escape Cached).
+// serving path's history read, Store.Watched: the decode allocations
+// (events/videos/set in newRecord) happen only on a miss, so a cache hit
+// must see none of them. The single remaining allocation is the
+// kvstore.Key concat; the read-through closures stay on the stack (they do
+// not escape Cached).
 func TestWatchedWarmAllocs(t *testing.T) {
 	ctx := context.Background()
 	s, err := New("t", kvstore.NewLocal(4), 10)

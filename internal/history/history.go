@@ -60,7 +60,7 @@ func decode(raw []byte) ([]Event, error) {
 	if err != nil {
 		return nil, err
 	}
-	events := make([]Event, len(entries)) // alloccheck: miss-path decode; warm requests reuse the cached record
+	events := make([]Event, len(entries))
 	for i, e := range entries {
 		events[i] = Event{VideoID: e.ID, Time: time.UnixMilli(int64(e.Score))}
 	}
@@ -102,8 +102,8 @@ type record struct {
 }
 
 func newRecord(events []Event) record {
-	videos := make([]string, len(events))     // alloccheck: miss-path decode; warm requests reuse the cached record
-	set := make(map[string]bool, len(events)) // alloccheck: miss-path decode; warm requests reuse the cached record
+	videos := make([]string, len(events))
+	set := make(map[string]bool, len(events))
 	for i, e := range events {
 		videos[i] = e.VideoID
 		set[e.VideoID] = true
@@ -113,8 +113,6 @@ func newRecord(events []Event) record {
 
 // load fetches and decodes the user's record, through the cache when one is
 // attached. A cache hit returns without building the loader closure.
-//
-// hotpath: every serving request reads the user's history through here
 func (s *Store) load(ctx context.Context, userID string) (record, bool, error) {
 	key := s.keys.Key(userID)
 	if s.cache != nil {
@@ -125,7 +123,6 @@ func (s *Store) load(ctx context.Context, userID string) (record, bool, error) {
 			return tv.(record), true, nil
 		}
 	}
-	// alloccheck: one loader closure per read-through MISS; warm hits return above
 	return objcache.Cached(s.cache, key, func() (record, bool, error) {
 		raw, ok, err := s.kv.Get(ctx, key)
 		if err != nil {

@@ -65,11 +65,9 @@ func (t *Table) internLocked(id string) int32 {
 // the slots parallel to ids reusing dst's backing array. The common case —
 // every id already interned — costs one RLock for the whole batch; only the
 // misses upgrade to the write lock.
-//
-// hotpath: one batch resolve per request replaces per-candidate map assigns
 func (t *Table) Slots(ids []string, dst []int32) []int32 {
 	if cap(dst) < len(ids) {
-		dst = make([]int32, len(ids)) // alloccheck: grow-once; callers pass pooled scratch
+		dst = make([]int32, len(ids))
 	} else {
 		dst = dst[:len(ids)]
 	}
@@ -100,11 +98,9 @@ func (t *Table) Slots(ids []string, dst []int32) []int32 {
 // IDs resolves slots back to their strings into dst (reused when it has
 // capacity) under one RLock. Slots outside the table yield empty strings;
 // callers only pass slots they obtained from this table.
-//
-// hotpath: ANN probe results convert back to ids in one batch
 func (t *Table) IDs(slots []int32, dst []string) []string {
 	if cap(dst) < len(slots) {
-		dst = make([]string, len(slots)) // alloccheck: grow-once; callers pass pooled scratch
+		dst = make([]string, len(slots))
 	} else {
 		dst = dst[:len(slots)]
 	}

@@ -81,7 +81,6 @@ func NewBreaker(cfg BreakerConfig, clock func() time.Time) *Breaker {
 		cfg.Cooldown = DefaultBreakerCooldown
 	}
 	if clock == nil {
-		// clockcheck: default wall clock; sim-covered callers inject via SetClock.
 		clock = time.Now
 	}
 	return &Breaker{cfg: cfg, clock: clock}
@@ -91,7 +90,6 @@ func NewBreaker(cfg BreakerConfig, clock func() time.Time) *Breaker {
 // clock.
 func (b *Breaker) SetClock(fn func() time.Time) {
 	if fn == nil {
-		// clockcheck: restoring the default wall clock.
 		fn = time.Now
 	}
 	b.mu.Lock()

@@ -16,7 +16,7 @@ import (
 
 // EncodeFloats encodes a float64 slice as 8 bytes per element.
 func EncodeFloats(v []float64) []byte {
-	return AppendFloats(make([]byte, 0, 8*len(v)), v) // alloccheck: one record per write, sized by the caller's payload (bandit state: 6 floats)
+	return AppendFloats(make([]byte, 0, 8*len(v)), v)
 }
 
 // AppendFloats appends the EncodeFloats encoding of v to dst and returns the
@@ -41,15 +41,13 @@ func DecodeFloats(b []byte) ([]float64, error) {
 // hot path decodes hundreds of candidate vectors per request into one
 // scratch slice instead of hundreds of fresh allocations; the returned slice
 // aliases dst, so callers must consume it before the next reuse.
-//
-// hotpath: the decode-into discipline only matters if it stays allocation-free
 func DecodeFloatsInto(dst []float64, b []byte) ([]float64, error) {
 	if len(b)%8 != 0 {
 		return nil, fmt.Errorf("kvstore: float slice encoding has %d bytes, not a multiple of 8", len(b))
 	}
 	n := len(b) / 8
 	if cap(dst) < n {
-		dst = make([]float64, n) // alloccheck: grow on first use; steady state reuses dst
+		dst = make([]float64, n)
 	} else {
 		dst = dst[:n]
 	}
@@ -67,8 +65,6 @@ func EncodeFloat(f float64) []byte {
 }
 
 // DecodeFloat decodes a value produced by EncodeFloat.
-//
-// hotpath: one bias decode per cold key; reached through the Store interface
 func DecodeFloat(b []byte) (float64, error) {
 	if len(b) != 8 {
 		return 0, fmt.Errorf("kvstore: float encoding has %d bytes, want 8", len(b))
@@ -84,7 +80,7 @@ func EncodeEntries(entries []topn.Entry) []byte {
 	for _, e := range entries {
 		size += binary.MaxVarintLen64 + len(e.ID) + 8
 	}
-	buf := make([]byte, 0, size) // alloccheck: one record per write, sized by the caller's payload (attributions: one slate)
+	buf := make([]byte, 0, size)
 	buf = binary.AppendUvarint(buf, uint64(len(entries)))
 	for _, e := range entries {
 		buf = AppendEntry(buf, e.ID, e.Score)
@@ -95,8 +91,6 @@ func EncodeEntries(entries []topn.Entry) []byte {
 // AppendEntry appends one entry of the EncodeEntries format — the
 // uvarint-length-prefixed id and the 8-byte score — to dst. The uvarint
 // count that opens the list is the caller's to write first.
-//
-// hotpath: every stored list is written through here
 func AppendEntry[ID ~string | ~[]byte](dst []byte, id ID, score float64) []byte {
 	dst = binary.AppendUvarint(dst, uint64(len(id)))
 	dst = append(dst, id...)
@@ -131,8 +125,6 @@ type EntryCursor struct {
 
 // NewEntryCursor validates the list header of b and returns a cursor on its
 // first entry.
-//
-// hotpath: the write path reads every stored list through the cursor
 func NewEntryCursor(b []byte) (EntryCursor, error) {
 	n, off := binary.Uvarint(b)
 	if off <= 0 {
@@ -146,8 +138,6 @@ func NewEntryCursor(b []byte) (EntryCursor, error) {
 
 // Next returns the next entry; ok is false at the end of the list. A
 // malformed entry returns an error and leaves the cursor where it was.
-//
-// hotpath: one call per stored entry on the write path
 func (c *EntryCursor) Next() (e RawEntry, ok bool, err error) {
 	if c.i == c.n {
 		return RawEntry{}, false, nil
@@ -175,7 +165,6 @@ func DecodeEntries(b []byte) ([]topn.Entry, error) {
 	if err != nil {
 		return nil, err
 	}
-	// alloccheck: miss-path decode, sized by the encoded header
 	entries := make([]topn.Entry, 0, c.n)
 	for {
 		e, ok, err := c.Next()
@@ -185,7 +174,7 @@ func DecodeEntries(b []byte) ([]topn.Entry, error) {
 		if !ok {
 			return entries, nil
 		}
-		id := string(e.ID) // alloccheck: decoded IDs must not alias the store's buffer
+		id := string(e.ID) // decoded ids must not alias the store's buffer
 		entries = append(entries, topn.Entry{ID: id, Score: e.Score})
 	}
 }
@@ -215,7 +204,6 @@ func DecodeStrings(b []byte) ([]string, error) {
 	if n > uint64(len(b)) {
 		return nil, fmt.Errorf("kvstore: string list claims %d entries in %d bytes", n, len(b))
 	}
-	// alloccheck: miss-path decode, sized by the encoded header
 	out := make([]string, 0, n)
 	for i := uint64(0); i < n; i++ {
 		l, m := binary.Uvarint(b[off:])
@@ -226,7 +214,7 @@ func DecodeStrings(b []byte) ([]string, error) {
 		if uint64(len(b)-off) < l {
 			return nil, fmt.Errorf("kvstore: truncated string %d", i)
 		}
-		out = append(out, string(b[off:off+int(l)])) // alloccheck: decoded strings must not alias the store's buffer
+		out = append(out, string(b[off:off+int(l)])) // decoded strings must not alias the store's buffer
 		off += int(l)
 	}
 	return out, nil

@@ -34,8 +34,6 @@ var entryLists = sync.Pool{New: func() any { return new(EntryList) }}
 
 // AcquireEntryList returns an empty list bounded to limit entries from a
 // pool. limit must be positive.
-//
-// hotpath: one per stored-list rewrite
 func AcquireEntryList(limit int) *EntryList {
 	l := entryLists.Get().(*EntryList)
 	l.limit = limit
@@ -44,8 +42,6 @@ func AcquireEntryList(limit int) *EntryList {
 
 // Release empties the list, dropping its references into loaded bytes, and
 // returns it to the pool.
-//
-// hotpath: one per stored-list rewrite
 func (l *EntryList) Release() {
 	l.reset()
 	entryLists.Put(l)
@@ -64,8 +60,6 @@ func (l *EntryList) reset() {
 // parses but is out of order, over the limit or repeats an id comes out as
 // topn.List would have rebuilt it. A value the cursor rejects leaves the
 // list empty and returns the cursor's error.
-//
-// hotpath: decays a whole stored list in the pass that reads it
 func (l *EntryList) Load(encoded []byte, factor, floor float64) error {
 	c, err := NewEntryCursor(encoded)
 	if err != nil {
@@ -92,8 +86,6 @@ func (l *EntryList) Load(encoded []byte, factor, floor float64) error {
 // higher, and is otherwise dropped. The entry then moves up past strictly
 // smaller neighbours or down past strictly larger ones, so among equal scores
 // the earlier arrival stays ahead.
-//
-// hotpath: the one changed entry of a similar-table rewrite
 func (l *EntryList) Update(id string, score float64) {
 	raw := l.own(id)
 	l.place(l.find(raw), raw, score)
@@ -101,8 +93,6 @@ func (l *EntryList) Update(id string, score float64) {
 
 // Add adds delta to id's score (zero when absent) and re-ranks it as Update
 // does.
-//
-// hotpath: the one changed entry of a hot-list rewrite
 func (l *EntryList) Add(id string, delta float64) {
 	raw := l.own(id)
 	pos := l.find(raw)
@@ -114,8 +104,6 @@ func (l *EntryList) Add(id string, delta float64) {
 }
 
 // Remove deletes id's entry if there is one.
-//
-// hotpath: a pair scored below the floor leaves the similar table
 func (l *EntryList) Remove(id string) {
 	if pos := l.find(l.own(id)); pos >= 0 {
 		l.es = slices.Delete(l.es, pos, pos+1)
@@ -125,14 +113,12 @@ func (l *EntryList) Remove(id string) {
 // EncodeClocked returns the record for the list's current state: the clock
 // as 8 little-endian bytes, then the entries as EncodeEntries writes them, in
 // one buffer of exactly that size which the caller owns.
-//
-// hotpath: the single output buffer of a stored-list rewrite
 func (l *EntryList) EncodeClocked(clockMs int64) []byte {
 	size := 8 + UvarintSize(uint64(len(l.es)))
 	for i := range l.es {
 		size += EntrySize(len(l.es[i].ID))
 	}
-	buf := make([]byte, 0, size) // alloccheck: the rewritten record, the one allocation of a rewrite
+	buf := make([]byte, 0, size)
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(clockMs))
 	buf = binary.AppendUvarint(buf, uint64(len(l.es)))
 	for i := range l.es {

@@ -22,15 +22,13 @@ type Keys struct {
 
 // NewKeys returns a key composer bound to namespace.
 func NewKeys(namespace string) *Keys {
-	return &Keys{ns: namespace, m: make(map[string]string)} // alloccheck: once per component at wiring time, never per request
+	return &Keys{ns: namespace, m: make(map[string]string)}
 }
 
 // Key returns the composed key for id, remembering it on first sight. A
 // plain RWMutex-guarded map beats sync.Map here: the read path is a single
 // specialized string-map access instead of an interface-keyed trie walk, and
 // writes stop after the id space has been seen once.
-//
-// hotpath: warm reads resolve every store key through here, allocation-free
 func (k *Keys) Key(id string) string {
 	k.mu.RLock()
 	key, ok := k.m[id]
@@ -40,7 +38,7 @@ func (k *Keys) Key(id string) string {
 	}
 	key = Key(k.ns, id)
 	k.mu.Lock()
-	k.m[id] = key // alloccheck: first sight of an id; every later request hits the memo
+	k.m[id] = key
 	k.mu.Unlock()
 	return key
 }

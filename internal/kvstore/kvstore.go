@@ -275,5 +275,5 @@ func (l *Local) ForEach(fn func(key string, val []byte) bool) {
 // one store; namespaces keep them apart ("uv" user vector, "iv" item vector,
 // "ub"/"ib" biases, "uh" user history, "sim" similar list, ...).
 func Key(namespace, id string) string {
-	return namespace + ":" + id // alloccheck: one small key header per lookup; hot callers memoize (core keyMemo)
+	return namespace + ":" + id
 }

@@ -156,8 +156,6 @@ func (o *Op) applyWant(cur []byte, exists bool) ([]byte, bool) {
 // score decayed to Ts, the pair's entry is set or removed, and the record is
 // encoded once. A negative age (an out-of-order action) leaves scores
 // unscaled, and a list that parses keeps its later clock.
-//
-// hotpath: every positive action rewrites ≈ 11 similar tables through here
 func (o *Op) rewriteSimilar(cur []byte, ok bool) []byte {
 	list := AcquireEntryList(o.Limit)
 	defer list.Release()
@@ -180,8 +178,6 @@ func (o *Op) rewriteSimilar(cur []byte, ok bool) []byte {
 // decayed to Ts, the weight is added to the video's decayed counter, and the
 // record is encoded once. A list that does not parse restarts empty; the
 // clock before it is kept all the same.
-//
-// hotpath: every positive action rewrites the global hot list through here
 func (o *Op) rewriteHot(cur []byte, ok bool) []byte {
 	list := AcquireEntryList(o.Limit)
 	defer list.Release()
@@ -201,8 +197,6 @@ func (o *Op) rewriteHot(cur []byte, ok bool) []byte {
 // Score = unix milliseconds. It walks cur twice without decoding it: once to
 // validate it and size the result, once to copy the entries that stay behind
 // the new one, timestamps as whole milliseconds.
-//
-// hotpath: every positive action rewrites the user's history through here
 func (o *Op) rewriteHistory(cur []byte, ok bool) []byte {
 	var idBuf [64]byte
 	id := append(idBuf[:0], o.ID...) // compared as bytes; an id longer than this spills to the heap, no more
@@ -211,7 +205,7 @@ func (o *Op) rewriteHistory(cur []byte, ok bool) []byte {
 		kept, size = historySurvivors(cur, id, o.Limit)
 	}
 	size += UvarintSize(uint64(kept+1)) + EntrySize(len(id))
-	buf := make([]byte, 0, size) // alloccheck: the rewritten record, the one allocation of a rewrite
+	buf := make([]byte, 0, size)
 	buf = binary.AppendUvarint(buf, uint64(kept+1))
 	buf = AppendEntry(buf, id, float64(o.Ts.UnixMilli()))
 	c, _ := NewEntryCursor(cur) // kept > 0 only if historySurvivors walked all of cur without an error
@@ -317,14 +311,10 @@ var batches = sync.Pool{New: func() any { return new(Batch) }}
 
 // AcquireBatch returns an empty batch from a pool, so an action's writes
 // need no buffer of their own.
-//
-// hotpath: one per ingested action
 func AcquireBatch() *Batch { return batches.Get().(*Batch) }
 
 // Release empties the batch, dropping its references to keys, values and
 // results, and returns it to the pool.
-//
-// hotpath: one per ingested action
 func (b *Batch) Release() {
 	clear(b.Ops)
 	b.Ops = b.Ops[:0]

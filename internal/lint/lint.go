@@ -14,8 +14,6 @@
 //     may not be silently discarded.
 //   - goroutinecheck: goroutines in the topology runtime and commands must
 //     be joinable (WaitGroup, channel, or context).
-//   - clockcheck: packages on the simulation harness's replay path take
-//     injected clocks and seeded RNGs — no time.Now, no global math/rand.
 //
 // On top of the per-function checks sits the dataflow suite, which follows
 // facts across function and package boundaries through a static call graph
@@ -28,8 +26,6 @@
 //     unchecked model-state writes are findings.
 //   - ctxcheck: serving/network paths thread context.Context; root contexts
 //     are minted only in cmd/.
-//   - alloccheck: "// hotpath" functions and their transitive callees may
-//     not allocate outside a named budget (hotpath.go).
 //
 // New passes register themselves in an init function via Register; see
 // lockcheck.go (per-unit) or lockorder.go (module-level) for the shape.

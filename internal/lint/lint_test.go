@@ -152,17 +152,6 @@ func TestGoroutinecheckFixtures(t *testing.T) {
 	})
 }
 
-func TestClockcheckFixtures(t *testing.T) {
-	runFixture(t, "clockcheck", []expect{
-		{"bad1.go", "clock: time.Now", "time.Now"},
-		{"bad1.go", "time.Since(start)", "time.Since"},
-		{"bad1.go", "time.Until(deadline)", "time.Until"},
-		{"bad2.go", "rand.Intn(n)", "process-global RNG"},
-		{"bad2.go", "rand.Float64()", "process-global RNG"},
-		{"bad2.go", "rand.Shuffle", "process-global RNG"},
-	})
-}
-
 func TestLockorderFixtures(t *testing.T) {
 	runFixture(t, "lockorder", []expect{
 		{"bad1.go", "half of the cycle", "cycle"},
@@ -191,21 +180,6 @@ func TestCtxcheckFixtures(t *testing.T) {
 		{"bad1.go", "root context outside cmd/", "context.Background()"},
 		{"bad2.go", "blocking accept, no ctx and no hatch", "Accept"},
 		{"bad2.go", "literal has no ctx parameter", "time.Sleep"},
-	})
-}
-
-func TestAlloccheckFixtures(t *testing.T) {
-	runFixture(t, "alloccheck", []expect{
-		{"bad1.go", "make with non-constant capacity", "non-constant size"},
-		{"bad1.go", `return "v:" + id`, "string concatenation"},
-		{"bad1.go", "fmt formatting in a hot function", "fmt.Sprintf"},
-		{"bad1.go", "append to a never-pre-sized slice", "never pre-sized"},
-		{"bad1.go", "boxing an int into an interface", "boxes a int"},
-		{"bad2.go", "ranging over a map in a hot function", "ranging over a map"},
-		{"bad2.go", "&T{} escapes to the heap", "allocates on the heap"},
-		{"bad2.go", "slice literal in a hot callee", "hot via alloccheck.engine.Rank"},
-		{"bad2.go", "make(map) per call", "make(map)"},
-		{"bad2.go", "closure capturing n", "captures \"n\""},
 	})
 }
 

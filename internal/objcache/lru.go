@@ -48,7 +48,7 @@ func (c *lru) put(key string, val cacheEntry) {
 		delete(c.items, oldest.Value.(*lruEntry).key)
 		c.evictions++
 	}
-	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val}) // alloccheck: installs follow a miss; warm hits never insert
+	c.items[key] = c.order.PushFront(&lruEntry{key: key, val: val})
 }
 
 // remove drops key's entry if held. Removal is an invalidation, not an

@@ -136,8 +136,6 @@ func (c *Cache) shardFor(key string) *cacheShard {
 // Lookup returns the cached decode result for key. ok reports whether the
 // key is cached at all; present distinguishes a cached value from a cached
 // absence.
-//
-// hotpath: the warm serving path is built on allocation-free cache hits
 func (c *Cache) Lookup(key string) (v any, present, ok bool) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -154,8 +152,6 @@ func (c *Cache) Lookup(key string) (v any, present, ok bool) {
 // Version returns the key's shard version. Batch loaders capture it before
 // the backing fetch and pass it to StoreIfUnchanged so a fetch that raced a
 // write never installs the stale decode.
-//
-// hotpath: called per key on warm batch reads
 func (c *Cache) Version(key string) uint64 {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -166,8 +162,6 @@ func (c *Cache) Version(key string) uint64 {
 
 // StoreIfUnchanged installs a decode result only if no invalidation touched
 // the key's shard since version was captured (see Version).
-//
-// hotpath: the install half of the warm read-through
 func (c *Cache) StoreIfUnchanged(key string, v any, present bool, version uint64) {
 	s := c.shardFor(key)
 	s.mu.Lock()
@@ -345,7 +339,6 @@ func Cached[T any](c *Cache, key string, load func() (T, bool, error)) (T, bool,
 	if c == nil {
 		return load()
 	}
-	// alloccheck: one adapter closure per read-through is inside the warm budget
 	v, present, err := c.Load(key, func() (any, bool, error) {
 		tv, ok, err := load()
 		if err != nil {

@@ -16,13 +16,12 @@ import (
 
 // TestDegradedWarmAllocs pins the allocation count of the degraded
 // (demographic-fallback) serving path under a model blackout with a warm
-// read cache, cross-checking alloccheck's static claims for System.degraded:
-// the per-request cost is the failed personalized attempt (seed handling,
-// the exclusion closure, the miss-path accumulators that fail into the
-// blackout) plus the fallback itself, whose only allocations are the hatched
-// ones — the hot list's damped copy-out, the filtered videos slice, and the
-// Result. Availability under faults must not cost unbounded garbage: if this
-// bound creeps, the fallback is allocating outside its hatched budget.
+// read cache: the per-request cost is the failed personalized attempt (seed
+// handling, the exclusion closure, the miss-path accumulators that fail into
+// the blackout) plus the fallback itself, whose only allocations are the hot
+// list's damped copy-out, the filtered videos slice, and the Result.
+// Availability under faults must not cost unbounded garbage: if this bound
+// creeps, the fallback is allocating outside its budget.
 func TestDegradedWarmAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation heap-allocates closures the serving path keeps on the stack, inflating the count")
@@ -85,8 +84,7 @@ func TestDegradedWarmAllocs(t *testing.T) {
 // TableSize and the global hot list at HotCapacity, which is where a rewrite
 // that decodes the list it changes costs the most. A one-op rewrite allocates
 // the batch Apply takes, the store's copy of the value in and out, and the
-// one encoded record — cross-checking alloccheck's claims for the op
-// rewrites' // hotpath functions. The whole action pinned is the most
+// one encoded record. The whole action pinned is the most
 // expensive shape there is: a registered user (two trained groups, two hot
 // lists) with a full pair window behind them, so 8 pairs × 2 groups × 2
 // directions = 32 table rewrites, plus 2 hot records and 1 history record, at
@@ -264,6 +262,34 @@ func TestWarmServeAllocs(t *testing.T) {
 				t.Errorf("warm Recommend (quantized=%v, %s) allocates %v objects/op, want <= %v", quantized, pin.name, avg, pin.max)
 			}
 		}
+	}
+}
+
+// TestUncachedServeAllocs pins the read-through miss paths the warm pins
+// never reach: with the decoded-value cache off (CacheCapacity -1) every
+// request loads the user's vector, bias and history, the seeds' similar
+// tables and the hot lists from the store, so what it allocates is the
+// decodes and the fallbacks those loads take — the miss branches of
+// core.loadVector, history.Store.load and simtable.SimilarIDs.
+func TestUncachedServeAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation heap-allocates closures and empties sync.Pool at random, inflating the count")
+	}
+	opts := DefaultOptions()
+	opts.CacheCapacity = -1
+	sys, users, _ := warmServeSystem(t, opts)
+	ctx := context.Background()
+	i := 0
+	avg := testing.AllocsPerRun(400, func() {
+		if _, err := sys.Recommend(ctx, Request{UserID: users[i%len(users)], N: 10}); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	})
+	t.Logf("uncached Recommend: %v allocs/op", avg)
+	// 274 measured; one extra allocation per loaded entry or per seed shows.
+	if avg > 274 {
+		t.Errorf("uncached Recommend allocates %v objects/op, want <= 274", avg)
 	}
 }
 

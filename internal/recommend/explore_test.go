@@ -10,10 +10,9 @@ import (
 	"vidrec/internal/simtable"
 )
 
-func exploreOptions(policy string) Options {
+func exploreOptions() Options {
 	o := DefaultOptions()
 	o.Explore = true
-	o.ExplorePolicy = policy
 	o.ExploreSeed = 42
 	return o
 }
@@ -43,26 +42,16 @@ func seedExploreSystem(t *testing.T, s *System) {
 	}
 }
 
+// TestExploreOptionsValidate checks that explore adds no option of its own
+// to validate, and that a bad base option is still refused with it on.
 func TestExploreOptionsValidate(t *testing.T) {
-	bad := exploreOptions("ucb") // not a policy we ship
+	if err := exploreOptions().Validate(); err != nil {
+		t.Errorf("explore options rejected: %v", err)
+	}
+	bad := exploreOptions()
+	bad.HotShare = 1.5
 	if bad.Validate() == nil {
-		t.Error("unknown explore policy accepted")
-	}
-	bad = exploreOptions(bandit.PolicyEpsilonGreedy)
-	bad.ExploreEpsilon = 1.5
-	if bad.Validate() == nil {
-		t.Error("epsilon outside [0,1] accepted")
-	}
-	// Explore off: the explore knobs are inert and unvalidated.
-	off := DefaultOptions()
-	off.ExplorePolicy = "ucb"
-	if err := off.Validate(); err != nil {
-		t.Errorf("inert explore knobs rejected: %v", err)
-	}
-	for _, p := range []string{"", bandit.PolicyThompson, bandit.PolicyEpsilonGreedy} {
-		if err := exploreOptions(p).Validate(); err != nil {
-			t.Errorf("policy %q rejected: %v", p, err)
-		}
+		t.Error("HotShare outside [0,1] accepted with explore on")
 	}
 }
 
@@ -71,7 +60,7 @@ func TestExploreOptionsValidate(t *testing.T) {
 // user already watched, pulls recorded and attributions written.
 func TestExploreSlate(t *testing.T) {
 	ctx := context.Background()
-	s := testSystem(t, exploreOptions(bandit.PolicyThompson))
+	s := testSystem(t, exploreOptions())
 	seedExploreSystem(t, s)
 
 	res, err := s.Recommend(ctx, Request{UserID: "u1", N: 4})
@@ -129,7 +118,7 @@ func TestExploreSlate(t *testing.T) {
 // the attribution is consumed.
 func TestExploreRewardLoop(t *testing.T) {
 	ctx := context.Background()
-	s := testSystem(t, exploreOptions(bandit.PolicyThompson))
+	s := testSystem(t, exploreOptions())
 	seedExploreSystem(t, s)
 
 	res, err := s.Recommend(ctx, Request{UserID: "u1", N: 4})
@@ -171,19 +160,6 @@ func TestExploreRewardLoop(t *testing.T) {
 	}
 }
 
-// TestExploreEpsilonGreedy runs the other policy end to end.
-func TestExploreEpsilonGreedy(t *testing.T) {
-	ctx := context.Background()
-	opts := exploreOptions(bandit.PolicyEpsilonGreedy)
-	opts.ExploreEpsilon = 0.5
-	s := testSystem(t, opts)
-	seedExploreSystem(t, s)
-	res, err := s.Recommend(ctx, Request{UserID: "u1", N: 4})
-	if err != nil || !res.Explored {
-		t.Fatalf("epsilon-greedy explore failed: %v (explored %v)", err, res != nil && res.Explored)
-	}
-}
-
 // TestDegradedNeverExplores pins the composition with the PR5 fallback: when
 // the personalized path (and with it the explore re-rank) fails under a
 // model blackout, the degraded response is served un-explored and the bandit
@@ -193,7 +169,7 @@ func TestDegradedNeverExplores(t *testing.T) {
 	faulty := kvstore.NewFaulty(kvstore.NewLocal(16), 7)
 	params := core.DefaultParams()
 	params.Factors = 8
-	sys, err := NewSystem(faulty, params, simtable.DefaultConfig(), exploreOptions(bandit.PolicyThompson))
+	sys, err := NewSystem(faulty, params, simtable.DefaultConfig(), exploreOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -226,7 +202,7 @@ func TestDegradedNeverExplores(t *testing.T) {
 func TestExploreDeterministicSlates(t *testing.T) {
 	ctx := context.Background()
 	serve := func() ([]string, []bandit.Arm) {
-		s := testSystem(t, exploreOptions(bandit.PolicyThompson))
+		s := testSystem(t, exploreOptions())
 		seedExploreSystem(t, s)
 		var ids []string
 		var arms []bandit.Arm
@@ -266,7 +242,7 @@ func TestExploreWarmAllocs(t *testing.T) {
 		t.Skip("race instrumentation heap-allocates closures the serving path keeps on the stack, inflating the count")
 	}
 	ctx := context.Background()
-	s := testSystem(t, exploreOptions(bandit.PolicyThompson))
+	s := testSystem(t, exploreOptions())
 	seedExploreSystem(t, s)
 	req := Request{UserID: "u1", N: 4}
 	if _, err := s.Recommend(ctx, req); err != nil { // warm the cache

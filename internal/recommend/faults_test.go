@@ -167,20 +167,32 @@ func TestIngestUnderPartialFailure(t *testing.T) {
 	}
 }
 
+// TestLatencyHistogramRecords checks every Recommend is timed on the
+// injected wall clock: with a clock that moves 3ms per reading, each
+// response and the histogram read exactly 3ms.
 func TestLatencyHistogramRecords(t *testing.T) {
 	sys, _ := faultySystem(t)
 	sys.Catalog.Put(context.Background(), catalog.Video{ID: "v", Type: "t", Length: time.Minute})
 	sys.Ingest(context.Background(), watch("u1", "v", 0))
+	var tick time.Time
+	sys.SetWallClock(func() time.Time {
+		tick = tick.Add(3 * time.Millisecond)
+		return tick
+	})
 	for i := 0; i < 5; i++ {
-		if _, err := sys.Recommend(context.Background(), Request{UserID: "u1", N: 3}); err != nil {
+		res, err := sys.Recommend(context.Background(), Request{UserID: "u1", N: 3})
+		if err != nil {
 			t.Fatal(err)
+		}
+		if res.Latency != 3*time.Millisecond {
+			t.Errorf("request %d: latency %v, want 3ms from the injected clock", i, res.Latency)
 		}
 	}
 	snap := sys.Latency.Snapshot()
 	if snap.Count != 5 {
 		t.Errorf("latency samples = %d, want 5", snap.Count)
 	}
-	if snap.P99 == 0 {
-		t.Error("p99 latency is zero")
+	if snap.Max != 3*time.Millisecond {
+		t.Errorf("max latency %v, want 3ms", snap.Max)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"vidrec/internal/bandit"
 	"vidrec/internal/core"
 	"vidrec/internal/dataset"
 	"vidrec/internal/feedback"
@@ -75,7 +74,6 @@ func buildGoldenExplore(t *testing.T) goldenExploreFile {
 	params.Factors = 8
 	opts := recommend.DefaultOptions()
 	opts.Explore = true
-	opts.ExplorePolicy = bandit.PolicyThompson
 	opts.ExploreSeed = 20160307
 	sys, err := recommend.NewSystem(kvstore.NewLocal(16), params, simtable.DefaultConfig(), opts)
 	if err != nil {
@@ -91,7 +89,7 @@ func buildGoldenExplore(t *testing.T) goldenExploreFile {
 	out := goldenExploreFile{
 		Seed:        ds.Config().Seed,
 		ExploreSeed: opts.ExploreSeed,
-		Policy:      bandit.PolicyThompson,
+		Policy:      "thompson",
 	}
 	stream := ds.Stream()
 	for {

@@ -15,7 +15,6 @@ package recommend
 import (
 	"context"
 	"fmt"
-	"math"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -76,12 +75,6 @@ type Options struct {
 	// exploration, as an online-matching bandit. Degraded responses never
 	// explore: the fallback path serves exactly as before.
 	Explore bool
-	// ExplorePolicy selects the bandit policy: bandit.PolicyThompson
-	// (default when empty) or bandit.PolicyEpsilonGreedy.
-	ExplorePolicy string
-	// ExploreEpsilon is epsilon-greedy's exploration fraction in [0,1].
-	// Ignored by Thompson sampling.
-	ExploreEpsilon float64
 	// ExploreSeed seeds the policy's RNG. Equal seeds over equal reward
 	// histories replay identical explored slates — the determinism contract
 	// the golden explored slate and the sim digests pin.
@@ -119,7 +112,6 @@ func DefaultOptions() Options {
 		DemographicFiltering: true,
 		HotHalfLife:          24 * time.Hour,
 		HotCapacity:          100,
-		ExploreEpsilon:       0.1,
 	}
 }
 
@@ -142,16 +134,6 @@ func (o Options) Validate() error {
 		return fmt.Errorf("recommend: HotHalfLife must be positive, got %v", o.HotHalfLife)
 	case o.HotCapacity <= 0:
 		return fmt.Errorf("recommend: HotCapacity must be positive, got %d", o.HotCapacity)
-	}
-	if o.Explore {
-		switch o.ExplorePolicy {
-		case "", bandit.PolicyThompson, bandit.PolicyEpsilonGreedy:
-		default:
-			return fmt.Errorf("recommend: unknown ExplorePolicy %q", o.ExplorePolicy)
-		}
-		if math.IsNaN(o.ExploreEpsilon) || o.ExploreEpsilon < 0 || o.ExploreEpsilon > 1 {
-			return fmt.Errorf("recommend: ExploreEpsilon must be in [0,1], got %v", o.ExploreEpsilon)
-		}
 	}
 	return nil
 }
@@ -290,30 +272,24 @@ func NewSystem(kv kvstore.Store, params core.Params, simCfg simtable.Config, opt
 	}
 	var policy bandit.Policy
 	if opts.Explore {
-		switch opts.ExplorePolicy {
-		case bandit.PolicyEpsilonGreedy:
-			policy = bandit.NewEpsilonGreedy(opts.ExploreSeed, opts.ExploreEpsilon)
-		default: // "" and bandit.PolicyThompson — Validate rejected the rest
-			policy = bandit.NewThompson(opts.ExploreSeed)
-		}
+		policy = bandit.NewThompson(opts.ExploreSeed)
 	}
 	return &System{
-		kv:       kv,
-		opts:     opts,
-		weights:  params.Weights,
-		Catalog:  cat,
-		Profiles: profiles,
-		History:  hist,
-		Models:   models,
-		Tables:   tables,
-		Hot:      hot,
-		Bandit:   bd,
-		cache:    cache,
-		interner: interner,
-		annIndex: annIndex,
-		global:   global,
-		policy:   policy,
-		// clockcheck: default wall clock; tests and the sim use SetWallClock.
+		kv:        kv,
+		opts:      opts,
+		weights:   params.Weights,
+		Catalog:   cat,
+		Profiles:  profiles,
+		History:   hist,
+		Models:    models,
+		Tables:    tables,
+		Hot:       hot,
+		Bandit:    bd,
+		cache:     cache,
+		interner:  interner,
+		annIndex:  annIndex,
+		global:    global,
+		policy:    policy,
 		wallClock: time.Now,
 	}, nil
 }
@@ -359,7 +335,6 @@ func (s *System) SetClock(fn func() time.Time) { s.clock = fn }
 // scenario. A nil fn restores the default.
 func (s *System) SetWallClock(fn func() time.Time) {
 	if fn == nil {
-		// clockcheck: restoring the default wall clock for latency measurement.
 		fn = time.Now
 	}
 	s.wallClock = fn

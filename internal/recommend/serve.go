@@ -123,8 +123,8 @@ func (scr *serveScratch) admit(arm int, ids []string, slots []int32, limit int) 
 		if n := int(sl) + 1; n > len(scr.marks) {
 			// Slots are dense and only grow. The extension is zeroed, and
 			// generation 0 is never current, so new slots read as unseen.
-			scr.marks = append(scr.marks, make([]int32, n-len(scr.marks))...)        // alloccheck: catalog-bounded grow-once; the pooled scratch is reused
-			scr.markGen = append(scr.markGen, make([]uint32, n-len(scr.markGen))...) // alloccheck: catalog-bounded grow-once; the pooled scratch is reused
+			scr.marks = append(scr.marks, make([]int32, n-len(scr.marks))...)
+			scr.markGen = append(scr.markGen, make([]uint32, n-len(scr.markGen))...)
 		}
 		if scr.markGen[sl] == scr.gen {
 			if p := scr.marks[sl]; arm == int(bandit.ArmHot) && p != markExcluded {
@@ -189,7 +189,7 @@ func (scr *serveScratch) gather(ctx context.Context, r sourceReader, in *intern.
 		// The distinct-video view was truncated below the membership set (a
 		// history limit above the serve window); fold the remainder in so
 		// the exclusion still covers everything watched.
-		rest := make([]string, 0, len(src.histSet)) // alloccheck: defensive fold-in for non-default history limits, never taken when the serve window equals the store limit (the default)
+		rest := make([]string, 0, len(src.histSet))
 		for id := range src.histSet {
 			rest = append(rest, id)
 		}
@@ -331,7 +331,7 @@ func (scr *serveScratch) explore(n int, policy bandit.Policy, st *bandit.State) 
 	clear(scr.taken)
 	scr.cursor = [bandit.NumArms]int{}
 	drawn := scr.drawn[:0]
-	arms = make([]bandit.Arm, 0, min(n, len(scr.ids))) // alloccheck: arm tags escape into the Result (explore budget)
+	arms = make([]bandit.Arm, 0, min(n, len(scr.ids)))
 	for len(drawn) < n {
 		arm := policy.Pick(st)
 		p := scr.next(arm)
@@ -353,7 +353,7 @@ func (scr *serveScratch) explore(n int, policy bandit.Policy, st *bandit.State) 
 // entries copies the drawn slate out as the response list, every position
 // with its Eq. 2 score.
 func (scr *serveScratch) entries() []topn.Entry {
-	out := make([]topn.Entry, len(scr.drawn)) // alloccheck: the slate escapes into the Result (warm budget)
+	out := make([]topn.Entry, len(scr.drawn))
 	for i, p := range scr.drawn {
 		out[i] = topn.Entry{ID: scr.ids[p], Score: scr.scores[p]}
 	}
@@ -368,8 +368,6 @@ func (scr *serveScratch) entries() []topn.Entry {
 // fallback cannot be built either, the personalized path's error is the one
 // returned. An N beyond what the pools can fill serves the same response as
 // the pools' capacity.
-//
-// hotpath: the warm serving budget (18 allocs, sub-10µs quantized) is enforced from here
 func (s *System) Recommend(ctx context.Context, req Request) (*Result, error) {
 	start := s.wallClock()
 	if req.N <= 0 {
@@ -412,7 +410,7 @@ func (s *System) Recommend(ctx context.Context, req Request) (*Result, error) {
 func (s *System) personalized(ctx context.Context, req Request, group string, now time.Time) (*Result, error) {
 	scr, _ := s.scratch.Get().(*serveScratch)
 	if scr == nil {
-		scr = new(serveScratch) // alloccheck: pool miss, cold start only
+		scr = new(serveScratch)
 	}
 	defer s.scratch.Put(scr)
 	scr.reset()
@@ -427,7 +425,7 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 	src := sources{watched: watched, histSet: histSet, user: req.UserID, group: group, now: now, n: req.N}
 	var seeds []string
 	if req.CurrentVideo != "" {
-		seeds = []string{req.CurrentVideo} // alloccheck: single-element seed slice (warm budget)
+		seeds = []string{req.CurrentVideo}
 		src.current = seeds
 	} else {
 		if histErr != nil {
@@ -481,7 +479,7 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 	// algorithm's ranking for its slots.
 	merged := scr.merge(numCand, req.N, want)
 	if s.policy == nil {
-		return &Result{ // alloccheck: the returned Result is the API contract (warm budget)
+		return &Result{
 			Videos:     scr.entries(),
 			Seeds:      len(seeds),
 			Candidates: numCand,
@@ -511,7 +509,7 @@ func (s *System) personalized(ctx context.Context, req Request, group string, no
 	if err := s.Bandit.Attribute(ctx, req.UserID, videos, arms); err != nil {
 		return nil, err
 	}
-	return &Result{ // alloccheck: the returned Result is the API contract (explore budget)
+	return &Result{
 		Videos:     videos,
 		Seeds:      len(seeds),
 		Candidates: numCand,
@@ -536,7 +534,7 @@ func (s *System) degraded(ctx context.Context, req Request, group string, now ti
 	if err != nil {
 		return nil, err
 	}
-	videos := make([]topn.Entry, 0, min(req.N, len(hot))) // alloccheck: degraded path, availability fallback
+	videos := make([]topn.Entry, 0, min(req.N, len(hot)))
 	for _, e := range hot {
 		if histSet[e.ID] || e.ID == req.CurrentVideo {
 			continue
@@ -548,7 +546,7 @@ func (s *System) degraded(ctx context.Context, req Request, group string, now ti
 	}
 	// HotMerged covers the whole list: every slot came from demographic
 	// filtering, none from MF ranking.
-	return &Result{Videos: videos, HotMerged: len(videos), Degraded: true}, nil // alloccheck: degraded path, availability fallback
+	return &Result{Videos: videos, HotMerged: len(videos), Degraded: true}, nil
 }
 
 // annProbe probes the LSH index with the user's global factor vector

@@ -55,8 +55,6 @@ func newStubPolicy(seed uint64) *stubPolicy {
 	return &stubPolicy{rng: rand.New(rand.NewPCG(seed, 0x5eed))}
 }
 
-func (p *stubPolicy) Name() string { return "stub" }
-
 func (p *stubPolicy) Pick(*bandit.State) bandit.Arm {
 	p.picks++
 	return bandit.Arm(p.rng.IntN(bandit.NumArms))
@@ -391,7 +389,7 @@ func TestHugeNServesThePoolsCapacity(t *testing.T) {
 					sys = testSystem(t, DefaultOptions())
 					seedExploreSystem(t, sys)
 				case "explored":
-					sys = testSystem(t, exploreOptions(bandit.PolicyThompson))
+					sys = testSystem(t, exploreOptions())
 					seedExploreSystem(t, sys)
 				default:
 					var faulty *kvstore.Faulty

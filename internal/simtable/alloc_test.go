@@ -9,13 +9,12 @@ import (
 )
 
 // TestSimilarBatchWarmAllocs pins the warm (cache-hit) allocation count of
-// the serving-path batch read, cross-checking alloccheck's static claims for
-// SimilarBatch: with every table cached, the only allocations are the
-// per-seed key headers (the hatched kvstore.Key concat), the result slice,
-// and the damped copy-out per seed (both hatched as API-contract copies).
-// The miss-path accumulators (missKeys/missVers/missIdx) and the install
-// boxing must contribute nothing on hits — if this bound creeps, a hatched
-// "miss path only" claim has leaked onto the warm path.
+// the serving-path batch read of SimilarBatch: with every table cached, the
+// only allocations are the per-seed key headers (the kvstore.Key concat),
+// the result slice, and the damped copy-out per seed. The miss-path
+// accumulators (missKeys/missVers/missIdx) and the install boxing must
+// contribute nothing on hits — if this bound creeps, miss-path work has
+// leaked onto the warm path.
 func TestSimilarBatchWarmAllocs(t *testing.T) {
 	ctx := context.Background()
 	tb, err := New("t", kvstore.NewLocal(4), testConfig())

@@ -134,8 +134,8 @@ func New(name string, kv kvstore.Store, cfg Config) (*Tables, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
-	ns := name + ".sim"                                                      // alloccheck: once per table set; TableSet memoizes
-	return &Tables{kv: kv, ns: ns, keys: kvstore.NewKeys(ns), cfg: cfg}, nil // alloccheck: once per table set; TableSet memoizes
+	ns := name + ".sim"
+	return &Tables{kv: kv, ns: ns, keys: kvstore.NewKeys(ns), cfg: cfg}, nil
 }
 
 // Config returns the table configuration.
@@ -219,7 +219,7 @@ func (t *Tables) truncateDecayed(tb table, k int, now time.Time) []topn.Entry {
 	if factor > 1 {
 		factor = 1
 	}
-	// alloccheck: damped copy-out keeps cached tables immutable (API contract)
+	// Damped copy-out keeps cached tables immutable.
 	out := make([]topn.Entry, 0, min(k, len(tb.entries)))
 	for _, e := range tb.entries {
 		if len(out) == k {
@@ -250,9 +250,9 @@ func (t *Tables) Similar(ctx context.Context, video string, k int, now time.Time
 // install a stale decode). The result is parallel to videos; videos without
 // a table yield nil entries.
 func (t *Tables) SimilarBatch(ctx context.Context, videos []string, k int, now time.Time) ([][]topn.Entry, error) {
-	out := make([][]topn.Entry, len(videos)) // alloccheck: the per-seed result is the API contract (warm budget)
+	out := make([][]topn.Entry, len(videos))
 	if t.cache == nil {
-		keys := make([]string, len(videos)) // alloccheck: cacheless path; the warm path serves cache hits below
+		keys := make([]string, len(videos))
 		for i, v := range videos {
 			keys[i] = t.keys.Key(v)
 		}
@@ -283,9 +283,9 @@ func (t *Tables) SimilarBatch(ctx context.Context, videos []string, k int, now t
 			}
 			continue
 		}
-		missVers = append(missVers, t.cache.Version(key)) // alloccheck: miss-path accumulation only
-		missKeys = append(missKeys, key)                  // alloccheck: miss-path accumulation only
-		missIdx = append(missIdx, i)                      // alloccheck: miss-path accumulation only
+		missVers = append(missVers, t.cache.Version(key))
+		missKeys = append(missKeys, key)
+		missIdx = append(missIdx, i)
 	}
 	if len(missKeys) == 0 {
 		return out, nil
@@ -297,14 +297,14 @@ func (t *Tables) SimilarBatch(ctx context.Context, videos []string, k int, now t
 	for j, raw := range vals {
 		i := missIdx[j]
 		if raw == nil {
-			t.cache.StoreIfUnchanged(missKeys[j], table{}, false, missVers[j]) // alloccheck: install boxes on the miss path only
+			t.cache.StoreIfUnchanged(missKeys[j], table{}, false, missVers[j])
 			continue
 		}
 		tb, err := decodeTable(raw)
 		if err != nil {
 			return nil, fmt.Errorf("simtable: corrupt table for %s: %w", videos[i], err)
 		}
-		t.cache.StoreIfUnchanged(missKeys[j], tb, true, missVers[j]) // alloccheck: install boxes on the miss path only
+		t.cache.StoreIfUnchanged(missKeys[j], tb, true, missVers[j])
 		out[i] = t.truncateDecayed(tb, k, now)
 	}
 	return out, nil
@@ -314,8 +314,6 @@ func (t *Tables) SimilarBatch(ctx context.Context, videos []string, k int, now t
 // stopping at the score floor after decaying to now (entries are sorted, so
 // the rest are below it too) — truncateDecayed without materializing the
 // damped copy, for callers that only need the ids.
-//
-// hotpath: the serving path's seed expansion reads every warm table through here
 func (t *Tables) appendDecayedIDs(tb table, k int, now time.Time, dst []string) []string {
 	factor := t.cfg.Damp(now.Sub(tb.updatedAt))
 	if factor > 1 {
@@ -326,7 +324,7 @@ func (t *Tables) appendDecayedIDs(tb table, k int, now time.Time, dst []string) 
 		if taken == k || e.Score*factor < t.cfg.ScoreFloor {
 			break
 		}
-		dst = append(dst, e.ID) // alloccheck: grow-once; dst extends the caller's pooled scratch
+		dst = append(dst, e.ID)
 		taken++
 	}
 	return dst
@@ -339,8 +337,6 @@ func (t *Tables) appendDecayedIDs(tb table, k int, now time.Time, dst []string) 
 // the call allocates nothing beyond dst's amortized growth; any cache miss
 // falls back to SimilarBatch so the store round trip stays batched and the
 // decoded tables are installed for the next request.
-//
-// hotpath: one call per request feeds the candidate expansion (warm budget)
 func (t *Tables) SimilarIDs(ctx context.Context, videos []string, k int, now time.Time, dst []string) ([]string, error) {
 	if t.cache != nil {
 		allHit := true
@@ -359,13 +355,13 @@ func (t *Tables) SimilarIDs(ctx context.Context, videos []string, k int, now tim
 		}
 		dst = dst[:0]
 	}
-	lists, err := t.SimilarBatch(ctx, videos, k, now) // alloccheck: cold path; warm requests take the all-hit loop above
+	lists, err := t.SimilarBatch(ctx, videos, k, now)
 	if err != nil {
 		return nil, err
 	}
 	for _, similar := range lists {
 		for _, e := range similar {
-			dst = append(dst, e.ID) // alloccheck: grow-once; dst extends the caller's pooled scratch
+			dst = append(dst, e.ID)
 		}
 	}
 	return dst, nil

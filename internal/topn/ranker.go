@@ -28,14 +28,12 @@ func NewRanker(limit int) *Ranker {
 	if limit <= 0 {
 		panic("topn: limit must be positive")
 	}
-	return &Ranker{limit: limit, entries: make([]Entry, 0, limit)} // alloccheck: construction; a hot loop reuses one Ranker via Reset
+	return &Ranker{limit: limit, entries: make([]Entry, 0, limit)}
 }
 
 // Push offers one entry, reporting whether it was admitted. Identical to
 // List.Update over distinct ids: a full ranker admits only scores strictly
 // above the current minimum, and equal scores keep first-arrival order.
-//
-// hotpath: one Push per scored candidate on the serving path; allocation-free
 func (r *Ranker) Push(id string, score float64) bool {
 	n := len(r.entries)
 	if n == r.limit {
@@ -64,7 +62,7 @@ func (r *Ranker) Len() int { return len(r.entries) }
 
 // All returns every entry, best first, as a copy.
 func (r *Ranker) All() []Entry {
-	out := make([]Entry, len(r.entries)) // alloccheck: copy-out is the API contract; callers own the result
+	out := make([]Entry, len(r.entries))
 	copy(out, r.entries)
 	return out
 }

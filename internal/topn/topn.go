@@ -34,14 +34,12 @@ func NewList(limit int) *List {
 	if limit <= 0 {
 		panic("topn: limit must be positive")
 	}
-	return &List{limit: limit, index: make(map[string]int)} // alloccheck: construction; the serving path reuses one List via Reset
+	return &List{limit: limit, index: make(map[string]int)}
 }
 
 // Update inserts the item or replaces its score, then restores order and the
 // size bound. It reports whether the item is present after the update (false
 // means it fell off the bottom of a full list).
-//
-// hotpath: one Update per scored candidate on the serving path
 func (l *List) Update(id string, score float64) bool {
 	if pos, ok := l.index[id]; ok {
 		l.entries[pos].Score = score
@@ -117,7 +115,7 @@ func (l *List) Top(k int) []Entry {
 	if k < 0 {
 		k = 0
 	}
-	out := make([]Entry, k) // alloccheck: copy-out is the API contract; callers own the result
+	out := make([]Entry, k)
 	copy(out, l.entries[:k])
 	return out
 }

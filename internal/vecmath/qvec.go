@@ -35,11 +35,9 @@ func Quantize(v []float64) QVec {
 // 2.8e-306, yields Scale 0 and zero data: dequantizing gives back the zero
 // vector, and any dot with it is 0, matching the float behaviour of an
 // untrained vector.
-//
-// hotpath: one user-vector quantization per scored batch, allocation-free warm
 func QuantizeInto(dst QVec, v []float64) QVec {
 	if cap(dst.Data) < len(v) {
-		dst.Data = make([]int8, len(v)) // alloccheck: grow-once; callers pass pooled scratch
+		dst.Data = make([]int8, len(v))
 	} else {
 		dst.Data = dst.Data[:len(v)]
 	}
@@ -88,7 +86,7 @@ func QuantizeInto(dst QVec, v []float64) QVec {
 // capacity) and returns it.
 func Dequantize(q QVec, dst []float64) []float64 {
 	if cap(dst) < len(q.Data) {
-		dst = make([]float64, len(q.Data)) // alloccheck: grow-once; callers pass pooled scratch
+		dst = make([]float64, len(q.Data))
 	} else {
 		dst = dst[:len(q.Data)]
 	}
@@ -106,8 +104,6 @@ func Dequantize(q QVec, dst []float64) []float64 {
 // int32 products cannot overflow (127² · dims stays far below 2³¹ for any
 // realistic factor count), and integer addition is exact, so the result is
 // deterministic regardless of blocking.
-//
-// hotpath: one DotQ8 per candidate on the quantized serving path; must stay allocation-free
 func DotQ8(a, b []int8) int32 {
 	if len(a) != len(b) {
 		panic("vecmath: quantized dimension mismatch")
@@ -131,11 +127,9 @@ func DotQ8(a, b []int8) int32 {
 // pass, writing the integer dots into dst (parallel to bs; reused when it has
 // capacity). A nil entry in bs yields 0 — the caller's marker for candidates
 // that fall back to the float path.
-//
-// hotpath: the quantized batch kernel scores every candidate per request
 func DotQ8Batch(a []int8, bs [][]int8, dst []int32) []int32 {
 	if cap(dst) < len(bs) {
-		dst = make([]int32, len(bs)) // alloccheck: grow-once; callers pass pooled scratch
+		dst = make([]int32, len(bs))
 	} else {
 		dst = dst[:len(bs)]
 	}

@@ -24,8 +24,6 @@ import (
 // sums break the dependency chain; summing them pairwise at the end keeps the
 // operation deterministic (same input → same float result), which the golden
 // serving test and sim digests rely on.
-//
-// hotpath: one Dot per candidate per request; must stay allocation-free
 func Dot(a, b []float64) float64 {
 	checkLen(a, b)
 	var s0, s1, s2, s3 float64
