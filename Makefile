@@ -22,10 +22,11 @@ fmt:
 		echo "gofmt needed on:"; echo "$$out"; exit 1; fi
 
 # vidlint is the repo's own analyzer (internal/lint): the per-function passes
-# (lockcheck, atomiccheck, errcheck, goroutinecheck) and the call-graph
-# dataflow suite (lockorder, numcheck, ctxcheck). Zero findings is the merge
-# bar: a finding is fixed or carries an inline escape hatch. The serving
-# allocation budget is held by the AllocsPerRun pins in `make test`.
+# (errcheck, goroutinecheck) and the call-graph dataflow suite (lockorder,
+# ctxcheck) — the checks no test, vet or race run catches (DESIGN §7). Zero
+# findings is the merge bar: a finding is fixed or carries an inline escape
+# hatch. Lock and atomic discipline is held by `make race`, the serving
+# allocation budget by the AllocsPerRun pins in `make test`.
 lint:
 	$(GO) run ./cmd/vidlint ./...
 
@@ -45,13 +46,15 @@ test-sim:
 # The failover tier: the resilient storage stack's own tests — primary/
 # backup group failover (promotion, missed-delete replay on Rejoin),
 # retry/backoff (exact seeded delays), breaker state machine (every
-# transition on an injected clock), and the client redial regression —
+# transition on an injected clock, and one breaker shared by concurrent
+# callers and a stats reader), the fault injector retuned while it serves,
+# and the client redial regression —
 # under the race detector, -count=1 so timing-sensitive state machines can
 # never hide behind the test cache. The sim tier's replica-failover /
 # shard-loss / breaker-trip-recover / degraded-serving scenarios exercise
 # the same stack end to end.
 test-resilience:
-	$(GO) test -race -count=1 ./internal/kvstore -run 'Resilient|ShardGroup|Rejoin|Breaker|Backoff|Redial'
+	$(GO) test -race -count=1 ./internal/kvstore -run 'Resilient|ShardGroup|Rejoin|Breaker|Backoff|Redial|Faulty'
 
 # Fuzz smoke: each target briefly, as a regression gate over the committed
 # seeds plus a short exploration budget. Long exploratory runs are manual

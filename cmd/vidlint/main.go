@@ -1,9 +1,8 @@
 // Command vidlint is vidrec's in-tree static analyzer: it loads and
 // type-checks every package in the module using only the standard library
-// and runs the seven discipline passes registered in internal/lint — the
-// per-function concurrency/error checks (lockcheck, atomiccheck, errcheck,
-// goroutinecheck) and the call-graph dataflow suite (lockorder, numcheck,
-// ctxcheck).
+// and runs the four discipline passes registered in internal/lint — the
+// per-function checks (errcheck, goroutinecheck) and the call-graph
+// dataflow suite (lockorder, ctxcheck).
 //
 // Usage:
 //

@@ -347,6 +347,39 @@ func TestGlobalMeanDisabled(t *testing.T) {
 	}
 }
 
+// TestGlobalMeanZeroCountRecord: the global-mean record is store content,
+// so one with a count of 0 can arrive from outside the model (a restored
+// snapshot, another writer). μ must read 0 from it, not ±Inf or NaN.
+func TestGlobalMeanZeroCountRecord(t *testing.T) {
+	for _, sum := range []float64{2.5, -2.5, 0} {
+		store := kvstore.NewLocal(1)
+		m, err := NewModel("t", store, testParams())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := store.Set(context.Background(), m.keyMean, kvstore.EncodeFloats([]float64{sum, 0})); err != nil {
+			t.Fatal(err)
+		}
+		if mu, err := m.GlobalMean(context.Background()); err != nil || mu != 0 {
+			t.Errorf("GlobalMean over (%v, 0) = %v, %v; want 0, nil", sum, mu, err)
+		}
+	}
+}
+
+// TestInitVectorDegenerateFactors: NewModel rejects Factors <= 0 through
+// Params.Validate, so no model reaches initVector with them; the guard
+// still returns an empty vector instead of panicking in make or scaling by
+// 1/√0.
+func TestInitVectorDegenerateFactors(t *testing.T) {
+	for _, f := range []int{0, -1} {
+		p := testParams()
+		p.Factors = f
+		if v := p.initVector("u", "x"); len(v) != 0 {
+			t.Errorf("initVector with Factors=%d = %v, want empty", f, v)
+		}
+	}
+}
+
 func TestModelPersistsAcrossReattach(t *testing.T) {
 	store := kvstore.NewLocal(4)
 	p := testParams()

@@ -189,3 +189,54 @@ func TestBreakerStateString(t *testing.T) {
 		}
 	}
 }
+
+// TestBreakerConcurrentUse drives one breaker the way Resilient and /stats
+// share it: several goroutines run Allow → Success/Failure while another
+// reads Stats. Under -race it holds every state-machine field to its mutex
+// and every counter to its atomic methods.
+func TestBreakerConcurrentUse(t *testing.T) {
+	clk := newFakeClock()
+	b := NewBreaker(BreakerConfig{Threshold: 2, Cooldown: time.Millisecond}, clk.Now)
+	stop := make(chan struct{})
+	var reader sync.WaitGroup
+	reader.Add(1)
+	go func() {
+		defer reader.Done()
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			_ = b.Stats() // State and the counters, as /stats reads them
+		}
+	}()
+	const workers, calls = 4, 500
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			admitted := 0
+			for i := 0; i < calls; i++ {
+				if !b.Allow() {
+					clk.Advance(time.Millisecond / 2) // two rejections end a cooldown
+					continue
+				}
+				// Failure, Failure, Success: two in a row trip the breaker,
+				// and each probe's outcome cycles through all three.
+				if admitted++; admitted%3 == 0 {
+					b.Success()
+				} else {
+					b.Failure()
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(stop)
+	reader.Wait()
+	if s := b.Stats(); s.Trips == 0 || s.Resets == 0 || s.Rejections == 0 {
+		t.Errorf("stats = %+v: the run never went round the open/half-open cycle", s)
+	}
+}

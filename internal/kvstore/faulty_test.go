@@ -3,6 +3,8 @@ package kvstore
 import (
 	"context"
 	"errors"
+	"fmt"
+	"sync"
 	"testing"
 	"time"
 )
@@ -105,5 +107,61 @@ func TestFaultyDeterministic(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("fault sequence not reproducible across runs with one seed")
 		}
+	}
+}
+
+// TestFaultyConcurrentReconfigure serves Get and Set from several goroutines
+// while another retunes the injector through SetFailRate, SetLatency and
+// SetSchedule. Under -race it holds the flat knobs to their atomic methods
+// and the schedule state to mu.
+func TestFaultyConcurrentReconfigure(t *testing.T) {
+	f := NewFaulty(NewLocal(4), 3)
+	f.SetFailRate(0.5)
+	ctx := context.Background()
+	stop := make(chan struct{})
+	var tuner sync.WaitGroup
+	tuner.Add(1)
+	go func() {
+		defer tuner.Done()
+		for i := 0; ; i++ {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			f.SetFailRate(float64(i%3) / 2)
+			f.SetLatency(time.Duration(i%2) * time.Microsecond)
+			switch i % 4 {
+			case 0:
+				f.SetSchedule([]FaultPhase{{Ops: 8, FailRate: 1}})
+			case 2:
+				f.SetSchedule(nil)
+			}
+		}
+	}()
+	const workers, ops = 4, 300
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < ops; i++ {
+				key := fmt.Sprintf("w%d-k%d", w, i%8)
+				if err := f.Set(ctx, key, []byte(key)); err != nil && !errors.Is(err, ErrInjected) {
+					t.Error(err)
+					return
+				}
+				if _, _, err := f.Get(ctx, key); err != nil && !errors.Is(err, ErrInjected) {
+					t.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	close(stop)
+	tuner.Wait()
+	if f.Injected() == 0 {
+		t.Error("no fault injected: the run never took the failure path")
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sync"
 	"testing"
+	"time"
 )
 
 func newTestServer(t *testing.T) (*Server, *Client) {
@@ -122,6 +123,56 @@ func TestClientAfterServerClose(t *testing.T) {
 	if err := cli.Set(context.Background(), "k", nil); err == nil {
 		t.Error("Set after server close succeeded, want error")
 	}
+}
+
+// blockingStore parks every Get until release is closed, after telling
+// entered that a request reached the backing store.
+type blockingStore struct {
+	Store
+	once    sync.Once
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (s *blockingStore) Get(ctx context.Context, key string) ([]byte, bool, error) {
+	s.once.Do(func() { close(s.entered) })
+	<-s.release
+	return s.Store.Get(ctx, key)
+}
+
+// TestServerCloseWaitsForSession: Close must not return while a session is
+// mid-request, because that session still holds the backing store.
+func TestServerCloseWaitsForSession(t *testing.T) {
+	backing := &blockingStore{Store: NewLocal(1), entered: make(chan struct{}), release: make(chan struct{})}
+	srv, err := NewServer(context.Background(), backing, "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	cli, err := DialContext(context.Background(), srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cli.Close()
+	got := make(chan struct{})
+	go func() {
+		defer close(got)
+		_, _, _ = cli.Get(context.Background(), "k") // Close cuts the session; any result will do
+	}()
+	<-backing.entered
+	closed := make(chan error, 1)
+	go func() { closed <- srv.Close() }()
+	select {
+	case <-closed:
+		t.Fatal("Close returned while a session was mid-request")
+	case <-time.After(100 * time.Millisecond):
+	}
+	close(backing.release)
+	select {
+	case <-closed:
+	case <-time.After(5 * time.Second):
+		t.Fatal("Close did not return after the request finished")
+	}
+	<-got
 }
 
 func TestDialRefused(t *testing.T) {

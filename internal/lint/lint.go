@@ -1,34 +1,23 @@
 // Package lint is vidrec's from-scratch static-analysis framework, built
 // entirely on the standard library (go/parser, go/ast, go/types,
-// go/importer). It exists because the serving and training stack runs online
-// SGD updates and top-N serving concurrently over shared state: data races
-// and swallowed errors there silently corrupt model state rather than crash.
-// The passes encode the repo's concurrency and error-handling discipline so
-// every future change is checked mechanically:
+// go/importer). It keeps only the checks that no test, `go vet` or race run
+// catches (DESIGN §7's mutation table is the evidence for each):
 //
-//   - lockcheck: fields annotated "// guarded by <mu>" may only be accessed
-//     while that mutex is held.
-//   - atomiccheck: sync/atomic values may not be copied or accessed without
-//     their Load/Store/Add/... methods.
 //   - errcheck: error results in the storage/topology/training/cmd layers
 //     may not be silently discarded.
 //   - goroutinecheck: goroutines in the topology runtime and commands must
 //     be joinable (WaitGroup, channel, or context).
 //
-// On top of the per-function checks sits the dataflow suite, which follows
-// facts across function and package boundaries through a static call graph
-// (callgraph.go):
+// The dataflow suite follows facts across function and package boundaries
+// through a static call graph (callgraph.go):
 //
 //   - lockorder: the global lock-acquisition order must be acyclic; cycles
 //     are potential AB-BA deadlocks.
-//   - numcheck: the math-bearing packages may not introduce NaN/Inf —
-//     unguarded divisions, out-of-domain math calls, float equality, and
-//     unchecked model-state writes are findings.
 //   - ctxcheck: serving/network paths thread context.Context; root contexts
 //     are minted only in cmd/.
 //
 // New passes register themselves in an init function via Register; see
-// lockcheck.go (per-unit) or lockorder.go (module-level) for the shape.
+// errcheck.go (per-unit) or lockorder.go (module-level) for the shape.
 // cmd/vidlint is the command-line driver.
 package lint
 
@@ -283,44 +272,6 @@ func isMutexType(t types.Type) bool {
 	return isPkgType(t, "sync", "Mutex", "RWMutex")
 }
 
-// isAtomicType reports whether t is one of sync/atomic's typed values.
-// Pointers to atomics are freely copyable and deliberately do not match.
-func isAtomicType(t types.Type) bool {
-	if _, isPtr := t.Underlying().(*types.Pointer); isPtr {
-		return false
-	}
-	return isPkgType(t, "sync/atomic",
-		"Bool", "Int32", "Int64", "Uint32", "Uint64", "Uintptr", "Pointer", "Value")
-}
-
-// containsAtomic reports whether a value of type t embeds sync/atomic state
-// (directly, in a struct field, or in an array element), meaning a by-value
-// copy would tear concurrent updates.
-func containsAtomic(t types.Type) bool {
-	return containsAtomic1(t, make(map[types.Type]bool))
-}
-
-func containsAtomic1(t types.Type, seen map[types.Type]bool) bool {
-	if t == nil || seen[t] {
-		return false
-	}
-	seen[t] = true
-	if isAtomicType(t) {
-		return true
-	}
-	switch u := t.Underlying().(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsAtomic1(u.Field(i).Type(), seen) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsAtomic1(u.Elem(), seen)
-	}
-	return false
-}
-
 // errorType is the predeclared error interface.
 var errorType = types.Universe.Lookup("error").Type()
 
@@ -350,28 +301,6 @@ func errorResults(u *Unit, call *ast.CallExpr) (positions []int, n int) {
 		}
 		return nil, 1
 	}
-}
-
-// terminates reports whether the statement list always transfers control out
-// of the enclosing block (return, branch, or panic) — used to prune merge
-// states in control-flow approximations.
-func terminates(list []ast.Stmt) bool {
-	if len(list) == 0 {
-		return false
-	}
-	switch s := list[len(list)-1].(type) {
-	case *ast.ReturnStmt, *ast.BranchStmt:
-		return true
-	case *ast.ExprStmt:
-		if call, ok := s.X.(*ast.CallExpr); ok {
-			if id, ok := unparen(call.Fun).(*ast.Ident); ok && id.Name == "panic" {
-				return true
-			}
-		}
-	case *ast.BlockStmt:
-		return terminates(s.List)
-	}
-	return false
 }
 
 // exprString renders a small expression for diagnostics (identifiers and

@@ -115,24 +115,6 @@ func runFixture(t *testing.T, passName string, expects []expect) {
 	}
 }
 
-func TestLockcheckFixtures(t *testing.T) {
-	runFixture(t, "lockcheck", []expect{
-		{"bad1.go", "c.n++", "without holding"},
-		{"bad1.go", "c.n = 2", "without holding"},
-		{"bad2.go", `return t.m["default"]`, "without holding"},
-		{"bad2.go", "guarded by missing", "names no sync.Mutex/RWMutex"},
-	})
-}
-
-func TestAtomiccheckFixtures(t *testing.T) {
-	runFixture(t, "atomiccheck", []expect{
-		{"bad1.go", "s.hits = atomic.Uint64{}", "plain value access"},
-		{"bad1.go", "cp := *s", "copies a"},
-		{"bad2.go", "func ByValue(g gauge)", "passed by value"},
-		{"bad2.go", "for _, g := range list", "range value"},
-	})
-}
-
 func TestErrcheckFixtures(t *testing.T) {
 	runFixture(t, "errcheck", []expect{
 		{"bad1.go", "not an escape hatch", "discards its error result"},
@@ -159,17 +141,6 @@ func TestLockorderFixtures(t *testing.T) {
 		{"bad2.go", "contradicts the declared order", "contradicting declared"},
 		{"bad2.go", "contradicts the declared order", "cycle"},
 		{"bad2.go", "lockorder.Missing.mu", "unknown lock class"},
-	})
-}
-
-func TestNumcheckFixtures(t *testing.T) {
-	runFixture(t, "numcheck", []expect{
-		{"bad1.go", "unguarded division", "without a visible zero guard"},
-		{"bad1.go", "unguarded log", "math.Log2"},
-		{"bad1.go", "rounding-sensitive equality", "rounding-sensitive"},
-		{"bad1.go", "constant out of domain", "out-of-domain constant"},
-		{"bad2.go", "inline arithmetic into a state write", "bind and clamp"},
-		{"bad2.go", "guard mentions scale, not n", "without a visible zero guard"},
 	})
 }
 

@@ -353,8 +353,6 @@ func (l *Loader) check(p *parsedPkg) (*Unit, error) {
 		Defs:       make(map[*ast.Ident]types.Object),
 		Uses:       make(map[*ast.Ident]types.Object),
 		Selections: make(map[*ast.SelectorExpr]*types.Selection),
-		Implicits:  make(map[ast.Node]types.Object),
-		Scopes:     make(map[ast.Node]*types.Scope),
 	}
 	var typeErrs []error
 	conf := types.Config{

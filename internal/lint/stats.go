@@ -35,7 +35,7 @@ func CollectStats(units []*Unit, passes []*Pass, findings []Finding) []PassStats
 		for _, file := range u.Files {
 			for _, cg := range file.Comments {
 				for _, c := range cg.List {
-					// A hatch comment leads with its marker ("// numcheck:
+					// A hatch comment leads with its marker ("// ctxcheck:
 					// reason ..."); requiring the prefix keeps prose that
 					// merely quotes a marker (pass documentation examples)
 					// out of the count.

@@ -362,9 +362,11 @@ func Run(ctx context.Context, sc Scenario) (*Report, error) {
 	// an unpartitioned run holds — the tier-equivalence test pins this).
 	var authBase *kvstore.Local
 	if cluster != nil {
+		// The stale-router probe runs first so the report counts its
+		// redirects.
+		rep.Violations = append(rep.Violations, cluster.probeStale(ctx)...)
 		cluster.report(rep)
 		rep.Violations = append(rep.Violations, cluster.hookViolations()...)
-		rep.Violations = append(rep.Violations, cluster.probeStale(ctx)...)
 		authBase, err = cluster.merged(ctx)
 		if err != nil {
 			return nil, err

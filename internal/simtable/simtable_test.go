@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -12,6 +13,7 @@ import (
 	"vidrec/internal/core"
 	"vidrec/internal/feedback"
 	"vidrec/internal/kvstore"
+	"vidrec/internal/objcache"
 )
 
 func testConfig() Config {
@@ -217,6 +219,51 @@ func TestFloorPrunesForgottenPairs(t *testing.T) {
 	got, _ = tb.Similar(context.Background(), "a", 5, at(10))
 	if len(got) != 1 || got[0].ID != "c" {
 		t.Errorf("after prune Similar = %+v, want [c]", got)
+	}
+}
+
+// TestSimilarIDsMatchesSimilar: SimilarIDs is Similar without the damped
+// copy, so at every age it must return the same ids in the same order,
+// stopping at the same score floor — both on a miss and when every table
+// is served from the read cache.
+func TestSimilarIDsMatchesSimilar(t *testing.T) {
+	cfg := testConfig()
+	cfg.Xi = time.Hour
+	cfg.ScoreFloor = 0.01
+	tb := newTables(t, cfg)
+	tb.SetCache(objcache.New(16))
+	ctx := context.Background()
+	for i, score := range []float64{0.5, 0.2, 0.08, 0.03} {
+		tb.UpdateDirected(ctx, "a", fmt.Sprintf("v%d", i), score, at(0))
+	}
+	tb.UpdateDirected(ctx, "b", "v0", 0.4, at(0))
+	seeds := []string{"a", "b", "unseen"}
+	for h := 0; h <= 10; h++ {
+		var want []string
+		for _, seed := range seeds {
+			entries, err := tb.Similar(ctx, seed, 3, at(h))
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, e := range entries {
+				want = append(want, e.ID)
+			}
+		}
+		for _, path := range []string{"miss", "hit"} {
+			if path == "miss" {
+				tb.cache.Flush()
+			}
+			got, err := tb.SimilarIDs(ctx, seeds, 3, at(h), nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.Equal(got, want) {
+				t.Errorf("after %dh SimilarIDs (%s) = %v, Similar ids = %v", h, path, got, want)
+			}
+			if h == 10 && len(got) != 0 {
+				t.Errorf("after 10 half-lives SimilarIDs (%s) still serves %v", path, got)
+			}
+		}
 	}
 }
 

@@ -494,7 +494,10 @@ func TestBoltPrepareFailureDrainsQueue(t *testing.T) {
 	b := NewBuilder("t").SetQueueSize(2) // small queue: upstream must not deadlock
 	b.SetSpout("s", func() Spout { return &sliceSpout{values: intValues(500)} }, 1).
 		OutputFields("k", "n")
-	b.SetBolt("broken", func() Bolt { return &prepareFailBolt{} }, 1).FieldsGrouping("s", "k")
+	// Four tasks fail Prepare at once, so their errors are recorded
+	// concurrently; Run must report each of them.
+	const tasks = 4
+	b.SetBolt("broken", func() Bolt { return &prepareFailBolt{} }, tasks).FieldsGrouping("s", "k")
 	topo, err := b.Build()
 	if err != nil {
 		t.Fatal(err)
@@ -504,7 +507,12 @@ func TestBoltPrepareFailureDrainsQueue(t *testing.T) {
 	select {
 	case err := <-done:
 		if err == nil {
-			t.Error("prepare failure not surfaced by Run")
+			t.Fatal("prepare failure not surfaced by Run")
+		}
+		for i := 0; i < tasks; i++ {
+			if want := fmt.Sprintf("broken[%d] prepare", i); !strings.Contains(err.Error(), want) {
+				t.Errorf("Run error %q does not report %s", err, want)
+			}
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("topology deadlocked after prepare failure")

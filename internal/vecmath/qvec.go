@@ -43,7 +43,7 @@ func QuantizeInto(dst QVec, v []float64) QVec {
 	}
 	maxAbs := 0.0
 	for _, x := range v {
-		if x != x { // numcheck: exact NaN self-comparison, the one float != that is never rounding-sensitive
+		if x != x { // x is NaN
 			maxAbs = math.NaN()
 			break
 		}

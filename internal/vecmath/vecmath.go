@@ -43,7 +43,7 @@ func Dot(a, b []float64) float64 {
 
 // Norm returns the Euclidean (L2) norm of a.
 func Norm(a []float64) float64 {
-	// numcheck: Dot(a, a) is a sum of squares, always >= 0
+	// Dot(a, a) is a sum of squares, always >= 0
 	return math.Sqrt(Dot(a, a))
 }
 
